@@ -113,14 +113,17 @@ def _get_float(cfg, section, key, default=None, required=False) -> float | None:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
 
-def _get_int(cfg, section, key, default=None, required=False) -> int | None:
+def _get_int(cfg, section, key, default=None, required=False, minimum=None) -> int | None:
     raw = _get(cfg, section, key, default=None, required=required)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{section}] {key} = {raw!r} must be >= {minimum}")
+    return value
 
 
 def _get_floats(cfg, section, key, default=None, required=False) -> list[float]:
@@ -134,7 +137,10 @@ def _get_floats(cfg, section, key, default=None, required=False) -> list[float]:
 
 
 def _get_ints(cfg, section, key, default=None) -> list[int]:
-    return [int(v) for v in _get_floats(cfg, section, key, default=default)]
+    values = _get_floats(cfg, section, key, default=default)
+    if not all(float(v).is_integer() for v in values):
+        raise ConfigError(f"[{section}] {key} = {_get(cfg, section, key)!r} is not an integer list")
+    return [int(v) for v in values]
 
 
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> list[float]:
@@ -173,7 +179,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int, threads: int) -> int:
         raise ConfigError("fixed_threshold mode requires key 'theta_th'")
     lo = _get_float(cfg, section, "theta_l_min", 1e-8)
     hi = _get_float(cfg, section, "theta_l_max", 1e-4)
-    ppd = _get_int(cfg, section, "points_per_decade", 8)
+    ppd = _get_int(cfg, section, "points_per_decade", 8, minimum=1)
     ks = _get_ints(cfg, section, "k", [5, 7, 9])
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
     p_m = _get_float(cfg, section, "p_m", 0.0)
@@ -274,7 +280,7 @@ def cmd_bound(cfg, out_dir: Path, seed: int, threads: int) -> int:
     alpha_raw = _get(cfg, section, "alpha_v3", "0.1")
     lo = _get_float(cfg, section, "n_t_min", 1.0)
     hi = _get_float(cfg, section, "n_t_max", 1e10)
-    ppd = _get_int(cfg, section, "points_per_decade", 4)
+    ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
     arch_raw = _get(cfg, section, "architectures", "v1,v2,v3,ftqc-cultivation")
     architectures = [a.strip() for a in arch_raw.split(",") if a.strip()]
     for arch in architectures:
@@ -327,6 +333,10 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     if lam_grid:
         if len(lam_grid) != 3:
             raise ConfigError("lam_grid must be 'min,max,points_per_decade'")
+        if not (lam_grid[2] >= 1 and lam_grid[2].is_integer()):
+            raise ConfigError(
+                f"[tepai] lam_grid points_per_decade = {lam_grid[2]!r} must be an integer >= 1"
+            )
         n_l = _get_int(cfg, section, "n_l")
         if n_l is None:
             raise ConfigError("lam_grid requires key 'n_l'")
@@ -538,8 +548,8 @@ def _check_calibration(cfg) -> tuple[bool, str]:
     c1 = smm.calibrate_c1()
     vals = [smm.v2_rus_factor(1e-5 * 2 ** (j / 16.0), 7, 1e-3, c1) for j in range(16)]
     mean = sum(vals) / len(vals)
-    if abs(mean - 1.6) > 1e-6:
-        return False, f"calibrated factor averages {mean:.8f}, expected 1.6"
+    if abs(mean - mitigation.V2_RUS_FACTOR) > 1e-6:
+        return False, f"calibrated factor averages {mean:.8f}, expected {mitigation.V2_RUS_FACTOR}"
     raw = _get(cfg, "verify", "c1") if cfg.has_section("verify") else None
     if raw is not None and raw.strip() != "calibrated":
         supplied = float(raw)

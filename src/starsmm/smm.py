@@ -33,13 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pcec, tmr, zchan
+from . import mitigation, pcec, tmr, zchan
 
 MAX_THRESHOLD = math.pi / 8.0
-
-#: Per-trial error rate of the [[4,1,1,2]]-injection fallback used by the
-#: previous architecture generation (in units of p_ph).
-INJECTION_TRIAL_COEFF = 2.0 / 15.0
 
 
 def n_rus(theta_l: float, theta_th: float) -> int:
@@ -61,7 +57,7 @@ def synthesis_budget(p_analog: float, n_rus_trials: int, p_m: float) -> tuple[fl
     """Synthesis accuracy delta and T-count for the digital stage.
 
     delta = max(p_m, 0.1 * 2^N * p_analog), so the synthesis error stays
-    below the other error sources; N_syn = ceil(3 log2(1/delta)).
+    below the other error sources; N_syn = mitigation.synthesis_t_count(delta).
     """
     if p_analog < 0.0 or p_m < 0.0:
         raise ValueError("p_analog and p_m must be non-negative")
@@ -71,7 +67,7 @@ def synthesis_budget(p_analog: float, n_rus_trials: int, p_m: float) -> tuple[fl
             "degenerate synthesis budget (p_m = 0 and p_analog = 0); "
             "pass an explicit delta override"
         )
-    return delta, math.ceil(3.0 * math.log2(1.0 / delta))
+    return delta, mitigation.synthesis_t_count(delta)
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,6 @@ class SmmConfig:
     gate_teleport_clocks: float = 1.0
     include_higher_orders: bool = True
     timing_mode: str = "pipelined"
-    pipeline_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if (self.theta_th is None) == (self.threshold_ratio is None):
@@ -171,7 +166,7 @@ def _trial_clocks(config: SmmConfig, theta_rus: float) -> float:
         return config.gate_teleport_clocks
     params = config.tmr_params
     supply = tmr.supply_time(params, tmr.physical_angle_for(theta_rus, params.k))
-    return max(supply, config.pipeline_floor) + config.gate_teleport_clocks
+    return supply + config.gate_teleport_clocks
 
 
 def _digital_clocks(config: SmmConfig, n_syn: int) -> float:
@@ -216,7 +211,7 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
 
     if config.delta_override is not None:
         delta = config.delta_override
-        n_syn = math.ceil(3.0 * math.log2(1.0 / delta)) if delta > 0.0 else 0
+        n_syn = mitigation.synthesis_t_count(delta) if delta > 0.0 else 0
     elif config.p_m == 0.0 and p_analog == 0.0:
         delta, n_syn = 0.0, 0
     else:
@@ -263,9 +258,7 @@ def synthesis_only_gate(
 
     Returns (P_L, clocks) = (delta + p_m*N_syn, N_syn*(t_m/n_prep + teleport)).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    n_syn = math.ceil(3.0 * math.log2(1.0 / delta))
+    n_syn = mitigation.synthesis_t_count(delta)
     p_l = delta + p_m * n_syn
     clocks = n_syn * (t_m / n_prep_patches + gate_teleport_clocks)
     return p_l, clocks
@@ -447,7 +440,7 @@ def v2_crossover_angle(k: int, p_ph: float, c1: float) -> float:
     if p_ph <= 0.0:
         return tmr.MAX_THETA
     params = _v2_params(k, p_ph, c1)
-    target = INJECTION_TRIAL_COEFF * p_ph
+    target = mitigation.INJECTION_RATE * p_ph
 
     def res(theta_l: float) -> float:
         return pcec.leading_residual_rate(tmr.output_model_for_logical(params, theta_l))
@@ -494,7 +487,7 @@ def v2_rus_factor(
         theta_rus = 2.0 ** i * theta_l
         model = tmr.output_model_for_logical(params, theta_rus)
         p_l += 2.0 ** (-i) * pcec.leading_residual_rate(model)
-    p_l += 2.0 ** (1 - i0) * INJECTION_TRIAL_COEFF * p_ph
+    p_l += 2.0 ** (1 - i0) * mitigation.INJECTION_RATE * p_ph
     return p_l / (theta_l * p_ph)
 
 
@@ -502,19 +495,21 @@ def v2_rus_factor(
 def calibrate_c1(
     k: int = 7,
     p_ph: float = 1e-3,
-    target_alpha: float = 1.6,
+    target_alpha: float = mitigation.V2_RUS_FACTOR,
     theta_l_anchor: float = 1e-5,
 ) -> float:
     """Fit c_1 so the previous-generation RUS factor matches its reference.
 
     The factor oscillates with log2(theta_l) (period one octave), so the
     calibration matches the octave average at the anchor scale.  Bisection
-    on log(c_1) is safe: the averaged factor is monotone in c_1.
+    on log(c_1) is safe: the averaged factor is monotone in c_1.  The
+    crossover angle depends on c_1 only, so each candidate solves it once.
     """
 
     def averaged_alpha(c1: float) -> float:
+        switch = v2_crossover_angle(k, p_ph, c1)
         vals = [
-            v2_rus_factor(theta_l_anchor * 2.0 ** (j / 16.0), k, p_ph, c1)
+            v2_rus_factor(theta_l_anchor * 2.0 ** (j / 16.0), k, p_ph, c1, switch)
             for j in range(16)
         ]
         return sum(vals) / len(vals)

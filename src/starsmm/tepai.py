@@ -87,16 +87,25 @@ def smm_alpha_provider(
     p_m: float = 2e-9,
     c1: float | None = None,
 ) -> AlphaProvider:
-    """alpha_RUS(theta) backed by the SMM analytics at the given setup."""
+    """alpha_RUS(theta) backed by the SMM analytics at the given setup.
+
+    |theta| >= theta_th is pure synthesis (n_rus = 0): the P_L of the gate at
+    theta_th, so alpha = P_L(theta_th) / (|theta| p_ph).
+    """
     if c1 is None:
         c1 = smm.calibrate_c1(k=k, p_ph=p_ph)
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,))
 
-    def alpha(theta: float) -> float:
+    def report(theta_l: float) -> smm.SmmReport:
         config = smm.SmmConfig(
-            theta_l=theta, tmr_params=params, theta_th=theta_th, p_m=p_m
+            theta_l=theta_l, tmr_params=params, theta_th=theta_th, p_m=p_m
         )
-        return smm.effective_error_rate(config).alpha_rus
+        return smm.effective_error_rate(config)
+
+    def alpha(theta: float) -> float:
+        if abs(theta) < theta_th:
+            return report(theta).alpha_rus
+        return report(theta_th).alpha_rus * theta_th / abs(theta)
 
     return alpha
 

@@ -30,17 +30,12 @@ class TmrParams:
             default to 1.0.
         j_max: highest error order retained; defaults to floor(k/2), the
             number of distinct branch pairs.
-        prep_clock_constant: clocks consumed by one preparation attempt.
-        pass_rate_floor: overall multiplicative pass factor applied to the
-            ideal branch (absorbs q_0_pass); affects supply time only.
     """
 
     k: int
     p_ph: float
     pass_coeffs: tuple[float, ...] = ()
     j_max: int | None = None
-    prep_clock_constant: float = 1.0
-    pass_rate_floor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -57,10 +52,6 @@ class TmrParams:
         if len(coeffs) < jm:
             coeffs = coeffs + (1.0,) * (jm - len(coeffs))
         object.__setattr__(self, "pass_coeffs", coeffs[:jm])
-        if not 0.0 < self.pass_rate_floor <= 1.0:
-            raise ValueError("pass_rate_floor must lie in (0, 1]")
-        if self.prep_clock_constant <= 0.0:
-            raise ValueError("prep_clock_constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,29 +93,15 @@ def logical_angle(theta: float, k: int) -> float:
     return math.asin(math.sin(theta) ** k / math.sqrt(p_ideal(theta, k)))
 
 
-def physical_angle_for(theta_l: float, k: int, max_steps: int = 200) -> float:
-    """Invert :func:`logical_angle` by bisection on [0, pi/4].
+def physical_angle_for(theta_l: float, k: int) -> float:
+    """Physical angle whose TMR output has logical angle theta_l.
 
-    Valid because the logical angle is strictly monotone there.  The
-    bracket collapses to float resolution in ~60 steps; hitting the step
-    cap indicates a numerical problem and raises.
+    Exact inverse of :func:`logical_angle`: tan(theta_l) = tan^k(theta), so
+    theta = arctan(tan(theta_l)^(1/k)).
     """
     if not 0.0 <= theta_l <= MAX_THETA:
         raise ValueError(f"theta_l must lie in [0, pi/4], got {theta_l!r}")
-    if theta_l == 0.0:
-        return 0.0
-    lo, hi = 0.0, MAX_THETA
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if logical_angle(mid, k) < theta_l:
-            lo = mid
-        else:
-            hi = mid
-    raise ArithmeticError(
-        f"bisection did not converge for theta_l={theta_l!r}, k={k}"
-    )
+    return math.atan(math.tan(theta_l) ** (1.0 / k))
 
 
 def _u_abs(theta: float, k: int, j: int) -> float:
@@ -135,16 +112,18 @@ def _u_abs(theta: float, k: int, j: int) -> float:
 def branch_angles(theta: float, k: int, j: int) -> float:
     """Angle theta_j of the order-j output branch.
 
-    theta_j = (-1)^j arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)); j = 0
-    reproduces the logical angle and j = 1 the leading error angle.
+    theta_j = (-1)^j arctan(tan^(k-2j)(theta)), since
+    |u_{k-j}| / |u_j| = tan^(k-2j)(theta); this equals the asin form
+    arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)).  j = 0 reproduces the
+    logical angle and j = 1 the leading error angle.
     """
     if not 0 <= j <= k:
         raise ValueError(f"j must lie in [0, k], got {j}")
     if not 0.0 < theta <= MAX_THETA:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta!r}")
-    ua = _u_abs(theta, k, j)
-    ub = _u_abs(theta, k, k - j)
-    mag = math.asin(ub / math.hypot(ua, ub))
+    t, power = math.tan(theta), k - 2 * j
+    # j > k/2 has a negative power: atan2 avoids overflowing tan^power
+    mag = math.atan(t ** power) if power >= 0 else math.atan2(1.0, t ** -power)
     return mag if j % 2 == 0 else -mag
 
 
@@ -161,7 +140,7 @@ def leading_error_angle(theta: float, k: int) -> float:
 def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
     """Full branch table of the post-selected output state.
 
-    q_0 = p_ideal * pass_rate_floor and, for j >= 1,
+    q_0 = p_ideal and, for j >= 1,
     q_j = C(k,j) (|u_j|^2 + |u_{k-j}|^2) c_j p_ph^j, halved at j = k/2 for
     even k where the pair is self-conjugate.  Returned weights are
     normalized (qbar_j = q_j / sum).
@@ -170,7 +149,7 @@ def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta!r}")
     k = params.k
     pid = p_ideal(theta, k)
-    q = [pid * params.pass_rate_floor]
+    q = [pid]
     thetas = [logical_angle(theta, k)]
     for j in range(1, params.j_max + 1):
         sample = math.comb(k, j) * (_u_abs(theta, k, j) ** 2 + _u_abs(theta, k, k - j) ** 2)
@@ -199,8 +178,8 @@ def output_model_for_logical(params: TmrParams, theta_l: float) -> TmrOutputMode
 def supply_time(params: TmrParams, theta: float) -> float:
     """Expected clocks to produce one accepted resource state.
 
-    Geometric-retry expectation: prep_clock_constant / (p_ideal * floor).
+    Geometric-retry expectation of one clock per attempt: 1 / p_ideal.
     """
     if not 0.0 <= theta <= MAX_THETA:
         raise ValueError(f"theta must lie in [0, pi/4], got {theta!r}")
-    return params.prep_clock_constant / (p_ideal(theta, params.k) * params.pass_rate_floor)
+    return 1.0 / p_ideal(theta, params.k)

@@ -5,6 +5,8 @@ import pytest
 
 from starsmm import cli
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 ALPHA_CFG = """\
 [alpha_sweep]
 mode = fixed_ratio
@@ -112,6 +114,17 @@ class TestAlphaSweep:
     def test_unknown_section_rejected(self, tmp_path):
         assert _run(tmp_path, "alpha-sweep", ALPHA_CFG + "[mystery]\nx = 1\n") == 2
 
+    def test_non_integer_k_is_config_error(self, tmp_path, capsys):
+        cfg = ALPHA_CFG.replace("k = 5,7", "k = 5,7.5")
+        assert _run(tmp_path, "alpha-sweep", cfg) == 2
+        assert "[alpha_sweep] k = '5,7.5' is not an integer list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ppd", ["0", "-2"])
+    def test_non_positive_points_per_decade_is_config_error(self, tmp_path, capsys, ppd):
+        cfg = ALPHA_CFG.replace("points_per_decade = 2", f"points_per_decade = {ppd}")
+        assert _run(tmp_path, "alpha-sweep", cfg) == 2
+        assert f"[alpha_sweep] points_per_decade = '{ppd}' must be >= 1" in capsys.readouterr().err
+
     def test_missing_config_is_error(self, tmp_path):
         assert _run(tmp_path, "alpha-sweep", None) == 2
 
@@ -160,6 +173,20 @@ class TestTepai:
     def test_all_rows_failing_exits_3(self, tmp_path):
         cfg = TEPAI_CFG + "p_ph = 9e-3\n"
         assert _run(tmp_path, "tepai", cfg) == 3
+
+    def test_smm_alpha_on_molecule_config(self, tmp_path):
+        # TE-PAI's angle exceeds theta_th = 0.01 at T = 1; those rows route
+        # to pure synthesis instead of failing the run
+        cfg = (CONFIGS / "tepai_molecules.cfg").read_text().replace("alpha = 0.1", "alpha = smm")
+        assert _run(tmp_path, "tepai", cfg) == 0
+        summary = json.loads((tmp_path / "tepai_summary.json").read_text())
+        assert summary["rows"] == summary["solved"] == 30
+        assert summary["failed"] == 0
+
+    def test_zero_lambda_grid_density_is_config_error(self, tmp_path, capsys):
+        cfg = "[tepai]\nt = 1\nlam_grid = 10,100,0\nn_l = 72\nalpha = 0.1\n"
+        assert _run(tmp_path, "tepai", cfg) == 2
+        assert "lam_grid points_per_decade" in capsys.readouterr().err
 
     def test_hubbard_and_lambda_grid_sources(self, tmp_path):
         cfg = """\

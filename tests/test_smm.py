@@ -221,6 +221,9 @@ class TestV2Calibration:
         ]
         assert sum(vals) / len(vals) == pytest.approx(1.6, abs=1e-6)
 
+    def test_calibrated_c1_regression(self):
+        assert smm.calibrate_c1(7, 1e-3) == pytest.approx(0.036746250646356234, rel=1e-12)
+
     def test_calibrated_band_is_narrow(self):
         c1 = smm.calibrate_c1()
         vals = [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starsmm import hamcat, tepai
+from starsmm import hamcat, mitigation, tepai
 
 
 class TestSelectAngle:
@@ -130,6 +130,17 @@ class TestSolveCodeDistance:
     def test_out_of_range_raises(self):
         with pytest.raises(tepai.DistanceSolveError):
             tepai.solve_code_distance(1e6, 179, 9e-3, 3.0)
+
+
+class TestSmmAlphaProvider:
+    def test_beyond_threshold_is_pure_synthesis(self):
+        # |theta| >= theta_th runs no analog trial: P_L = delta + p_m N_syn
+        # with delta = p_m, spread over the requested angle
+        p_ph, p_m, theta_th = 1e-3, 2e-9, 0.01
+        alpha = tepai.smm_alpha_provider(p_ph, theta_th=theta_th, p_m=p_m, c1=0.0367)
+        p_l = p_m * (1 + mitigation.synthesis_t_count(p_m))
+        for theta in (theta_th, 0.0131, 0.3):
+            assert alpha(theta) == pytest.approx(p_l / (theta * p_ph), rel=1e-12)
 
 
 class TestEstimate:

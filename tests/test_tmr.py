@@ -2,8 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from starsmm import tmr
+
+
+def _asin_branch_angle(theta: float, k: int, j: int) -> float:
+    """theta_j from the branch amplitudes: arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)).
+
+    Where the arcsin argument nears 1 (j > k/2) the same angle is taken as
+    pi/2 - arcsin(|u_j| / ...), which keeps the oracle well conditioned.
+    """
+    s, c = math.sin(theta), math.cos(theta)
+    ua = s ** j * c ** (k - j)
+    ub = s ** (k - j) * c ** j
+    h = math.hypot(ua, ub)
+    mag = math.asin(ub / h) if ub <= ua else 0.5 * math.pi - math.asin(ua / h)
+    return mag if j % 2 == 0 else -mag
 
 
 class TestPIdeal:
@@ -73,6 +89,14 @@ class TestPhysicalAngleFor:
             theta = tmr.physical_angle_for(x, k)
             assert tmr.logical_angle(theta, k) == pytest.approx(x, abs=1e-12, rel=1e-10)
 
+    @given(
+        x=st.floats(min_value=1e-12, max_value=math.pi / 4),
+        k=st.integers(min_value=2, max_value=15),
+    )
+    def test_closed_form_inverts_asin_map(self, x, k):
+        theta = tmr.physical_angle_for(x, k)
+        assert tmr.logical_angle(theta, k) == pytest.approx(x, rel=1e-12)
+
 
 class TestBranchAngles:
     @pytest.mark.parametrize("k", [3, 5, 7])
@@ -102,6 +126,21 @@ class TestBranchAngles:
     def test_rejects_out_of_range_j(self):
         with pytest.raises(ValueError):
             tmr.branch_angles(0.1, 3, 4)
+
+    @given(
+        theta=st.floats(min_value=1e-6, max_value=math.pi / 4),
+        k=st.integers(min_value=2, max_value=15),
+        data=st.data(),
+    )
+    def test_closed_form_matches_asin_form(self, theta, k, data):
+        j = data.draw(st.integers(min_value=0, max_value=k))
+        assert tmr.branch_angles(theta, k, j) == pytest.approx(
+            _asin_branch_angle(theta, k, j), rel=0.0, abs=1e-12
+        )
+
+    def test_negative_powers_do_not_overflow(self):
+        # j = k takes tan^-k(theta), beyond float range for tiny theta
+        assert tmr.branch_angles(1e-40, 9, 9) == pytest.approx(-math.pi / 2, abs=1e-15)
 
 
 class TestBranchWeights:
