@@ -9,21 +9,22 @@ Subcommands (all read a sectioned key = value config):
 * ``tepai``: TE-PAI spacetime resource tables plus a JSON summary.
 * ``verify``: run the internal oracle suite; exit 0 iff every check passes.
 
-Outputs are CSV with 17-significant-digit floats and are byte-identical
-across runs for a fixed config and seed.  Exit codes: 0 success,
-1 verification failure, 2 config error, 3 solver failure.
+Flags: ``--config <path>``, ``--seed <u64>``, ``--out <dir>``.  Each
+command computes its rows in one serial pass, in grid order.  Outputs are
+CSV with 17-significant-digit floats and are byte-identical across runs for
+a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
+2 config error, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -47,13 +48,6 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _map_rows(tasks, worker: Callable, threads: int) -> list:
-    if threads <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +147,38 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> list[float]:
     return [10.0 ** (math.log10(lo) + i * step) for i in range(n)]
 
 
-def _resolve_c1(raw: str | None, k: int, p_ph: float) -> float:
-    if raw is None or raw.strip() == "calibrated":
-        return smm.calibrate_c1(k=k, p_ph=p_ph)
+def _get_c1(cfg, section) -> float | None:
+    """The configured c1, or None for 'calibrated' (the default)."""
+    raw = _get(cfg, section, "c1", "calibrated")
+    if raw == "calibrated":
+        return None
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"c1 must be a number or 'calibrated', got {raw!r}") from exc
+        raise ConfigError(f"[{section}] c1 = {raw!r} is not a number or 'calibrated'") from exc
+
+
+def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
+    c1 = _get_c1(cfg, section)
+    return smm.calibrate_c1(k=k, p_ph=p_ph) if c1 is None else c1
+
+
+def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | tepai.AlphaProvider:
+    """A constant RUS factor, or the SMM analytics for the value 'smm'."""
+    raw = _get(cfg, section, key, "0.1")
+    if raw == "smm":
+        return tepai.smm_alpha_provider(p_ph, **smm_setup)
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number or 'smm'") from exc
 
 
 # ---------------------------------------------------------------------------
 # alpha-sweep
 # ---------------------------------------------------------------------------
 
-def cmd_alpha_sweep(cfg, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     section = "alpha_sweep"
     mode = _get(cfg, section, "mode", required=True)
     if mode not in ("fixed_ratio", "fixed_threshold"):
@@ -188,24 +200,21 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int, threads: int) -> int:
     if not grid or not ks:
         raise ConfigError("alpha sweep grid is empty")
 
-    tasks = [(theta_l, k) for k in ks for theta_l in grid]
+    threshold = {"threshold_ratio": ratio} if mode == "fixed_ratio" else {"theta_th": theta_th}
 
-    def worker(task):
-        theta_l, k = task
-        c1 = _resolve_c1(_get(cfg, section, "c1"), k, p_ph)
-        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,))
-        config = smm.SmmConfig(
-            theta_l=theta_l, tmr_params=params, p_m=p_m,
-            include_higher_orders=higher,
-            **({"threshold_ratio": ratio} if mode == "fixed_ratio" else {"theta_th": theta_th}),
-        )
-        rep = smm.effective_error_rate(config)
-        return (
-            theta_l, k, config.resolved_threshold(), p_m,
-            rep.alpha_rus, rep.p_l, rep.out_of_regime,
-        )
-
-    rows = _map_rows(tasks, worker, threads)
+    rows = []
+    for k in ks:
+        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
+        for theta_l in grid:
+            config = smm.SmmConfig(
+                theta_l=theta_l, tmr_params=params, p_m=p_m,
+                include_higher_orders=higher, **threshold,
+            )
+            rep = smm.effective_error_rate(config)
+            rows.append((
+                theta_l, k, config.resolved_threshold(), p_m,
+                rep.alpha_rus, rep.p_l, rep.out_of_regime,
+            ))
     _write_csv(
         out_dir / "alpha_sweep.csv",
         ["theta_L", "k", "theta_th", "p_m", "alpha_rus", "P_L", "out_of_regime_flag"],
@@ -219,7 +228,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int, threads: int) -> int:
 # tradeoff
 # ---------------------------------------------------------------------------
 
-def cmd_tradeoff(cfg, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     section = "tradeoff"
     theta_ls = _get_floats(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     n_max = _get_int(cfg, section, "n_max", 15)
@@ -228,8 +237,7 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int, threads: int) -> int:
     p_m = _get_float(cfg, section, "p_m", 2e-9)
     if not theta_ls:
         raise ConfigError("tradeoff theta_l grid is empty")
-    c1 = _resolve_c1(_get(cfg, section, "c1"), k, p_ph)
-    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,))
+    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
 
     deltas = _get_floats(cfg, section, "delta_sweep", [])
     if not deltas:
@@ -238,27 +246,19 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int, threads: int) -> int:
             deltas.append(d)
             d *= 4.0
 
-    tasks = []
+    rows = []
     for theta_l in theta_ls:
         for n in range(n_max + 1):
             if 2.0 ** n * theta_l <= smm.MAX_THRESHOLD:
-                tasks.append(("smm", theta_l, n))
+                config = smm.SmmConfig(
+                    theta_l=theta_l, tmr_params=params, p_m=p_m,
+                    threshold_ratio=float(2 ** n), timing_mode="latency",
+                )
+                rep = smm.effective_error_rate(config)
+                rows.append((theta_l, n, rep.p_l, rep.expected_clocks))
         for j, delta in enumerate(deltas):
-            tasks.append(("syn", theta_l, j))
-
-    def worker(task):
-        kind, theta_l, idx = task
-        if kind == "smm":
-            config = smm.SmmConfig(
-                theta_l=theta_l, tmr_params=params, p_m=p_m,
-                threshold_ratio=float(2 ** idx), timing_mode="latency",
-            )
-            rep = smm.effective_error_rate(config)
-            return (theta_l, idx, rep.p_l, rep.expected_clocks)
-        p_l, clocks = smm.synthesis_only_gate(delta=deltas[idx], p_m=p_m)
-        return (theta_l, -(idx + 1), p_l, clocks)
-
-    rows = _map_rows(tasks, worker, threads)
+            p_l, clocks = smm.synthesis_only_gate(delta=delta, p_m=p_m)
+            rows.append((theta_l, -(j + 1), p_l, clocks))
     _write_csv(
         out_dir / "tradeoff.csv",
         ["theta_L", "n", "P_L", "expected_clocks"],
@@ -272,12 +272,11 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int, threads: int) -> int:
 # bound
 # ---------------------------------------------------------------------------
 
-def cmd_bound(cfg, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     section = "bound"
     theta_star = _get_float(cfg, section, "theta_star", 1e-5)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
     p_m = _get_float(cfg, section, "p_m", 2e-9)
-    alpha_raw = _get(cfg, section, "alpha_v3", "0.1")
     lo = _get_float(cfg, section, "n_t_min", 1.0)
     hi = _get_float(cfg, section, "n_t_max", 1e10)
     ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
@@ -286,13 +285,7 @@ def cmd_bound(cfg, out_dir: Path, seed: int, threads: int) -> int:
     for arch in architectures:
         if arch not in mitigation.ARCHITECTURES:
             raise ConfigError(f"unknown architecture {arch!r}")
-    if alpha_raw.strip() == "smm":
-        alpha_model = tepai.smm_alpha_provider(p_ph, p_m=p_m)
-    else:
-        try:
-            alpha_model = float(alpha_raw)
-        except ValueError as exc:
-            raise ConfigError(f"alpha_v3 must be a number or 'smm', got {alpha_raw!r}") from exc
+    alpha_model = _get_alpha(cfg, section, "alpha_v3", p_ph, p_m=p_m)
 
     grid = _log_grid(lo, hi, ppd)
     rows = []
@@ -318,7 +311,13 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     if raw:
         for token in (tok.strip() for tok in raw.split(",") if tok.strip()):
             if token.startswith("hubbard:"):
-                length = int(token.split(":", 1)[1])
+                # the periodic L x L lattice behind the lambda formula needs L >= 3
+                size = token.split(":", 1)[1]
+                if not (size.isdecimal() and int(size) >= 3):
+                    raise ConfigError(
+                        f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
+                    )
+                length = int(size)
                 t_hop = _get_float(cfg, section, "hubbard_t", 1.0)
                 u_int = _get_float(cfg, section, "hubbard_u", 4.0)
                 entry = hamcat.hubbard_entry(t_hop, u_int, length)
@@ -347,46 +346,35 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     return systems
 
 
-def cmd_tepai(cfg, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     section = "tepai"
     times = _get_floats(cfg, section, "t", required=True)
     q = _get_float(cfg, section, "q", 1.0)
     eps = _get_float(cfg, section, "epsilon", 0.05)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
     c_smm = _get_float(cfg, section, "c_smm", 3.0)
-    alpha_raw = _get(cfg, section, "alpha", "0.1")
-    if alpha_raw.strip() == "smm":
-        alpha_model = tepai.smm_alpha_provider(p_ph)
-    else:
-        try:
-            alpha_model = float(alpha_raw)
-        except ValueError as exc:
-            raise ConfigError(f"alpha must be a number or 'smm', got {alpha_raw!r}") from exc
+    alpha_model = _get_alpha(cfg, section, "alpha", p_ph)
     systems = _tepai_systems(cfg)
     if not times:
         raise ConfigError("tepai time grid is empty")
 
-    tasks = [(name, lam, n_l, t) for name, lam, n_l in systems for t in times]
-
-    def worker(task):
-        name, lam, n_l, t = task
-        instance = tepai.TepaiInstance(
-            lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
-            c_smm=c_smm, alpha_model=alpha_model, name=name,
-        )
-        try:
-            est = tepai.estimate(instance)
-        except tepai.DistanceSolveError:
-            return None, (name, lam, t, q, eps, "ERROR", "ERROR", "ERROR",
-                          "ERROR", "ERROR", "ERROR")
-        return est, (
-            name, lam, t, q, eps, est.d, est.n_patch, est.physical_qubits,
-            est.single_shot_seconds, est.total_seconds, est.p_total,
-        )
-
-    results = _map_rows(tasks, worker, threads)
-    rows = [row for _, row in results]
-    estimates = [est for est, _ in results if est is not None]
+    rows, estimates = [], []
+    for name, lam, n_l in systems:
+        for t in times:
+            instance = tepai.TepaiInstance(
+                lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
+                c_smm=c_smm, alpha_model=alpha_model, name=name,
+            )
+            try:
+                est = tepai.estimate(instance)
+            except tepai.DistanceSolveError:
+                rows.append((name, lam, t, q, eps) + ("ERROR",) * 6)
+                continue
+            estimates.append(est)
+            rows.append((
+                name, lam, t, q, eps, est.d, est.n_patch, est.physical_qubits,
+                est.single_shot_seconds, est.total_seconds, est.p_total,
+            ))
     _write_csv(
         out_dir / "tepai.csv",
         ["system", "lambda", "T", "Q", "eps", "d", "N_patch", "phys_qubits",
@@ -478,10 +466,7 @@ def _check_smm_enumeration(c1: float) -> tuple[bool, str]:
                 )
                 rep = smm.effective_error_rate(config)
                 exact = smm.enumerate_error_rate(config)
-                q_max = max(
-                    tmr.output_model_for_logical(params, row.theta_rus).error_weight()
-                    for row in rep.trials
-                )
+                q_max = max(row.model.error_weight() for row in rep.trials)
                 if abs(rep.p_l - exact) > 10.0 * q_max ** 2:
                     return False, (
                         f"k={k} theta_l={theta_l} ratio={ratio}: "
@@ -544,22 +529,19 @@ def _check_timing_anchor(c1: float) -> tuple[bool, str]:
     return ok, f"C_smm at ratio 64: {['%.3f' % c for c in clocks]}"
 
 
-def _check_calibration(cfg) -> tuple[bool, str]:
-    c1 = smm.calibrate_c1()
+def _check_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
     vals = [smm.v2_rus_factor(1e-5 * 2 ** (j / 16.0), 7, 1e-3, c1) for j in range(16)]
     mean = sum(vals) / len(vals)
     if abs(mean - mitigation.V2_RUS_FACTOR) > 1e-6:
         return False, f"calibrated factor averages {mean:.8f}, expected {mitigation.V2_RUS_FACTOR}"
-    raw = _get(cfg, "verify", "c1") if cfg.has_section("verify") else None
-    if raw is not None and raw.strip() != "calibrated":
-        supplied = float(raw)
-        if abs(supplied - c1) > 1e-6 * c1:
-            return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
+    if supplied is not None and abs(supplied - c1) > 1e-6 * c1:
+        return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
     return True, f"c1 = {c1:.6f}, octave-averaged factor {mean:.6f}"
 
 
-def cmd_verify(cfg, out_dir: Path, seed: int, threads: int) -> int:
-    shots = _get_int(cfg, "verify", "mc_shots", 200_000) if cfg.has_section("verify") else 200_000
+def cmd_verify(cfg, out_dir: Path, seed: int) -> int:
+    shots = _get_int(cfg, "verify", "mc_shots", 200_000, minimum=1)
+    supplied_c1 = _get_c1(cfg, "verify")
     c1 = smm.calibrate_c1()
     checks = [
         ("tepai_identities", _check_tepai_identities),
@@ -572,7 +554,7 @@ def cmd_verify(cfg, out_dir: Path, seed: int, threads: int) -> int:
         ("hubbard_l1_norm", _check_hubbard),
         ("bound_intercepts", _check_bound_intercepts),
         ("timing_anchor", lambda: _check_timing_anchor(c1)),
-        ("c1_calibration", lambda: _check_calibration(cfg)),
+        ("c1_calibration", lambda: _check_calibration(c1, supplied_c1)),
     ]
     report = {}
     all_ok = True
@@ -610,7 +592,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="sectioned key = value config file")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="sweep worker threads")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
@@ -619,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.config is None and args.command != "verify":
             raise ConfigError(f"command {args.command!r} requires --config")
-        return _COMMANDS[args.command](cfg, out_dir, args.seed, args.threads)
+        return _COMMANDS[args.command](cfg, out_dir, args.seed)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

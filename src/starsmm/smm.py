@@ -133,6 +133,7 @@ class TrialRow:
 
     index: int
     theta_rus: float
+    model: tmr.TmrOutputModel
     residual: float
     clocks: float
 
@@ -154,18 +155,16 @@ class SmmReport:
     out_of_regime: bool
 
 
-def _trial_residual(config: SmmConfig, theta_rus: float) -> float:
-    model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
+def _trial_residual(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
     if config.include_higher_orders:
         return pcec.residual_rate(model)
     return pcec.leading_residual_rate(model)
 
 
-def _trial_clocks(config: SmmConfig, theta_rus: float) -> float:
+def _trial_clocks(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
     if config.timing_mode == "pipelined":
         return config.gate_teleport_clocks
-    params = config.tmr_params
-    supply = tmr.supply_time(params, tmr.physical_angle_for(theta_rus, params.k))
+    supply = tmr.supply_time(config.tmr_params, model.theta_phys)
     return supply + config.gate_teleport_clocks
 
 
@@ -199,15 +198,17 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     n = n_rus(theta_l, theta_th)
     p_switch = 2.0 ** (-n)
 
-    residuals = []
-    trial_clocks = []
+    rows = []
     for i in range(n):
         theta_rus = 2.0 ** i * theta_l
-        residuals.append(_trial_residual(config, theta_rus))
-        trial_clocks.append(_trial_clocks(config, theta_rus))
+        model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
+        rows.append(TrialRow(
+            index=i, theta_rus=theta_rus, model=model,
+            residual=_trial_residual(config, model), clocks=_trial_clocks(config, model),
+        ))
 
     # expected residual over all executed trials, digital branch included
-    p_analog = sum(2.0 ** (-i) * r for i, r in enumerate(residuals))
+    p_analog = sum(2.0 ** (-row.index) * row.residual for row in rows)
 
     if config.delta_override is not None:
         delta = config.delta_override
@@ -225,20 +226,16 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
         alpha = 0.0 if p_l == 0.0 else math.inf
 
     t_digital = _digital_clocks(config, n_syn)
-    clocks = sum(2.0 ** (-i) * t for i, t in enumerate(trial_clocks))
+    clocks = sum(2.0 ** (-row.index) * row.clocks for row in rows)
     clocks += p_switch * t_digital
 
     k = config.tmr_params.k
     out_of_regime = p_ph > 0.0 and theta_l <= p_ph ** (k / 2.0)
 
-    rows = tuple(
-        TrialRow(index=i, theta_rus=2.0 ** i * theta_l, residual=r, clocks=t)
-        for i, (r, t) in enumerate(zip(residuals, trial_clocks))
-    )
     return SmmReport(
         config=config, n_rus=n, p_switch=p_switch, p_analog=p_analog,
         delta=delta, n_syn=n_syn, p_l=p_l, alpha_rus=alpha,
-        expected_clocks=clocks, trials=rows, out_of_regime=out_of_regime,
+        expected_clocks=clocks, trials=tuple(rows), out_of_regime=out_of_regime,
     )
 
 
@@ -279,23 +276,18 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     """
     if config.theta_l == 0.0:
         return 0.0
-    theta_l = abs(config.theta_l)
-    n = n_rus(theta_l, config.resolved_threshold())
-    zs = []
-    for i in range(n):
-        theta_rus = 2.0 ** i * theta_l
-        model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
-        net = zchan.compose(pcec.build_canceller(model), pcec.build_noisy_channel(model))
-        zs.append(zchan.coherence_factor(net, theta_rus))
     report = effective_error_rate(config)
     total = 0.0
     acc = 1.0 + 0.0j
-    for m in range(1, n + 1):
-        acc *= zs[m - 1]
-        total += 2.0 ** (-m) * 0.5 * (1.0 - acc.real)
+    for row in report.trials:
+        net = zchan.compose(
+            pcec.build_canceller(row.model), pcec.build_noisy_channel(row.model)
+        )
+        acc *= zchan.coherence_factor(net, row.theta_rus)
+        total += 2.0 ** (-(row.index + 1)) * 0.5 * (1.0 - acc.real)
     # digital branch: all n analog trials plus the synthesis/magic flip
     p_dig = report.delta + config.p_m * report.n_syn
-    total += 2.0 ** (-n) * 0.5 * (1.0 - (acc * (1.0 - 2.0 * p_dig)).real)
+    total += report.p_switch * 0.5 * (1.0 - (acc * (1.0 - 2.0 * p_dig)).real)
     return total
 
 
@@ -340,23 +332,16 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     if config.theta_l == 0.0:
         return McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
-    theta_l = abs(config.theta_l)
-    n = n_rus(theta_l, config.resolved_threshold())
     report = effective_error_rate(config)
     p_digital_flip = report.delta + config.p_m * report.n_syn
 
     # per-trial sampling tables
-    cums, deltas, t_trials = [], [], []
-    for i in range(n):
-        theta_rus = 2.0 ** i * theta_l
-        model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
-        qbar = np.array(model.branch_qbars)
-        dl = np.array(model.branch_thetas) - theta_rus  # Delta_0 = 0
-        edges = np.cumsum(qbar)
+    cums, deltas = [], []
+    for row in report.trials:
+        edges = np.cumsum(row.model.branch_qbars)
         edges[-1] = 1.0
         cums.append(edges)
-        deltas.append(dl)
-        t_trials.append(_trial_clocks(config, theta_rus))
+        deltas.append(np.array(row.model.branch_thetas) - row.theta_rus)  # Delta_0 = 0
     t_digital = _digital_clocks(config, report.n_syn)
 
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
@@ -373,16 +358,16 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         alive = np.ones(size, dtype=bool)
         success_err = np.zeros(size)
         succeeded = np.zeros(size, dtype=bool)
-        for i in range(n):
+        for row, edges, dl in zip(report.trials, cums, deltas):
             u_coin = rng.random(size)
             u_gate = rng.random(size)
             u_canc = rng.random(size)
-            j_gate = np.searchsorted(cums[i], u_gate, side="right")
-            j_canc = np.searchsorted(cums[i], u_canc, side="right")
-            step = deltas[i][j_gate] - deltas[i][j_canc]
+            j_gate = np.searchsorted(edges, u_gate, side="right")
+            j_canc = np.searchsorted(edges, u_canc, side="right")
+            step = dl[j_gate] - dl[j_canc]
             coin = u_coin < 0.5
             err = np.where(alive, err + np.where(coin, step, -step), err)
-            clocks = np.where(alive, clocks + t_trials[i], clocks)
+            clocks = np.where(alive, clocks + row.clocks, clocks)
             newly = alive & coin
             success_err = np.where(newly, err, success_err)
             succeeded |= newly
@@ -479,9 +464,7 @@ def v2_rus_factor(
     if theta_switch is None:
         theta_switch = v2_crossover_angle(k, p_ph, c1)
     params = _v2_params(k, p_ph, c1)
-    i0 = 0 if theta_l >= theta_switch else math.ceil(
-        math.log2(theta_switch / theta_l) - 1e-12
-    )
+    i0 = n_rus(theta_l, theta_switch) if theta_l < theta_switch else 0
     p_l = 0.0
     for i in range(i0):
         theta_rus = 2.0 ** i * theta_l

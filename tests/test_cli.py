@@ -188,6 +188,23 @@ class TestTepai:
         assert _run(tmp_path, "tepai", cfg) == 2
         assert "lam_grid points_per_decade" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["hubbard:abc", "hubbard:0", "hubbard:-3", "hubbard:2"])
+    def test_bad_hubbard_size_is_config_error(self, tmp_path, capsys, token):
+        cfg = f"[tepai]\nsystems = {token}\nt = 1\nalpha = 0.1\n"
+        assert _run(tmp_path, "tepai", cfg) == 2
+        assert f"[tepai] systems: {token!r} needs an integer" in capsys.readouterr().err
+        assert not (tmp_path / "tepai.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [("tepai", TEPAI_CFG, "alpha"), ("bound", BOUND_CFG, "alpha_v3")],
+        ids=["tepai", "bound"],
+    )
+    def test_bad_alpha_is_config_error(self, tmp_path, capsys, command, cfg, key):
+        cfg = cfg.replace(f"{key} = 0.1", f"{key} = fast")
+        assert _run(tmp_path, command, cfg) == 2
+        assert f"[{command}] {key} = 'fast' is not a number or 'smm'" in capsys.readouterr().err
+
     def test_hubbard_and_lambda_grid_sources(self, tmp_path):
         cfg = """\
 [tepai]
@@ -216,6 +233,21 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert not report["c1_calibration"]["pass"]
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ("[verify]\nmc_shots = 0\n", "[verify] mc_shots = '0' must be >= 1"),
+            ("[verify]\nc1 = abc\n", "[verify] c1 = 'abc' is not a number or 'calibrated'"),
+        ],
+        ids=["mc_shots", "c1"],
+    )
+    def test_bad_verify_key_fails_before_any_check(self, tmp_path, capsys, cfg, message):
+        assert _run(tmp_path, "verify", cfg, seed=9) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert not (tmp_path / "verify_report.json").exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -242,20 +274,3 @@ class TestDeterminism:
         for file_a in sorted(out_a.iterdir()):
             file_b = out_b / file_a.name
             assert file_a.read_bytes() == file_b.read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        out_a = tmp_path / "serial"
-        out_b = tmp_path / "threaded"
-        out_a.mkdir()
-        out_b.mkdir()
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(ALPHA_CFG)
-        assert cli.main(["alpha-sweep", "--config", str(cfg_path), "--out", str(out_a)]) == 0
-        assert (
-            cli.main(
-                ["alpha-sweep", "--config", str(cfg_path), "--out", str(out_b),
-                 "--threads", "4"]
-            )
-            == 0
-        )
-        assert (out_a / "alpha_sweep.csv").read_bytes() == (out_b / "alpha_sweep.csv").read_bytes()

@@ -93,6 +93,13 @@ class TestEffectiveErrorRate:
         expected_analog = sum(2.0 ** -r.index * r.residual for r in rep.trials)
         assert rep.p_analog == pytest.approx(expected_analog, rel=1e-13)
 
+    def test_trial_rows_carry_their_tmr_model(self):
+        cfg = _config(1e-3, k=5, threshold_ratio=16.0, timing_mode="latency")
+        rep = smm.effective_error_rate(cfg)
+        for row in rep.trials:
+            assert row.model == tmr.output_model_for_logical(cfg.tmr_params, row.theta_rus)
+            assert row.clocks == tmr.supply_time(cfg.tmr_params, row.model.theta_phys) + 1.0
+
     def test_leading_order_mode(self):
         cfg_full = _config(1e-3, k=7, threshold_ratio=16.0)
         cfg_lead = _config(1e-3, k=7, threshold_ratio=16.0, include_higher_orders=False)
@@ -240,3 +247,23 @@ class TestV2Calibration:
     def test_crossover_monotone_in_c1(self):
         angles = [smm.v2_crossover_angle(7, 1e-3, c) for c in (0.01, 0.1, 1.0)]
         assert angles[0] > angles[1] > angles[2]
+
+
+class TestPinnedValues:
+    """Exact values of the enumerator and the sampler; they must not drift."""
+
+    def _fixed_ratio(self):
+        return _config(0.02, k=5, c1=smm.calibrate_c1(7, 1e-3))
+
+    def test_enumerated_error_rate(self):
+        assert smm.enumerate_error_rate(self._fixed_ratio()) == 6.899648545242998e-06
+
+    def test_monte_carlo_error_rate(self):
+        assert smm.monte_carlo(self._fixed_ratio(), 200_000, 11).p_l_hat == 7.177645778433653e-06
+
+    def test_monte_carlo_latency_clocks(self):
+        cfg = _config(
+            1e-5, k=7, c1=smm.calibrate_c1(7, 1e-3), threshold_ratio=2.0 ** 10,
+            timing_mode="latency", p_m=2e-9,
+        )
+        assert smm.monte_carlo(cfg, 200_000, 11).clocks_hat == 5.190834508834256
