@@ -26,6 +26,6 @@ for w, phi in pcec.build_canceller(model).branches:
     print(f"  weight {w:.3e}  angle {phi:+.6f}")
 
 # and the coherent remainder of the composed channel really is second order
-cs = pcec.PcecChannelSet(model)
-print("\ncoherent remainder:", zchan.worst_case_vs_pauli_model(cs.composed_error, 0.0))
-print("residual rate     :", cs.residual_rate)
+composed = pcec.composed_error_channel(model)
+print("\ncoherent remainder:", zchan.worst_case_vs_pauli_model(composed, 0.0))
+print("residual rate     :", pcec.residual_rate(model))

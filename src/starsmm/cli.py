@@ -97,14 +97,29 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False):
     return default
 
 
-def _get_float(cfg, section, key, default=None, required=False) -> float | None:
+def _check_bounds(section, key, raw, values, minimum=None, maximum=None, above=None) -> None:
+    """Raise a ConfigError naming the key unless every value lies within the bounds."""
+    for value in values:
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be >= {minimum}")
+        if above is not None and value <= above:
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be > {above}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be <= {maximum}")
+
+
+def _get_float(
+    cfg, section, key, default=None, required=False, minimum=None, maximum=None, above=None
+) -> float | None:
     raw = _get(cfg, section, key, default=None, required=required)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+    _check_bounds(section, key, raw, [value], minimum, maximum, above)
+    return value
 
 
 def _get_int(cfg, section, key, default=None, required=False, minimum=None) -> int | None:
@@ -115,8 +130,7 @@ def _get_int(cfg, section, key, default=None, required=False, minimum=None) -> i
         value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key} = {raw!r} must be >= {minimum}")
+    _check_bounds(section, key, raw, [value], minimum)
     return value
 
 
@@ -130,10 +144,12 @@ def _get_floats(cfg, section, key, default=None, required=False) -> list[float]:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
 
 
-def _get_ints(cfg, section, key, default=None) -> list[int]:
+def _get_ints(cfg, section, key, default=None, minimum=None) -> list[int]:
     values = _get_floats(cfg, section, key, default=default)
+    raw = _get(cfg, section, key)
     if not all(float(v).is_integer() for v in values):
-        raise ConfigError(f"[{section}] {key} = {_get(cfg, section, key)!r} is not an integer list")
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer list")
+    _check_bounds(section, key, raw, values, minimum)
     return [int(v) for v in values]
 
 
@@ -169,9 +185,11 @@ def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | tepai.Alp
     if raw == "smm":
         return tepai.smm_alpha_provider(p_ph, **smm_setup)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number or 'smm'") from exc
+    _check_bounds(section, key, raw, [value], above=0.0)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +201,8 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     mode = _get(cfg, section, "mode", required=True)
     if mode not in ("fixed_ratio", "fixed_threshold"):
         raise ConfigError(f"mode must be fixed_ratio or fixed_threshold, got {mode!r}")
-    ratio = _get_float(cfg, section, "ratio")
-    theta_th = _get_float(cfg, section, "theta_th")
+    ratio = _get_float(cfg, section, "ratio", minimum=1.0)
+    theta_th = _get_float(cfg, section, "theta_th", above=0.0, maximum=smm.MAX_THRESHOLD)
     if mode == "fixed_ratio" and ratio is None:
         raise ConfigError("fixed_ratio mode requires key 'ratio'")
     if mode == "fixed_threshold" and theta_th is None:
@@ -192,20 +210,35 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     lo = _get_float(cfg, section, "theta_l_min", 1e-8)
     hi = _get_float(cfg, section, "theta_l_max", 1e-4)
     ppd = _get_int(cfg, section, "points_per_decade", 8, minimum=1)
-    ks = _get_ints(cfg, section, "k", [5, 7, 9])
+    ks = _get_ints(cfg, section, "k", [5, 7, 9], minimum=2)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
-    p_m = _get_float(cfg, section, "p_m", 0.0)
+    p_m = _get_float(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get(cfg, section, "higher_orders", "true").lower() in ("1", "true", "yes")
     grid = _log_grid(lo, hi, ppd)
     if not grid or not ks:
         raise ConfigError("alpha sweep grid is empty")
 
-    threshold = {"threshold_ratio": ratio} if mode == "fixed_ratio" else {"theta_th": theta_th}
+    # the model needs theta_L <= theta_th <= pi/8; grid points outside are skipped
+    if mode == "fixed_ratio":
+        threshold = {"threshold_ratio": ratio}
+        domain = "ratio * theta_L <= pi/8"
+        grid_in = [theta_l for theta_l in grid if ratio * theta_l <= smm.MAX_THRESHOLD]
+    else:
+        threshold = {"theta_th": theta_th}
+        domain = "theta_L <= theta_th"
+        grid_in = [theta_l for theta_l in grid if theta_l <= theta_th]
+    if not grid_in:
+        raise ConfigError(
+            f"[{section}] no theta_L in [theta_l_min, theta_l_max] = [{lo}, {hi}] has {domain}"
+        )
+    skipped = (len(grid) - len(grid_in)) * len(ks)
+    if skipped:
+        print(f"alpha-sweep: skipped {skipped} rows without {domain}", file=sys.stderr)
 
     rows = []
     for k in ks:
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
-        for theta_l in grid:
+        for theta_l in grid_in:
             config = smm.SmmConfig(
                 theta_l=theta_l, tmr_params=params, p_m=p_m,
                 include_higher_orders=higher, **threshold,
@@ -231,10 +264,10 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
 def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     section = "tradeoff"
     theta_ls = _get_floats(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
-    n_max = _get_int(cfg, section, "n_max", 15)
-    k = _get_int(cfg, section, "k", 7)
+    n_max = _get_int(cfg, section, "n_max", 15, minimum=0)
+    k = _get_int(cfg, section, "k", 7, minimum=2)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
-    p_m = _get_float(cfg, section, "p_m", 2e-9)
+    p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
     if not theta_ls:
         raise ConfigError("tradeoff theta_l grid is empty")
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
@@ -318,8 +351,8 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
                         f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
                     )
                 length = int(size)
-                t_hop = _get_float(cfg, section, "hubbard_t", 1.0)
-                u_int = _get_float(cfg, section, "hubbard_u", 4.0)
+                t_hop = _get_float(cfg, section, "hubbard_t", 1.0, minimum=0.0)
+                u_int = _get_float(cfg, section, "hubbard_u", 4.0, minimum=0.0)
                 entry = hamcat.hubbard_entry(t_hop, u_int, length)
                 systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
             else:
@@ -349,7 +382,7 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
 def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     section = "tepai"
     times = _get_floats(cfg, section, "t", required=True)
-    q = _get_float(cfg, section, "q", 1.0)
+    q = _get_float(cfg, section, "q", 1.0, above=0.0)
     eps = _get_float(cfg, section, "epsilon", 0.05)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
     c_smm = _get_float(cfg, section, "c_smm", 3.0)
@@ -530,7 +563,10 @@ def _check_timing_anchor(c1: float) -> tuple[bool, str]:
 
 
 def _check_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
-    vals = [smm.v2_rus_factor(1e-5 * 2 ** (j / 16.0), 7, 1e-3, c1) for j in range(16)]
+    vals = [
+        smm.v2_rus_factor(smm.CALIBRATION_ANCHOR * 2 ** (j / 16.0), 7, 1e-3, c1)
+        for j in range(16)
+    ]
     mean = sum(vals) / len(vals)
     if abs(mean - mitigation.V2_RUS_FACTOR) > 1e-6:
         return False, f"calibrated factor averages {mean:.8f}, expected {mitigation.V2_RUS_FACTOR}"

@@ -136,26 +136,16 @@ def _hopping_pair(base: int, a: int, b: int, t: float) -> list[PauliTerm]:
     return terms
 
 
-def hubbard_terms(
-    length: int,
-    t: float,
-    u: float,
-    boundary: str = "periodic",
-) -> list[PauliTerm]:
-    """Jordan-Wigner Pauli terms of the L x L Hubbard model.
+def hubbard_terms(length: int, t: float, u: float) -> list[PauliTerm]:
+    """Jordan-Wigner Pauli terms of the periodic L x L Hubbard model.
 
     Hopping: -(t/2)(X Z.. X + Y Z.. Y) per lattice edge per spin sector;
     interaction: (U/4) Z_up Z_down per site.  Periodic boundaries require
     L >= 3 (L = 2 would duplicate wrap-around edges).  Zero couplings emit
-    no terms, so the count is 9 L^2 only when both t and u are non-zero
-    (8 L(L-1) + L^2 for open boundaries).
+    no terms, so the count is 9 L^2 only when both t and u are non-zero.
     """
-    if boundary not in ("periodic", "open"):
-        raise ValueError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
-    if boundary == "periodic" and length < 3:
+    if length < 3:
         raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
-    if boundary == "open" and length < 2:
-        raise ValueError("open boundaries need L >= 2")
     if t < 0.0 or u < 0.0:
         raise ValueError("t and U must be non-negative")
 
@@ -164,10 +154,8 @@ def hubbard_terms(
     for r in range(length):
         for c in range(length):
             s = r * length + c
-            if boundary == "periodic" or c + 1 < length:
-                edges.append((s, r * length + (c + 1) % length))
-            if boundary == "periodic" or r + 1 < length:
-                edges.append((s, ((r + 1) % length) * length + c))
+            edges.append((s, r * length + (c + 1) % length))
+            edges.append((s, ((r + 1) % length) * length + c))
 
     terms: list[PauliTerm] = []
     if t > 0.0:

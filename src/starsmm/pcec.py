@@ -74,17 +74,3 @@ def composed_error_channel(model: TmrOutputModel) -> RotationMixture:
     net = zchan.compose(build_canceller(model), build_noisy_channel(model))
     return zchan.compose(net, zchan.pure_rotation(-model.theta_l))
 
-
-class PcecChannelSet:
-    """The channel quadruple for one resource-state model."""
-
-    def __init__(self, model: TmrOutputModel):
-        self.model = model
-        self.noisy = build_noisy_channel(model)
-        self.canceller = build_canceller(model)
-        self.composed_error = composed_error_channel(model)
-        self.residual_rate = residual_rate(model)
-        if not 0.0 <= self.residual_rate < 1.0:
-            raise ModelRegimeError(
-                f"residual rate {self.residual_rate!r} outside [0, 1)"
-            )

@@ -36,6 +36,17 @@ import numpy as np
 from . import mitigation, pcec, tmr, zchan
 
 MAX_THRESHOLD = math.pi / 8.0
+MAX_P_M = 1e-3  # largest magic-state error rate the cost model covers
+
+#: Clocks per gate teleportation.
+TELEPORT_CLOCKS = 1.0
+#: Clocks per digital T-gate when every magic state is paid serially: a
+#: cultivated state every 10 clocks on each of two preparation patches, plus
+#: its teleportation (10/2 + 1 = 6).
+T_GATE_LATENCY_CLOCKS = 10.0 / 2 + TELEPORT_CLOCKS
+#: Logical angle at which calibrate_c1 matches the octave-averaged
+#: previous-generation RUS factor to its published value.
+CALIBRATION_ANCHOR = 1e-5
 
 
 def n_rus(theta_l: float, theta_th: float) -> int:
@@ -63,10 +74,7 @@ def synthesis_budget(p_analog: float, n_rus_trials: int, p_m: float) -> tuple[fl
         raise ValueError("p_analog and p_m must be non-negative")
     delta = max(p_m, 0.1 * 2.0 ** n_rus_trials * p_analog)
     if delta == 0.0:
-        raise ValueError(
-            "degenerate synthesis budget (p_m = 0 and p_analog = 0); "
-            "pass an explicit delta override"
-        )
+        raise ValueError("degenerate synthesis budget (p_m = 0 and p_analog = 0)")
     return delta, mitigation.synthesis_t_count(delta)
 
 
@@ -79,10 +87,10 @@ class SmmConfig:
 
     * ``"pipelined"`` (default): state preparation is hidden behind ongoing
       computation (fast-block layout with dedicated prep patches); each
-      teleportation costs ``gate_teleport_clocks``.
+      teleportation costs ``TELEPORT_CLOCKS``.
     * ``"latency"``: every preparation is paid serially (the two-patch
       setup); analog trials cost supply + teleport and each digital T-gate
-      costs t_m / n_prep_patches + teleport.
+      costs ``T_GATE_LATENCY_CLOCKS``.
     """
 
     theta_l: float
@@ -90,10 +98,6 @@ class SmmConfig:
     theta_th: float | None = None
     threshold_ratio: float | None = None
     p_m: float = 2e-9
-    t_m: float = 10.0
-    n_prep_patches: int = 2
-    delta_override: float | None = None
-    gate_teleport_clocks: float = 1.0
     include_higher_orders: bool = True
     timing_mode: str = "pipelined"
 
@@ -110,16 +114,10 @@ class SmmConfig:
                 f"|theta_l|={abs(self.theta_l)!r} exceeds theta_th={th!r}; "
                 "route the gate to pure synthesis instead"
             )
-        if not 0.0 <= self.p_m <= 1e-3:
-            raise ValueError(f"p_m must lie in [0, 1e-3], got {self.p_m!r}")
-        if self.t_m < 1.0:
-            raise ValueError(f"t_m must be >= 1 clock, got {self.t_m!r}")
-        if self.n_prep_patches < 1:
-            raise ValueError("n_prep_patches must be >= 1")
+        if not 0.0 <= self.p_m <= MAX_P_M:
+            raise ValueError(f"p_m must lie in [0, {MAX_P_M:g}], got {self.p_m!r}")
         if self.timing_mode not in ("pipelined", "latency"):
             raise ValueError(f"unknown timing_mode {self.timing_mode!r}")
-        if self.delta_override is not None and not 0.0 <= self.delta_override < 1.0:
-            raise ValueError("delta_override must lie in [0, 1)")
 
     def resolved_threshold(self) -> float:
         if self.theta_th is not None:
@@ -163,15 +161,14 @@ def _trial_residual(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
 
 def _trial_clocks(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
     if config.timing_mode == "pipelined":
-        return config.gate_teleport_clocks
-    supply = tmr.supply_time(config.tmr_params, model.theta_phys)
-    return supply + config.gate_teleport_clocks
+        return TELEPORT_CLOCKS
+    return tmr.supply_time(config.tmr_params, model.theta_phys) + TELEPORT_CLOCKS
 
 
 def _digital_clocks(config: SmmConfig, n_syn: int) -> float:
     if config.timing_mode == "pipelined":
-        return n_syn * config.gate_teleport_clocks
-    return n_syn * (config.t_m / config.n_prep_patches + config.gate_teleport_clocks)
+        return n_syn * TELEPORT_CLOCKS
+    return n_syn * T_GATE_LATENCY_CLOCKS
 
 
 def _identity_report(config: SmmConfig) -> SmmReport:
@@ -210,10 +207,7 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     # expected residual over all executed trials, digital branch included
     p_analog = sum(2.0 ** (-row.index) * row.residual for row in rows)
 
-    if config.delta_override is not None:
-        delta = config.delta_override
-        n_syn = mitigation.synthesis_t_count(delta) if delta > 0.0 else 0
-    elif config.p_m == 0.0 and p_analog == 0.0:
+    if config.p_m == 0.0 and p_analog == 0.0:
         delta, n_syn = 0.0, 0
     else:
         delta, n_syn = synthesis_budget(p_analog, n, config.p_m)
@@ -244,21 +238,13 @@ def expected_clocks(config: SmmConfig) -> float:
     return effective_error_rate(config).expected_clocks
 
 
-def synthesis_only_gate(
-    delta: float,
-    p_m: float = 2e-9,
-    t_m: float = 10.0,
-    n_prep_patches: int = 2,
-    gate_teleport_clocks: float = 1.0,
-) -> tuple[float, float]:
+def synthesis_only_gate(delta: float, p_m: float = 2e-9) -> tuple[float, float]:
     """Error rate and clocks of the pure T-gate-synthesis comparator.
 
-    Returns (P_L, clocks) = (delta + p_m*N_syn, N_syn*(t_m/n_prep + teleport)).
+    Returns (P_L, clocks) = (delta + p_m*N_syn, N_syn*T_GATE_LATENCY_CLOCKS).
     """
     n_syn = mitigation.synthesis_t_count(delta)
-    p_l = delta + p_m * n_syn
-    clocks = n_syn * (t_m / n_prep_patches + gate_teleport_clocks)
-    return p_l, clocks
+    return delta + p_m * n_syn, n_syn * T_GATE_LATENCY_CLOCKS
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +461,11 @@ def v2_rus_factor(
 
 
 @functools.lru_cache(maxsize=None)
-def calibrate_c1(
-    k: int = 7,
-    p_ph: float = 1e-3,
-    target_alpha: float = mitigation.V2_RUS_FACTOR,
-    theta_l_anchor: float = 1e-5,
-) -> float:
-    """Fit c_1 so the previous-generation RUS factor matches its reference.
+def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
+    """Fit c_1 so the previous-generation RUS factor matches V2_RUS_FACTOR.
 
     The factor oscillates with log2(theta_l) (period one octave), so the
-    calibration matches the octave average at the anchor scale.  Bisection
+    calibration matches the octave average at CALIBRATION_ANCHOR.  Bisection
     on log(c_1) is safe: the averaged factor is monotone in c_1.  The
     crossover angle depends on c_1 only, so each candidate solves it once.
     """
@@ -492,19 +473,19 @@ def calibrate_c1(
     def averaged_alpha(c1: float) -> float:
         switch = v2_crossover_angle(k, p_ph, c1)
         vals = [
-            v2_rus_factor(theta_l_anchor * 2.0 ** (j / 16.0), k, p_ph, c1, switch)
+            v2_rus_factor(CALIBRATION_ANCHOR * 2.0 ** (j / 16.0), k, p_ph, c1, switch)
             for j in range(16)
         ]
         return sum(vals) / len(vals)
 
     lo, hi = math.log(1e-4), math.log(10.0)
-    if averaged_alpha(math.exp(lo)) > target_alpha:
+    if averaged_alpha(math.exp(lo)) > mitigation.V2_RUS_FACTOR:
         raise ValueError("calibration target below the injection-only floor")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if averaged_alpha(math.exp(mid)) < target_alpha:
+        if averaged_alpha(math.exp(mid)) < mitigation.V2_RUS_FACTOR:
             lo = mid
         else:
             hi = mid

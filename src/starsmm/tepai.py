@@ -13,7 +13,7 @@ across target systems:
 
 The fault-tolerant layer solves for the surface-code distance, lays out
 patches for fast-block Pauli-based computation, and converts clocks to
-wall time at one code cycle per microsecond by default.
+wall time at one code cycle per microsecond (CYCLE_TIME).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from typing import Callable
 from . import smm, tmr
 
 MIN_GATE_FACTOR = 2.0 * math.sqrt(2.0)  # N_gate >= 2 sqrt(2) lambda T
+CYCLE_TIME = 1e-6  # seconds per surface-code cycle
+D_MAX = 99  # largest code distance the solver tries
 
 
 class DistanceSolveError(RuntimeError):
@@ -117,18 +119,17 @@ class TepaiInstance:
     ``lam`` and ``t`` must share a consistent unit pair so lam*t is
     dimensionless (for the molecule catalog: Hartree and atomic time,
     where T ~ 41.3 a.u. is one femtosecond).  ``alpha_model`` is either a
-    constant, a callable theta -> alpha, or None for the SMM-backed default.
+    constant or a callable theta -> alpha such as :func:`smm_alpha_provider`.
     """
 
     lam: float
     t: float
     n_l: int
+    alpha_model: float | AlphaProvider
     epsilon: float = 0.05
     q: float = 1.0
     p_ph: float = 1e-3
     c_smm: float = 3.0
-    cycle_time: float = 1e-6
-    alpha_model: float | AlphaProvider | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -140,12 +141,10 @@ class TepaiInstance:
             raise ValueError("Q must be positive")
         if self.n_l < 1:
             raise ValueError("N_L must be >= 1")
-        if self.c_smm <= 0.0 or self.cycle_time <= 0.0:
-            raise ValueError("c_smm and cycle_time must be positive")
+        if self.c_smm <= 0.0:
+            raise ValueError("c_smm must be positive")
 
     def alpha_at(self, theta: float) -> float:
-        if self.alpha_model is None:
-            return smm_alpha_provider(self.p_ph)(theta)
         if callable(self.alpha_model):
             return self.alpha_model(theta)
         return float(self.alpha_model)
@@ -174,15 +173,14 @@ def solve_code_distance(
     n_patch: int,
     p_ph: float,
     c_smm: float,
-    d_max: int = 99,
 ) -> int:
-    """Smallest odd d with p_L(p_ph, d)^-1 >= 100 d N_gate C_smm N_patch."""
-    for d in range(3, d_max + 1, 2):
+    """Smallest odd d <= D_MAX with p_L(p_ph, d)^-1 >= 100 d N_gate C_smm N_patch."""
+    for d in range(3, D_MAX + 1, 2):
         demand = 100.0 * d * n_gate * c_smm * n_patch
         if 1.0 / logical_error_per_cycle(p_ph, d) >= demand:
             return d
     raise DistanceSolveError(
-        f"no code distance d <= {d_max} meets the error budget "
+        f"no code distance d <= {D_MAX} meets the error budget "
         f"(N_gate={n_gate:.3g}, N_patch={n_patch}, p_ph={p_ph:.3g})"
     )
 
@@ -204,7 +202,7 @@ def estimate(instance: TepaiInstance) -> TepaiEstimate:
     alpha = instance.alpha_at(delta)
     p_total = n_gate * alpha * delta * instance.p_ph
     mitigation = math.exp(4.0 * p_total)
-    single_shot = n_gate * instance.c_smm * d * instance.cycle_time
+    single_shot = n_gate * instance.c_smm * d * CYCLE_TIME
     total = single_shot * gamma_sq * mitigation / instance.epsilon ** 2
     return TepaiEstimate(
         instance=instance,

@@ -63,21 +63,6 @@ class RotationMixture:
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"branch weights sum to {total!r}, expected 1")
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.branches])
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array([phi for _, phi in self.branches])
-
-    def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw branch indices according to the branch weights."""
-        u = rng.random(size)
-        edges = np.cumsum(self.weights)
-        edges[-1] = 1.0
-        return np.searchsorted(edges, u, side="right")
-
 
 def _consolidate(pairs: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """Merge branches whose reduced angles agree within ANGLE_MERGE_TOL."""
@@ -161,14 +146,6 @@ def plus_state() -> DensityMatrix2:
     return state_from_vector([1.0, 1.0])
 
 
-def minus_state() -> DensityMatrix2:
-    return state_from_vector([1.0, -1.0])
-
-
-def maximally_mixed() -> DensityMatrix2:
-    return DensityMatrix2(0.5 * np.eye(2, dtype=complex))
-
-
 def pauli_eigenstates() -> tuple[DensityMatrix2, ...]:
     """The six single-qubit Pauli eigenstates (Z, X and Y bases)."""
     return (
@@ -239,10 +216,7 @@ def worst_case_vs_pauli_model(channel: RotationMixture, target: float) -> float:
     z = np.diag([1.0, -1.0]).astype(complex)
     worst = 0.0
     for rho in pauli_eigenstates():
-        exact = apply(channel, rho).matrix
         sigma = _rotate(rho.matrix, target)
-        model = (1.0 - p) * sigma + p * (z @ sigma @ z)
-        diff = exact - model
-        dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-        worst = max(worst, dist)
+        model = DensityMatrix2((1.0 - p) * sigma + p * (z @ sigma @ z))
+        worst = max(worst, trace_distance(apply(channel, rho), model))
     return worst

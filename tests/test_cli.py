@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,37 @@ class TestAlphaSweep:
     def test_missing_config_is_error(self, tmp_path):
         assert _run(tmp_path, "alpha-sweep", None) == 2
 
+    @pytest.mark.parametrize(
+        "cfg,kept,skipped",
+        [
+            # ratio * theta_L > pi/8 above theta_L ~ 3.1e-3
+            (ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-4")
+             .replace("theta_l_max = 1e-4", "theta_l_max = 1e-2"), 3, 2),
+            # theta_L > theta_th = 0.01 for the top two grid points
+            (ALPHA_CFG.replace("mode = fixed_ratio", "mode = fixed_threshold")
+             .replace("ratio = 128", "theta_th = 0.01")
+             .replace("theta_l_min = 1e-6", "theta_l_min = 1e-4")
+             .replace("theta_l_max = 1e-4", "theta_l_max = 5e-2"), 4, 2),
+        ],
+        ids=["fixed_ratio", "fixed_threshold"],
+    )
+    def test_rows_outside_domain_are_skipped(self, tmp_path, capsys, cfg, kept, skipped):
+        assert _run(tmp_path, "alpha-sweep", cfg) == 0
+        lines = (tmp_path / "alpha_sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 2 * kept  # grid points per k, two k values
+        for line in lines:
+            theta_l, _, theta_th = (float(v) for v in line.split(",")[:3])
+            assert theta_l <= theta_th <= math.pi / 8
+        assert f"skipped {2 * skipped} rows" in capsys.readouterr().err
+
+    def test_no_row_in_domain_is_config_error(self, tmp_path, capsys):
+        cfg = ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-2").replace(
+            "theta_l_max = 1e-4", "theta_l_max = 1e-1"
+        )
+        assert _run(tmp_path, "alpha-sweep", cfg) == 2
+        assert "[alpha_sweep] no theta_L" in capsys.readouterr().err
+        assert not (tmp_path / "alpha_sweep.csv").exists()
+
 
 class TestTradeoff:
     def test_row_count(self, tmp_path):
@@ -219,6 +251,39 @@ alpha = 0.1
         names = [l.split(",")[0] for l in lines]
         assert names[0] == "hubbard-4x4"
         assert len(names) == 1 + 2  # hubbard + two lambda grid points
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [
+            ("tradeoff", TRADEOFF_CFG.replace("k = 7", "k = 1"), "[tradeoff] k = '1' must be >= 2"),
+            ("tradeoff", TRADEOFF_CFG.replace("n_max = 8", "n_max = -3"),
+             "[tradeoff] n_max = '-3' must be >= 0"),
+            ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", "k = 5,1"),
+             "[alpha_sweep] k = '5,1' must be >= 2"),
+            ("alpha-sweep", ALPHA_CFG.replace("p_m = 0", "p_m = 5e-3"),
+             "[alpha_sweep] p_m = '5e-3' must be <= 0.001"),
+            ("tepai", TEPAI_CFG + "q = 0\n", "[tepai] q = '0' must be > 0"),
+            ("bound", BOUND_CFG.replace("alpha_v3 = 0.1", "alpha_v3 = 0"),
+             "[bound] alpha_v3 = '0' must be > 0"),
+            ("bound", BOUND_CFG.replace("alpha_v3 = 0.1", "alpha_v3 = -2"),
+             "[bound] alpha_v3 = '-2' must be > 0"),
+            ("tepai", TEPAI_CFG.replace("4Fe-4S", "hubbard:4") + "hubbard_t = -1\n",
+             "[tepai] hubbard_t = '-1' must be >= 0"),
+            ("tepai", TEPAI_CFG.replace("4Fe-4S", "hubbard:4") + "hubbard_t = -0.1\n",
+             "[tepai] hubbard_t = '-0.1' must be >= 0"),
+        ],
+        ids=[
+            "tradeoff-k", "tradeoff-n_max", "alpha_sweep-k", "alpha_sweep-p_m", "tepai-q",
+            "bound-alpha_v3-zero", "bound-alpha_v3-negative", "tepai-hubbard_t",
+            "tepai-hubbard_t-small",
+        ],
+    )
+    def test_out_of_domain_value_names_key(self, tmp_path, capsys, command, cfg, message):
+        assert _run(tmp_path, command, cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestVerify:

@@ -64,13 +64,6 @@ class TestHubbardTerms:
             expected = (4 * t_hop + u_int / 4) * length ** 2
             assert hamcat.l1_norm(terms) == pytest.approx(expected, abs=1e-12)
 
-    def test_open_boundary_formula(self):
-        length, t_hop, u_int = 5, 1.0, 4.0
-        terms = hamcat.hubbard_terms(length, t_hop, u_int, boundary="open")
-        assert len(terms) == 8 * length * (length - 1) + length ** 2
-        expected = 4 * t_hop * length * (length - 1) + u_int * length ** 2 / 4
-        assert hamcat.l1_norm(terms) == pytest.approx(expected, abs=1e-12)
-
     def test_xx_yy_pairing(self):
         terms = hamcat.hubbard_terms(4, 1.0, 0.0)
         by_support = {}
@@ -106,8 +99,6 @@ class TestHubbardTerms:
     def test_validation(self):
         with pytest.raises(ValueError):
             hamcat.hubbard_terms(2, 1.0, 4.0)  # periodic L=2 degenerate
-        with pytest.raises(ValueError):
-            hamcat.hubbard_terms(4, 1.0, 4.0, boundary="twisted")
         with pytest.raises(ValueError):
             hamcat.l1_norm([])
 

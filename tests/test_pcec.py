@@ -52,16 +52,6 @@ class TestCanceller:
         assert by_angle[round(0.0, 9)] == pytest.approx(1 - qbar1)
         assert by_angle[round(-delta1, 9)] == pytest.approx(qbar1)
 
-    def test_sampling_reproduces_weights(self):
-        model = _model(k=5, theta=0.3, p_ph=1e-2)
-        chan = pcec.build_canceller(model)
-        rng = np.random.default_rng(42)
-        n = 10 ** 6
-        counts = np.bincount(chan.sample_indices(rng, n), minlength=len(chan.branches))
-        for (w, _), c in zip(chan.branches, counts):
-            sigma = math.sqrt(max(w * (1 - w) / n, 1e-18))
-            assert abs(c / n - w) <= 4 * sigma
-
     def test_out_of_regime_raises(self):
         # crank the pass coefficient until the error branches dominate
         params = tmr.TmrParams(k=2, p_ph=0.1, pass_coeffs=(1e4,))
@@ -130,14 +120,9 @@ class TestChannelSet:
         for k in (3, 5, 7):
             for theta in (0.05, 0.2, 0.5):
                 model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=1e-3), theta)
-                cs = pcec.PcecChannelSet(model)
-                dev = zchan.worst_case_vs_pauli_model(cs.composed_error, 0.0)
+                composed = pcec.composed_error_channel(model)
+                dev = zchan.worst_case_vs_pauli_model(composed, 0.0)
                 assert dev <= 10.0 * model.error_weight() ** 2
-
-    def test_fields_consistent(self):
-        cs = pcec.PcecChannelSet(_model(k=5, theta=0.25))
-        assert 0.0 <= cs.residual_rate < 1.0
-        assert cs.residual_rate == pytest.approx(pcec.residual_rate(cs.model))
 
     def test_leading_residual_matches_full_for_jmax1(self):
         params = tmr.TmrParams(k=7, p_ph=1e-3, j_max=1)

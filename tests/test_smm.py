@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -122,12 +120,6 @@ class TestEffectiveErrorRate:
         assert 0 < i_min < len(alphas) - 1
         assert alphas[0] > alphas[i_min] < alphas[-1]
 
-    def test_delta_override(self):
-        cfg = _config(1e-4, k=5, delta_override=1e-8)
-        rep = smm.effective_error_rate(cfg)
-        assert rep.delta == 1e-8
-        assert rep.n_syn == math.ceil(3 * math.log2(1e8))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             _config(0.02, threshold_ratio=None, theta_th=0.01)  # theta_l > theta_th
@@ -158,14 +150,6 @@ class TestExpectedClocks:
         p_l, clocks = smm.synthesis_only_gate(delta=2e-9)
         assert clocks == 87 * (10.0 / 2 + 1.0) == 522.0
         assert p_l == pytest.approx(2e-9 + 2e-9 * 87)
-
-    def test_monotone_in_t_m(self):
-        prev = 0.0
-        for t_m in (1.0, 5.0, 10.0, 20.0):
-            cfg = _config(1e-4, k=5, t_m=t_m, timing_mode="latency")
-            clocks = smm.expected_clocks(cfg)
-            assert clocks >= prev
-            prev = clocks
 
     def test_per_trajectory_clocks_increase_with_trial_count(self):
         cfg = _config(1e-4, k=5, threshold_ratio=32.0, timing_mode="latency")

@@ -201,7 +201,7 @@ class TestEstimate:
         assert max(qubits) <= 2.7e5
 
     def test_smm_backed_alpha_default(self):
-        est = tepai.estimate(_fes_instance(alpha_model=None, t=1.0))
+        est = tepai.estimate(_fes_instance(alpha_model=tepai.smm_alpha_provider(1e-3), t=1.0))
         assert est.p_total > 0.0
 
     def test_validation(self):
