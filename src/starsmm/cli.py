@@ -10,7 +10,8 @@ Subcommands (all read a sectioned key = value config):
 * ``verify``: run the internal oracle suite; exit 0 iff every check passes.
 
 Flags: ``--config <path>``, ``--seed <u64>``, ``--out <dir>``.  Each
-command computes its rows in one serial pass, in grid order.  Outputs are
+command writes its rows in grid order; ``alpha-sweep`` and ``tradeoff``
+compute them as arrays with ``smm.error_rates``.  Outputs are
 CSV with 17-significant-digit floats and are byte-identical across runs for
 a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
 2 config error, 3 solver failure.
@@ -36,7 +37,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -97,19 +98,26 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False):
     return default
 
 
-def _check_bounds(section, key, raw, values, minimum=None, maximum=None, above=None) -> None:
-    """Raise a ConfigError naming the key unless every value lies within the bounds."""
+def _check_bounds(
+    section, key, raw, values, minimum=None, maximum=None, above=None, below=None
+) -> None:
+    """Raise a ConfigError naming the key unless every value is finite and within the bounds."""
     for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be finite")
         if minimum is not None and value < minimum:
             raise ConfigError(f"[{section}] {key} = {raw!r} must be >= {minimum}")
         if above is not None and value <= above:
             raise ConfigError(f"[{section}] {key} = {raw!r} must be > {above}")
         if maximum is not None and value > maximum:
             raise ConfigError(f"[{section}] {key} = {raw!r} must be <= {maximum}")
+        if below is not None and value >= below:
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be < {below}")
 
 
 def _get_float(
-    cfg, section, key, default=None, required=False, minimum=None, maximum=None, above=None
+    cfg, section, key, default=None, required=False,
+    minimum=None, maximum=None, above=None, below=None,
 ) -> float | None:
     raw = _get(cfg, section, key, default=None, required=required)
     if raw is None:
@@ -118,7 +126,7 @@ def _get_float(
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    _check_bounds(section, key, raw, [value], minimum, maximum, above)
+    _check_bounds(section, key, raw, [value], minimum, maximum, above, below)
     return value
 
 
@@ -139,9 +147,22 @@ def _get_floats(cfg, section, key, default=None, required=False) -> list[float]:
     if raw is None:
         return list(default or [])
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
+    _check_bounds(section, key, raw, values)
+    return values
+
+
+def _get_bool(cfg, section, key, default: bool) -> bool:
+    raw = _get(cfg, section, key)
+    if raw is None:
+        return default
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError as exc:
+        words = "/".join(configparser.ConfigParser.BOOLEAN_STATES)
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean ({words})") from exc
 
 
 def _get_ints(cfg, section, key, default=None, minimum=None) -> list[int]:
@@ -207,26 +228,26 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
         raise ConfigError("fixed_ratio mode requires key 'ratio'")
     if mode == "fixed_threshold" and theta_th is None:
         raise ConfigError("fixed_threshold mode requires key 'theta_th'")
-    lo = _get_float(cfg, section, "theta_l_min", 1e-8)
-    hi = _get_float(cfg, section, "theta_l_max", 1e-4)
+    lo = _get_float(cfg, section, "theta_l_min", 1e-8, above=0.0)
+    hi = _get_float(cfg, section, "theta_l_max", 1e-4, above=0.0)
     ppd = _get_int(cfg, section, "points_per_decade", 8, minimum=1)
     ks = _get_ints(cfg, section, "k", [5, 7, 9], minimum=2)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
     p_m = _get_float(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
-    higher = _get(cfg, section, "higher_orders", "true").lower() in ("1", "true", "yes")
+    higher = _get_bool(cfg, section, "higher_orders", True)
     grid = _log_grid(lo, hi, ppd)
     if not grid or not ks:
         raise ConfigError("alpha sweep grid is empty")
 
     # the model needs theta_L <= theta_th <= pi/8; grid points outside are skipped
     if mode == "fixed_ratio":
-        threshold = {"threshold_ratio": ratio}
         domain = "ratio * theta_L <= pi/8"
         grid_in = [theta_l for theta_l in grid if ratio * theta_l <= smm.MAX_THRESHOLD]
+        thresholds = ratio * np.array(grid_in)
     else:
-        threshold = {"theta_th": theta_th}
         domain = "theta_L <= theta_th"
         grid_in = [theta_l for theta_l in grid if theta_l <= theta_th]
+        thresholds = np.full(len(grid_in), theta_th)
     if not grid_in:
         raise ConfigError(
             f"[{section}] no theta_L in [theta_l_min, theta_l_max] = [{lo}, {hi}] has {domain}"
@@ -238,16 +259,15 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     rows = []
     for k in ks:
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
-        for theta_l in grid_in:
-            config = smm.SmmConfig(
-                theta_l=theta_l, tmr_params=params, p_m=p_m,
-                include_higher_orders=higher, **threshold,
+        rates = smm.error_rates(
+            params, grid_in, thresholds, p_m=p_m, include_higher_orders=higher
+        )
+        rows.extend(
+            (theta_l, k, theta_th, p_m, alpha, p_l, flag)
+            for theta_l, theta_th, alpha, p_l, flag in zip(
+                grid_in, thresholds, rates.alpha_rus, rates.p_l, rates.out_of_regime
             )
-            rep = smm.effective_error_rate(config)
-            rows.append((
-                theta_l, k, config.resolved_threshold(), p_m,
-                rep.alpha_rus, rep.p_l, rep.out_of_regime,
-            ))
+        )
     _write_csv(
         out_dir / "alpha_sweep.csv",
         ["theta_L", "k", "theta_th", "p_m", "alpha_rus", "P_L", "out_of_regime_flag"],
@@ -264,6 +284,10 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
 def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     section = "tradeoff"
     theta_ls = _get_floats(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    if 0.0 in theta_ls:
+        # negative angles are fine: the model is mirror-symmetric
+        raw = _get(cfg, section, "theta_l")
+        raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
     n_max = _get_int(cfg, section, "n_max", 15, minimum=0)
     k = _get_int(cfg, section, "k", 7, minimum=2)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
@@ -279,16 +303,21 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
             deltas.append(d)
             d *= 4.0
 
+    # thresholds 2^n |theta_L| <= pi/8 for every theta_L, computed in one pass
+    ns = [
+        [n for n in range(n_max + 1) if 2.0 ** n * abs(theta_l) <= smm.MAX_THRESHOLD]
+        for theta_l in theta_ls
+    ]
+    theta_col = np.repeat(theta_ls, [len(row) for row in ns])
+    ratio_col = np.array([2.0 ** n for row in ns for n in row])
+    rates = smm.error_rates(
+        params, theta_col, ratio_col * np.abs(theta_col), p_m=p_m, timing_mode="latency"
+    )
+    smm_values = zip(rates.p_l, rates.expected_clocks)
+
     rows = []
-    for theta_l in theta_ls:
-        for n in range(n_max + 1):
-            if 2.0 ** n * theta_l <= smm.MAX_THRESHOLD:
-                config = smm.SmmConfig(
-                    theta_l=theta_l, tmr_params=params, p_m=p_m,
-                    threshold_ratio=float(2 ** n), timing_mode="latency",
-                )
-                rep = smm.effective_error_rate(config)
-                rows.append((theta_l, n, rep.p_l, rep.expected_clocks))
+    for theta_l, theta_ns in zip(theta_ls, ns):
+        rows.extend((theta_l, n, p_l, clocks) for n, (p_l, clocks) in zip(theta_ns, smm_values))
         for j, delta in enumerate(deltas):
             p_l, clocks = smm.synthesis_only_gate(delta=delta, p_m=p_m)
             rows.append((theta_l, -(j + 1), p_l, clocks))
@@ -309,9 +338,9 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     section = "bound"
     theta_star = _get_float(cfg, section, "theta_star", 1e-5)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
-    p_m = _get_float(cfg, section, "p_m", 2e-9)
-    lo = _get_float(cfg, section, "n_t_min", 1.0)
-    hi = _get_float(cfg, section, "n_t_max", 1e10)
+    p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
+    lo = _get_float(cfg, section, "n_t_min", 1.0, above=0.0)
+    hi = _get_float(cfg, section, "n_t_max", 1e10, above=0.0)
     ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
     arch_raw = _get(cfg, section, "architectures", "v1,v2,v3,ftqc-cultivation")
     architectures = [a.strip() for a in arch_raw.split(",") if a.strip()]
@@ -383,9 +412,9 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     section = "tepai"
     times = _get_floats(cfg, section, "t", required=True)
     q = _get_float(cfg, section, "q", 1.0, above=0.0)
-    eps = _get_float(cfg, section, "epsilon", 0.05)
+    eps = _get_float(cfg, section, "epsilon", 0.05, above=0.0, below=1.0)
     p_ph = _get_float(cfg, section, "p_ph", 1e-3)
-    c_smm = _get_float(cfg, section, "c_smm", 3.0)
+    c_smm = _get_float(cfg, section, "c_smm", 3.0, above=0.0)
     alpha_model = _get_alpha(cfg, section, "alpha", p_ph)
     systems = _tepai_systems(cfg)
     if not times:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import zchan
 from .tmr import TmrOutputModel
 from .zchan import RotationMixture
@@ -67,6 +69,19 @@ def leading_residual_rate(model: TmrOutputModel) -> float:
     qbar1 = model.branch_qbars[1]
     delta1 = model.branch_thetas[1] - model.theta_l
     return 2.0 * qbar1 * math.sin(delta1) ** 2
+
+
+def residual_rates(
+    thetas: np.ndarray, qbars: np.ndarray, higher_orders: bool = True
+) -> np.ndarray:
+    """Array form of :func:`residual_rate` over a :func:`starsmm.tmr.branch_table`.
+
+    Sums over the branch (last) axis; with ``higher_orders`` false only the
+    leading branch counts, as in :func:`leading_residual_rate`.
+    """
+    last = None if higher_orders else 2
+    deltas = thetas[..., 1:last] - thetas[..., :1]
+    return 2.0 * (qbars[..., 1:last] * np.sin(deltas) ** 2).sum(axis=-1)
 
 
 def composed_error_channel(model: TmrOutputModel) -> RotationMixture:

@@ -7,7 +7,8 @@ synthesis from cultivated magic states once the angle reaches the
 threshold.  This module provides:
 
 * the analytic expectation calculator for the effective error rate, the
-  RUS factor ``alpha = P_L / (theta_l * p_ph)`` and the expected clocks;
+  RUS factor ``alpha = P_L / (theta_l * p_ph)`` and the expected clocks,
+  per gate (the reference path) and as arrays over a sweep;
 * a vectorized Monte-Carlo trajectory sampler cross-checking the analytics;
 * an exact trajectory enumerator built on the channel-algebra oracle;
 * the previous-generation ("fixed inverse-injection") RUS model used to
@@ -165,8 +166,8 @@ def _trial_clocks(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
     return tmr.supply_time(config.tmr_params, model.theta_phys) + TELEPORT_CLOCKS
 
 
-def _digital_clocks(config: SmmConfig, n_syn: int) -> float:
-    if config.timing_mode == "pipelined":
+def _digital_clocks(timing_mode: str, n_syn):
+    if timing_mode == "pipelined":
         return n_syn * TELEPORT_CLOCKS
     return n_syn * T_GATE_LATENCY_CLOCKS
 
@@ -219,7 +220,7 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     else:
         alpha = 0.0 if p_l == 0.0 else math.inf
 
-    t_digital = _digital_clocks(config, n_syn)
+    t_digital = _digital_clocks(config.timing_mode, n_syn)
     clocks = sum(2.0 ** (-row.index) * row.clocks for row in rows)
     clocks += p_switch * t_digital
 
@@ -231,6 +232,94 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
         delta=delta, n_syn=n_syn, p_l=p_l, alpha_rus=alpha,
         expected_clocks=clocks, trials=tuple(rows), out_of_regime=out_of_regime,
     )
+
+
+@dataclass(frozen=True)
+class SweepRates:
+    """Outputs of :func:`error_rates`, one entry per row."""
+
+    p_l: np.ndarray
+    alpha_rus: np.ndarray
+    expected_clocks: np.ndarray
+    out_of_regime: np.ndarray
+
+
+def error_rates(
+    params: tmr.TmrParams,
+    theta_l,
+    theta_th,
+    *,
+    p_m: float = 2e-9,
+    include_higher_orders: bool = True,
+    timing_mode: str = "pipelined",
+) -> SweepRates:
+    """Array form of :func:`effective_error_rate` for many gates sharing one TMR setup.
+
+    Row r is the gate ``SmmConfig(theta_l[r], params, theta_th=theta_th[r],
+    ...)``; ``theta_th`` broadcasts against ``theta_l``, and the domain is
+    checked as ``SmmConfig`` checks it.  Trial i runs at 2^i |theta_l| for
+    the rows with i < n_rus, weighted by 2^-i: one numpy pass over those rows
+    per trial index, accumulated in the scalar path's order.  Each row's
+    T-count comes from ``mitigation.synthesis_t_count``.  Values agree with
+    :func:`effective_error_rate`, whose per-trial tables the enumerator, the
+    sampler and ``verify`` read, to a few ulp (see :func:`tmr.branch_table`).
+    """
+    theta_l, theta_th = np.broadcast_arrays(
+        np.asarray(theta_l, dtype=float), np.asarray(theta_th, dtype=float)
+    )
+    if not np.all(np.isfinite(theta_l)):
+        raise ValueError("theta_l must be finite")
+    bad = ~((theta_th > 0.0) & (theta_th <= MAX_THRESHOLD + 1e-15))
+    if bad.any():
+        raise ValueError(f"theta_th must lie in (0, pi/8], got {float(theta_th[bad][0])!r}")
+    live = theta_l != 0.0  # theta_l = 0 rows are the identity gate
+    mag, th = np.abs(theta_l[live]), theta_th[live]
+    bad = mag > th
+    if bad.any():
+        raise ValueError(
+            f"|theta_l|={float(mag[bad][0])!r} exceeds theta_th={float(th[bad][0])!r}; "
+            "route the gate to pure synthesis instead"
+        )
+    if not 0.0 <= p_m <= MAX_P_M:
+        raise ValueError(f"p_m must lie in [0, {MAX_P_M:g}], got {p_m!r}")
+    if timing_mode not in ("pipelined", "latency"):
+        raise ValueError(f"unknown timing_mode {timing_mode!r}")
+
+    n = np.array([n_rus(x, t) for x, t in zip(mag.tolist(), th.tolist())], dtype=int)
+    p_analog = np.zeros(mag.shape)
+    clocks = np.zeros(mag.shape)
+    for i in range(int(n.max(initial=0))):
+        running = n > i  # the rows that reach trial i
+        p_ideal, thetas, qbars = tmr.branch_table(params, 2.0 ** i * mag[running])
+        weight = 2.0 ** (-i)
+        p_analog[running] += weight * pcec.residual_rates(thetas, qbars, include_higher_orders)
+        if timing_mode == "pipelined":
+            clocks[running] += weight * TELEPORT_CLOCKS
+        else:
+            clocks[running] += weight * (1.0 / p_ideal + TELEPORT_CLOCKS)
+
+    p_switch = np.ldexp(1.0, -n)
+    # synthesis_budget per row; p_m = 0 with no residual needs no synthesis
+    delta = np.maximum(p_m, np.ldexp(0.1, n) * p_analog)
+    n_syn = np.array(
+        [mitigation.synthesis_t_count(d) if d > 0.0 else 0 for d in delta.tolist()], dtype=int
+    )
+    p_l = p_analog + p_switch * (delta + p_m * n_syn)
+    clocks += p_switch * _digital_clocks(timing_mode, n_syn)
+    p_ph = params.p_ph
+    if p_ph > 0.0:
+        alpha = p_l / (mag * p_ph)
+        flag = mag <= p_ph ** (params.k / 2.0)
+    else:
+        alpha = np.where(p_l == 0.0, 0.0, math.inf)
+        flag = False
+
+    def per_row(values, dtype=float) -> np.ndarray:
+        full = np.zeros(theta_l.shape, dtype=dtype)  # identity rows stay zero
+        full[live] = values
+        return full
+
+    return SweepRates(per_row(p_l), per_row(alpha), per_row(clocks), per_row(flag, bool))
 
 
 def expected_clocks(config: SmmConfig) -> float:
@@ -328,7 +417,7 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         edges[-1] = 1.0
         cums.append(edges)
         deltas.append(np.array(row.model.branch_thetas) - row.theta_rus)  # Delta_0 = 0
-    t_digital = _digital_clocks(config, report.n_syn)
+    t_digital = _digital_clocks(config.timing_mode, report.n_syn)
 
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
     n_digital = 0

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_THETA = 0.25 * math.pi
 
 
@@ -168,6 +170,44 @@ def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
         branch_thetas=tuple(thetas),
         branch_qbars=tuple(w / total for w in q),
     )
+
+
+def branch_table(
+    params: TmrParams, theta_l: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch tables for an array of logical angles in (0, pi/4], in one numpy pass.
+
+    Array form of :func:`output_model_for_logical`, with
+    theta_phys = arctan(tan(theta_l)^(1/k)).  Returns ``(p_ideal, thetas,
+    qbars)``: ``p_ideal`` has the shape of ``theta_l``, and ``thetas``/
+    ``qbars`` hold theta_j and qbar_j for j = 0..j_max on a new last axis.
+    numpy's vectorized tan, arctan and pow differ from libm in the last bit,
+    so values agree with the scalar functions, which stay the reference, to
+    a few ulp.
+    """
+    theta_l = np.asarray(theta_l, dtype=float)
+    if not np.all((theta_l > 0.0) & (theta_l <= MAX_THETA)):
+        raise ValueError("theta_l must lie in (0, pi/4]")
+    k, j_max = params.k, params.j_max
+    theta = np.arctan(np.tan(theta_l) ** (1.0 / k))
+    s, c, t = (f(theta)[..., None] for f in (np.sin, np.cos, np.tan))
+    pid = s[..., 0] ** (2 * k) + c[..., 0] ** (2 * k)
+
+    j = np.arange(1, j_max + 1)
+    scale = np.array([
+        math.comb(k, i) * (0.5 if 2 * i == k else 1.0) * coeff * params.p_ph ** i
+        for i, coeff in zip(j.tolist(), params.pass_coeffs)
+    ])
+    q = (s ** j * c ** (k - j)) ** 2 + (s ** (k - j) * c ** j) ** 2
+    q = np.concatenate([pid[..., None], scale * q], axis=-1)
+
+    # theta_j = (-1)^j arctan(t^(k-2j)); arctan2(1, t^(2j-k)) for negative powers
+    j = np.arange(j_max + 1)
+    power = k - 2 * j
+    mag = t ** np.abs(power)
+    mag = np.where(power >= 0, np.arctan(mag), np.arctan2(1.0, mag))
+    thetas = np.where(j % 2 == 0, mag, -mag)
+    return pid, thetas, q / q.sum(axis=-1, keepdims=True)
 
 
 def output_model_for_logical(params: TmrParams, theta_l: float) -> TmrOutputModel:

@@ -152,6 +152,31 @@ class TestAlphaSweep:
             assert theta_l <= theta_th <= math.pi / 8
         assert f"skipped {2 * skipped} rows" in capsys.readouterr().err
 
+    def test_integer_columns_are_integer_strings(self, tmp_path):
+        # k = 5 at p_ph = 1e-3 is out of regime below theta_L = p_ph^(5/2) ~ 3.2e-8
+        cfg = ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-8")
+        assert _run(tmp_path, "alpha-sweep", cfg) == 0
+        lines = (tmp_path / "alpha_sweep.csv").read_text().strip().split("\n")
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert {row["k"] for row in rows} == {"5", "7"}
+        assert {row["out_of_regime_flag"] for row in rows} == {"0", "1"}
+
+    @pytest.mark.parametrize("word,higher", [("off", False), ("No", False), ("on", True)])
+    def test_higher_orders_takes_boolean_words(self, tmp_path, word, higher):
+        reference = "true" if higher else "false"
+        outputs = []
+        for value in (word, reference):
+            out = tmp_path / value
+            out.mkdir()
+            assert _run(out, "alpha-sweep", ALPHA_CFG + f"higher_orders = {value}\n") == 0
+            outputs.append((out / "alpha_sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_higher_orders_typo_is_config_error(self, tmp_path, capsys):
+        assert _run(tmp_path, "alpha-sweep", ALPHA_CFG + "higher_orders = ture\n") == 2
+        assert "[alpha_sweep] higher_orders = 'ture' is not a boolean" in capsys.readouterr().err
+        assert not (tmp_path / "alpha_sweep.csv").exists()
+
     def test_no_row_in_domain_is_config_error(self, tmp_path, capsys):
         cfg = ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-2").replace(
             "theta_l_max = 1e-4", "theta_l_max = 1e-1"
@@ -169,6 +194,18 @@ class TestTradeoff:
         syn_rows = [l for l in lines[1:] if int(l.split(",")[1]) < 0]
         assert len(smm_rows) == 9  # n = 0..8
         assert len(syn_rows) > 0
+
+    def test_negative_angle_mirrors_positive(self, tmp_path):
+        # thresholds 2^n |theta_L| above pi/8 are skipped for either sign
+        cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = -1e-3,1e-3").replace(
+            "n_max = 8", "n_max = 12"
+        )
+        assert _run(tmp_path, "tradeoff", cfg) == 0
+        lines = (tmp_path / "tradeoff.csv").read_text().strip().split("\n")[1:]
+        down = [l.split(",")[1:] for l in lines if l.startswith("-")]
+        up = [l.split(",")[1:] for l in lines if not l.startswith("-")]
+        assert down == up
+        assert [int(n) for n, _, _ in down if int(n) >= 0] == list(range(9))
 
     def test_pure_digital_row_matches_comparator_scale(self, tmp_path):
         assert _run(tmp_path, "tradeoff", TRADEOFF_CFG) == 0
@@ -273,14 +310,42 @@ class TestDomainErrors:
              "[tepai] hubbard_t = '-1' must be >= 0"),
             ("tepai", TEPAI_CFG.replace("4Fe-4S", "hubbard:4") + "hubbard_t = -0.1\n",
              "[tepai] hubbard_t = '-0.1' must be >= 0"),
+            ("bound", BOUND_CFG + "p_m = -1\n", "[bound] p_m = '-1' must be >= 0"),
+            ("tepai", TEPAI_CFG + "epsilon = 1.5\n", "[tepai] epsilon = '1.5' must be < 1"),
+            ("tepai", TEPAI_CFG + "c_smm = 0\n", "[tepai] c_smm = '0' must be > 0"),
+            ("alpha-sweep", ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 0"),
+             "[alpha_sweep] theta_l_min = '0' must be > 0"),
+            ("tradeoff", TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 0"),
+             "[tradeoff] theta_l = '0' must be non-zero"),
         ],
         ids=[
             "tradeoff-k", "tradeoff-n_max", "alpha_sweep-k", "alpha_sweep-p_m", "tepai-q",
             "bound-alpha_v3-zero", "bound-alpha_v3-negative", "tepai-hubbard_t",
-            "tepai-hubbard_t-small",
+            "tepai-hubbard_t-small", "bound-p_m", "tepai-epsilon", "tepai-c_smm",
+            "alpha_sweep-theta_l_min", "tradeoff-theta_l-zero",
         ],
     )
     def test_out_of_domain_value_names_key(self, tmp_path, capsys, command, cfg, message):
+        assert _run(tmp_path, command, cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [
+            ("bound", BOUND_CFG.replace("alpha_v3 = 0.1", "alpha_v3 = nan"),
+             "[bound] alpha_v3 = 'nan' must be finite"),
+            ("alpha-sweep", ALPHA_CFG.replace("theta_l_max = 1e-4", "theta_l_max = inf"),
+             "[alpha_sweep] theta_l_max = 'inf' must be finite"),
+            ("tradeoff", TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 1e-5,nan"),
+             "[tradeoff] theta_l = '1e-5,nan' must be finite"),
+            ("tradeoff", TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = inf"),
+             "[tradeoff] theta_l = 'inf' must be finite"),
+        ],
+        ids=["bound-alpha_v3", "alpha_sweep-theta_l_max", "tradeoff-theta_l-nan",
+             "tradeoff-theta_l-inf"],
+    )
+    def test_non_finite_value_names_key(self, tmp_path, capsys, command, cfg, message):
         assert _run(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))

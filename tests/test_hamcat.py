@@ -32,6 +32,11 @@ class TestCatalog:
         assert entry.lam == pytest.approx((3 * 1 + 2 / 2) * 10) == 40.0
         assert entry.n_l == 10
 
+    @pytest.mark.parametrize("t,u", [(-0.1, 4.0), (1.0, -4.0)])
+    def test_hubbard_rejects_negative_couplings(self, t, u):
+        with pytest.raises(ValueError):
+            hamcat.hubbard_entry(t, u, 10)
+
     def test_tfim_formula(self):
         entry = hamcat.tfim_entry(1.0, 3.0, 4)
         assert entry.lam == pytest.approx((2 + 3) * 16)

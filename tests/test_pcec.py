@@ -130,3 +130,15 @@ class TestChannelSet:
         assert pcec.leading_residual_rate(model) == pytest.approx(
             pcec.residual_rate(model), rel=1e-14
         )
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_residual_rates_match_scalar_forms(self, k):
+        params = tmr.TmrParams(k=k, p_ph=1e-2)
+        theta_l = np.geomspace(1e-9, math.pi / 8, 13)
+        _, thetas, qbars = tmr.branch_table(params, theta_l)
+        full = pcec.residual_rates(thetas, qbars)
+        lead = pcec.residual_rates(thetas, qbars, higher_orders=False)
+        for x, r_full, r_lead in zip(theta_l, full, lead):
+            model = tmr.output_model_for_logical(params, float(x))
+            assert r_full == pytest.approx(pcec.residual_rate(model), rel=1e-13, abs=0.0)
+            assert r_lead == pytest.approx(pcec.leading_residual_rate(model), rel=1e-13, abs=0.0)

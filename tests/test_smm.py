@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsmm import pcec, smm, tmr
 
@@ -129,6 +133,94 @@ class TestEffectiveErrorRate:
             _config(1e-4, threshold_ratio=8.0, theta_th=0.01)  # both set
         with pytest.raises(ValueError):
             _config(1e-4, p_m=0.1)
+
+
+class TestErrorRates:
+    """The array form against a loop over the scalar reference path."""
+
+    # numpy's tan/arctan/pow differ from libm in the last bit; the rows
+    # checked so far differ by at most ~28 eps
+    REL = 1e-13
+
+    def _compare(self, params, theta_l, theta_th, **kwargs):
+        rates = smm.error_rates(params, theta_l, theta_th, **kwargs)
+        theta_th = np.broadcast_to(theta_th, np.shape(theta_l))
+        for r, (x, th) in enumerate(zip(theta_l, theta_th)):
+            config = smm.SmmConfig(
+                theta_l=float(x), tmr_params=params, theta_th=float(th), **kwargs
+            )
+            rep = smm.effective_error_rate(config)
+            assert rates.p_l[r] == pytest.approx(rep.p_l, rel=self.REL, abs=0.0)
+            assert rates.alpha_rus[r] == pytest.approx(rep.alpha_rus, rel=self.REL, abs=0.0)
+            assert rates.expected_clocks[r] == pytest.approx(
+                rep.expected_clocks, rel=self.REL, abs=0.0
+            )
+            assert rates.out_of_regime[r] == rep.out_of_regime
+        return rates
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 15),
+        c1=st.floats(0.01, 1.0),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-6]),
+        higher=st.booleans(),
+        timing_mode=st.sampled_from(["pipelined", "latency"]),
+        rows=st.lists(
+            st.tuples(st.floats(-12.0, math.log10(smm.MAX_THRESHOLD)), st.floats(0.0, 40.0)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_matches_scalar_loop(self, k, c1, p_m, higher, timing_mode, rows):
+        theta_l = np.minimum([10.0 ** e for e, _ in rows], smm.MAX_THRESHOLD)
+        theta_th = np.minimum(theta_l * 2.0 ** np.array([r for _, r in rows]), smm.MAX_THRESHOLD)
+        self._compare(
+            tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,)), theta_l, theta_th,
+            p_m=p_m, include_higher_orders=higher, timing_mode=timing_mode,
+        )
+
+    @pytest.mark.parametrize("timing_mode", ["pipelined", "latency"])
+    def test_threshold_equal_to_angle_runs_no_trial(self, timing_mode):
+        params = tmr.TmrParams(k=7, p_ph=1e-3, pass_coeffs=(0.04,))
+        theta_l = np.array([1e-6, 1e-3, smm.MAX_THRESHOLD])
+        rates = self._compare(params, theta_l, theta_l, p_m=2e-9, timing_mode=timing_mode)
+        p_l, _ = smm.synthesis_only_gate(2e-9, 2e-9)
+        assert np.all(rates.p_l == p_l)
+
+    def test_zero_residual_and_zero_p_m(self):
+        params = tmr.TmrParams(k=5, p_ph=0.0)
+        rates = self._compare(params, np.array([1e-7, 1e-4]), 0.01, p_m=0.0)
+        assert np.all(rates.p_l == 0.0) and np.all(rates.alpha_rus == 0.0)
+
+    def test_zero_p_ph_with_magic_errors(self):
+        params = tmr.TmrParams(k=5, p_ph=0.0)
+        rates = self._compare(params, np.array([1e-7, 1e-4]), 0.01, p_m=2e-9)
+        assert np.all(rates.p_l > 0.0) and np.all(np.isinf(rates.alpha_rus))
+        assert not rates.out_of_regime.any()
+
+    def test_zero_and_negative_angles(self):
+        params = tmr.TmrParams(k=5, p_ph=1e-3, pass_coeffs=(0.04,))
+        rates = self._compare(params, np.array([0.0, -1e-4, 1e-4]), 0.01, p_m=2e-9)
+        assert rates.p_l[0] == rates.expected_clocks[0] == 0.0
+        assert rates.p_l[1] == rates.p_l[2]
+
+    @pytest.mark.parametrize(
+        "theta_l,theta_th,kwargs",
+        [
+            (0.02, 0.01, {}),
+            (1e-4, 0.5, {}),
+            (1e-4, 0.0, {}),
+            (math.nan, 0.01, {}),
+            (1e-4, math.nan, {}),
+            (1e-4, 0.01, {"p_m": 0.1}),
+            (1e-4, 0.01, {"timing_mode": "fast"}),
+        ],
+    )
+    def test_domain_matches_config(self, theta_l, theta_th, kwargs):
+        params = tmr.TmrParams(k=5, p_ph=1e-3)
+        with pytest.raises(ValueError):
+            smm.SmmConfig(theta_l=theta_l, tmr_params=params, theta_th=theta_th, **kwargs)
+        with pytest.raises(ValueError):
+            smm.error_rates(params, np.array([1e-5, theta_l]), theta_th, **kwargs)
 
 
 class TestExpectedClocks:

@@ -235,3 +235,29 @@ class TestParams:
             tmr.TmrParams(k=5, p_ph=1e-3, pass_coeffs=(-1.0,))
         with pytest.raises(ValueError):
             tmr.TmrParams(k=5, p_ph=1e-3, j_max=6)
+
+
+class TestBranchTable:
+    @given(
+        k=st.integers(2, 15),
+        j_frac=st.floats(0.0, 1.0),
+        p_ph=st.sampled_from([0.0, 1e-3, 1e-2]),
+        thetas=st.lists(st.floats(-12.0, math.log10(tmr.MAX_THETA)), min_size=1, max_size=8),
+    )
+    def test_matches_scalar_tables(self, k, j_frac, p_ph, thetas):
+        # j_max up to k covers the negative powers of the branch-angle form
+        j_max = 1 + int(j_frac * (k - 1))
+        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(0.04,), j_max=j_max)
+        theta_l = np.minimum(10.0 ** np.array(thetas), tmr.MAX_THETA)
+        p_ideal, branch_thetas, qbars = tmr.branch_table(params, theta_l)
+        assert branch_thetas.shape == qbars.shape == (len(theta_l), params.j_max + 1)
+        for x, pid, row_thetas, row_qbars in zip(theta_l, p_ideal, branch_thetas, qbars):
+            model = tmr.output_model_for_logical(params, float(x))
+            assert pid == pytest.approx(model.p_ideal, rel=1e-13)
+            assert row_thetas == pytest.approx(model.branch_thetas, rel=1e-13, abs=0.0)
+            assert row_qbars == pytest.approx(model.branch_qbars, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.8, math.nan])
+    def test_rejects_angles_outside_domain(self, bad):
+        with pytest.raises(ValueError):
+            tmr.branch_table(tmr.TmrParams(k=5, p_ph=1e-3), np.array([1e-3, bad]))
