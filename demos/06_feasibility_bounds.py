@@ -19,10 +19,11 @@ for n_t, n_r in mitigation.feasible_boundary("v3", theta_star, grid, alpha_model
     print(f"  N_T = {n_t:8.1e}  ->  N_R = {n_r:.3e}")
 
 # a first-order Trotter circuit is feasible while lambda T <~ 1/(alpha p_ph)
+lam, alpha_max, p_ph = 100.0, 0.1, 1e-3
 print("\nTrotter horizon for lambda = 100, alpha_max = 0.1, p_ph = 1e-3:")
-print("  T <~", mitigation.feasible_evolution_time(100.0, 0.1, 1e-3))
+print("  T <~", 1.0 / (alpha_max * lam * p_ph))
 
-# the exact variance product tracks e^(4 P_total)
+# the sampling price of the budget is gamma_total^2 = e^(4 P_total)
 profile = mitigation.CircuitProfile(
     n_t=10 ** 6, rotations=((theta_star, 10 ** 7),), architecture="v3"
 )

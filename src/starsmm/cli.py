@@ -14,7 +14,8 @@ command writes its rows in grid order; ``alpha-sweep`` and ``tradeoff``
 compute them as arrays with ``smm.error_rates``.  Outputs are
 CSV with 17-significant-digit floats and are byte-identical across runs for
 a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
-2 config error, 3 solver failure.
+2 config error, 3 solver failure, 4 model error (a library ValueError on
+input the config checks let through).
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ def _get_int(cfg, section, key, default=None, required=False, minimum=None) -> i
     return value
 
 
-def _get_floats(cfg, section, key, default=None, required=False) -> list[float]:
+def _get_floats(
+    cfg, section, key, default=None, required=False,
+    minimum=None, maximum=None, above=None, below=None,
+) -> list[float]:
     raw = _get(cfg, section, key, default=None, required=required)
     if raw is None:
         return list(default or [])
@@ -150,7 +154,7 @@ def _get_floats(cfg, section, key, default=None, required=False) -> list[float]:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
-    _check_bounds(section, key, raw, values)
+    _check_bounds(section, key, raw, values, minimum, maximum, above, below)
     return values
 
 
@@ -190,9 +194,17 @@ def _get_c1(cfg, section) -> float | None:
     if raw == "calibrated":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] c1 = {raw!r} is not a number or 'calibrated'") from exc
+    _check_bounds(section, "c1", raw, [value], minimum=0.0)
+    return value
+
+
+def _get_p_ph(cfg, section) -> float:
+    """[section] p_ph in [0, 0.1]; calibrating c1 needs p_ph > 0."""
+    above = 0.0 if _get_c1(cfg, section) is None else None
+    return _get_float(cfg, section, "p_ph", 1e-3, minimum=0.0, maximum=tmr.MAX_P_PH, above=above)
 
 
 def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
@@ -200,7 +212,7 @@ def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
     return smm.calibrate_c1(k=k, p_ph=p_ph) if c1 is None else c1
 
 
-def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | tepai.AlphaProvider:
+def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigation.AlphaModel:
     """A constant RUS factor, or the SMM analytics for the value 'smm'."""
     raw = _get(cfg, section, key, "0.1")
     if raw == "smm":
@@ -232,7 +244,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     hi = _get_float(cfg, section, "theta_l_max", 1e-4, above=0.0)
     ppd = _get_int(cfg, section, "points_per_decade", 8, minimum=1)
     ks = _get_ints(cfg, section, "k", [5, 7, 9], minimum=2)
-    p_ph = _get_float(cfg, section, "p_ph", 1e-3)
+    p_ph = _get_p_ph(cfg, section)
     p_m = _get_float(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get_bool(cfg, section, "higher_orders", True)
     grid = _log_grid(lo, hi, ppd)
@@ -290,13 +302,13 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
         raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
     n_max = _get_int(cfg, section, "n_max", 15, minimum=0)
     k = _get_int(cfg, section, "k", 7, minimum=2)
-    p_ph = _get_float(cfg, section, "p_ph", 1e-3)
+    p_ph = _get_p_ph(cfg, section)
     p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
     if not theta_ls:
         raise ConfigError("tradeoff theta_l grid is empty")
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
 
-    deltas = _get_floats(cfg, section, "delta_sweep", [])
+    deltas = _get_floats(cfg, section, "delta_sweep", [], above=0.0, below=1.0)
     if not deltas:
         d = max(p_m, 1e-12)
         while d < 1e-4:
@@ -336,17 +348,19 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
 
 def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     section = "bound"
-    theta_star = _get_float(cfg, section, "theta_star", 1e-5)
-    p_ph = _get_float(cfg, section, "p_ph", 1e-3)
-    p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
-    lo = _get_float(cfg, section, "n_t_min", 1.0, above=0.0)
-    hi = _get_float(cfg, section, "n_t_max", 1e10, above=0.0)
-    ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
     arch_raw = _get(cfg, section, "architectures", "v1,v2,v3,ftqc-cultivation")
     architectures = [a.strip() for a in arch_raw.split(",") if a.strip()]
     for arch in architectures:
         if arch not in mitigation.ARCHITECTURES:
             raise ConfigError(f"unknown architecture {arch!r}")
+    theta_star = _get_float(cfg, section, "theta_star", 1e-5, above=0.0, maximum=tmr.MAX_THETA)
+    p_ph = _get_float(cfg, section, "p_ph", 1e-3, above=0.0, maximum=tmr.MAX_P_PH)
+    # the cultivation variant synthesizes its rotations at accuracy p_m
+    above = 0.0 if "ftqc-cultivation" in architectures else None
+    p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M, above=above)
+    lo = _get_float(cfg, section, "n_t_min", 1.0, above=0.0)
+    hi = _get_float(cfg, section, "n_t_max", 1e10, above=0.0)
+    ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
     alpha_model = _get_alpha(cfg, section, "alpha_v3", p_ph, p_m=p_m)
 
     grid = _log_grid(lo, hi, ppd)
@@ -394,6 +408,7 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     if lam_grid:
         if len(lam_grid) != 3:
             raise ConfigError("lam_grid must be 'min,max,points_per_decade'")
+        _check_bounds(section, "lam_grid", _get(cfg, section, "lam_grid"), lam_grid[:2], above=0.0)
         if not (lam_grid[2] >= 1 and lam_grid[2].is_integer()):
             raise ConfigError(
                 f"[tepai] lam_grid points_per_decade = {lam_grid[2]!r} must be an integer >= 1"
@@ -410,10 +425,10 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
 
 def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     section = "tepai"
-    times = _get_floats(cfg, section, "t", required=True)
+    times = _get_floats(cfg, section, "t", required=True, above=0.0)
     q = _get_float(cfg, section, "q", 1.0, above=0.0)
     eps = _get_float(cfg, section, "epsilon", 0.05, above=0.0, below=1.0)
-    p_ph = _get_float(cfg, section, "p_ph", 1e-3)
+    p_ph = _get_float(cfg, section, "p_ph", 1e-3, above=0.0, below=tepai.P_THRESHOLD)
     c_smm = _get_float(cfg, section, "c_smm", 3.0, above=0.0)
     alpha_model = _get_alpha(cfg, section, "alpha", p_ph)
     systems = _tepai_systems(cfg)
@@ -673,8 +688,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"model error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Probabilistic-error-cancellation cost accounting.
 
 Residual stochastic-Z errors on T-gates and analog rotations are removed
-in expectation by sampling the inverse quasi-probability map; the price is
-a variance amplification gamma^2 per mitigated gate.  The total budget
-P_total = sum of per-gate error rates controls the overall sampling factor
-e^(4 P_total), and P_total <~ 1 bounds the feasible circuit size.
+in expectation by sampling the inverse quasi-probability map.  One budget
+P_total = sum of per-gate error rates prices a whole circuit at the sampling
+factor e^(4 P_total) (:func:`sampling_price`), so P_total <~ 1 bounds the
+feasible circuit size.  The STAR bounds and the TE-PAI estimates in
+:mod:`starsmm.tepai` both charge their rotations through this module.
 
 Four architecture variants are compared: the original injection-based
 design (v1), the TMR-based refinement (v2), the SMM-based design (v3), and
@@ -15,27 +16,13 @@ rotation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 ARCHITECTURES = ("v1", "v2", "v3", "ftqc-cultivation")
 
 V2_RUS_FACTOR = 1.6          # published k = 7 reference value, used verbatim
 INJECTION_RATE = 2.0 / 15.0  # [[4,1,1,2]] injection error per trial / p_ph
-
-
-def gamma_sq_T(p_m: float) -> float:
-    """Variance factor of one mitigated T-gate: (1 - 2 p_m)^-2 ~ 1 + 4 p_m."""
-    if not 0.0 <= p_m < 0.5:
-        raise ValueError(f"p_m must lie in [0, 1/2), got {p_m!r}")
-    return (1.0 - 2.0 * p_m) ** -2
-
-
-def gamma_sq_rotation(p_l: float) -> float:
-    """Variance factor of one mitigated rotation: 1 + 4 P_L (stated approximation)."""
-    if p_l < 0.0:
-        raise ValueError("P_L must be non-negative")
-    return 1.0 + 4.0 * p_l
 
 
 def synthesis_t_count(delta: float) -> int:
@@ -50,8 +37,8 @@ class CircuitProfile:
     """Gate counts of a Clifford + T + rotation circuit.
 
     ``rotations`` lists (angle, count) pairs with angles in (0, pi/4].
-    Architecture constants default to the comparison setup: p_ph = 1e-3,
-    p_m = 2e-9, synthesis accuracy delta = p_m for the cultivation variant.
+    Architecture constants default to the comparison setup: p_ph = 1e-3 and
+    p_m = 2e-9; the cultivation variant synthesizes at accuracy delta = p_m.
     """
 
     n_t: int
@@ -59,7 +46,6 @@ class CircuitProfile:
     architecture: str = "v3"
     p_ph: float = 1e-3
     p_m: float = 2e-9
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -86,80 +72,64 @@ class MitigationBudget:
     p_total: float
     gamma_total_sq: float
     feasible: bool
-    per_gate_rates: tuple[tuple[float, int], ...] = field(repr=False, default=())
 
 
 AlphaModel = Callable[[float], float]
 
 
-def _per_gate_rates(profile: CircuitProfile, alpha_model: AlphaModel | float | None) -> list[tuple[float, int]]:
-    """(error rate, multiplicity) pairs for every mitigated gate class."""
-    arch = profile.architecture
-    p_ph, p_m = profile.p_ph, profile.p_m
-    if arch == "v1":
-        # every non-Clifford gate via injection; rotations pay the RUS factor 2
-        rates = [(INJECTION_RATE * p_ph, profile.n_t)]
-        rates += [(2.0 * INJECTION_RATE * p_ph, c) for _, c in profile.rotations]
-    elif arch == "v2":
-        rates = [(INJECTION_RATE * p_ph, profile.n_t)]
-        rates += [(V2_RUS_FACTOR * angle * p_ph, c) for angle, c in profile.rotations]
-    elif arch == "v3":
-        if alpha_model is None:
-            raise ValueError("v3 requires an alpha model (constant or callable)")
-        alpha = alpha_model if callable(alpha_model) else (lambda _t, a=alpha_model: a)
-        rates = [(p_m, profile.n_t)]
-        rates += [(alpha(angle) * angle * p_ph, c) for angle, c in profile.rotations]
-    else:  # ftqc-cultivation: each rotation synthesized from T-gates
-        delta = profile.p_m if profile.delta is None else profile.delta
-        n_syn = synthesis_t_count(delta)
-        rates = [(p_m, profile.n_t + n_syn * profile.n_r)]
-        rates += [(delta, c) for _, c in profile.rotations]
-    return [(r, c) for r, c in rates if c > 0]
+def rotation_p_total(
+    count: float, theta: float, alpha_model: AlphaModel | float, p_ph: float
+) -> float:
+    """P_total of ``count`` RUS rotations at angle theta: count alpha(theta) theta p_ph.
+
+    ``alpha_model`` is a constant RUS factor or a callable theta -> alpha.
+    The angle is not range-checked here: TE-PAI rotates by angles up to pi/2.
+    """
+    alpha = alpha_model(theta) if callable(alpha_model) else alpha_model
+    return count * alpha * theta * p_ph
+
+
+def sampling_price(p_total: float) -> float:
+    """Sampling-cost factor gamma_total^2 = e^(4 P_total) of mitigating a budget P_total.
+
+    Budgets past P_total ~ 177 overflow a float; their price is inf, so that
+    ``total_budget`` still reports P_total and infeasibility for them.
+    """
+    try:
+        return math.exp(4.0 * p_total)
+    except OverflowError:
+        return math.inf
 
 
 def total_budget(
     profile: CircuitProfile,
     alpha_model: AlphaModel | float | None = None,
 ) -> MitigationBudget:
-    """P_total and the exact variance product for one circuit.
+    """P_total = sum of per-gate error rates, and its sampling price e^(4 P_total).
 
-    P_total = sum of per-gate error rates; gamma_total^2 is the literal
-    product prod (1 + 4 p_i), which tracks e^(4 P_total) to second order.
     For the v3 architecture ``alpha_model`` supplies alpha_RUS(theta),
     either as a constant or a callable.
     """
-    rates = _per_gate_rates(profile, alpha_model)
-    p_total = sum(r * c for r, c in rates)
-    log_gamma = sum(c * math.log1p(4.0 * r) for r, c in rates)
+    arch, p_ph, p_m = profile.architecture, profile.p_ph, profile.p_m
+    if arch == "v1":
+        # every non-Clifford gate via injection; rotations pay the RUS factor 2
+        parts = [INJECTION_RATE * p_ph * profile.n_t]
+        parts += [2.0 * INJECTION_RATE * p_ph * c for _, c in profile.rotations]
+    elif arch == "v2":
+        parts = [INJECTION_RATE * p_ph * profile.n_t]
+        parts += [rotation_p_total(c, a, V2_RUS_FACTOR, p_ph) for a, c in profile.rotations]
+    elif arch == "v3":
+        if alpha_model is None:
+            raise ValueError("v3 requires an alpha model (constant or callable)")
+        parts = [p_m * profile.n_t]
+        parts += [rotation_p_total(c, a, alpha_model, p_ph) for a, c in profile.rotations]
+    else:  # ftqc-cultivation: each rotation synthesized from T-gates
+        parts = [p_m * (profile.n_t + synthesis_t_count(p_m) * profile.n_r)]
+        parts += [p_m * c for _, c in profile.rotations]
+    p_total = sum(parts)
     return MitigationBudget(
-        p_total=p_total,
-        gamma_total_sq=math.exp(log_gamma),
-        feasible=p_total <= 1.0,
-        per_gate_rates=tuple(rates),
+        p_total=p_total, gamma_total_sq=sampling_price(p_total), feasible=p_total <= 1.0
     )
-
-
-def rotation_cost_rate(
-    architecture: str,
-    theta_star: float,
-    p_ph: float = 1e-3,
-    p_m: float = 2e-9,
-    alpha_model: AlphaModel | float | None = None,
-    delta: float | None = None,
-) -> float:
-    """P_total contribution of a single theta_star rotation gate."""
-    profile = CircuitProfile(
-        n_t=0, rotations=((theta_star, 1),), architecture=architecture,
-        p_ph=p_ph, p_m=p_m, delta=delta,
-    )
-    return total_budget(profile, alpha_model).p_total
-
-
-def t_cost_rate(architecture: str, p_ph: float = 1e-3, p_m: float = 2e-9) -> float:
-    """P_total contribution of a single T-gate."""
-    profile = CircuitProfile(n_t=1, architecture=architecture, p_ph=p_ph, p_m=p_m)
-    alpha = 0.0 if architecture == "v3" else None
-    return total_budget(profile, alpha).p_total
 
 
 def feasible_boundary(
@@ -169,15 +139,19 @@ def feasible_boundary(
     p_ph: float = 1e-3,
     p_m: float = 2e-9,
     alpha_model: AlphaModel | float | None = None,
-    delta: float | None = None,
 ) -> list[tuple[float, float]]:
     """The P_total = 1 frontier: for each N_T, the admissible N_R.
 
     Both per-gate costs are N-independent, so the frontier is the exact
     solution of a linear equation; returns 0 once N_T alone is infeasible.
     """
-    a_t = t_cost_rate(architecture, p_ph, p_m)
-    a_r = rotation_cost_rate(architecture, theta_star, p_ph, p_m, alpha_model, delta)
+
+    def cost(n_t: int, rotations: tuple[tuple[float, int], ...]) -> float:
+        profile = CircuitProfile(n_t, rotations, architecture, p_ph, p_m)
+        return total_budget(profile, alpha_model).p_total
+
+    a_t = cost(1, ())
+    a_r = cost(0, ((theta_star, 1),))
     if a_r <= 0.0:
         raise ValueError("rotation cost rate must be positive")
     curve = []
@@ -187,10 +161,3 @@ def feasible_boundary(
         n_r = max((1.0 - a_t * n_t) / a_r, 0.0)
         curve.append((float(n_t), n_r))
     return curve
-
-
-def feasible_evolution_time(lam: float, alpha_max: float, p_ph: float) -> float:
-    """Trotter-horizon T from the budget bound: lambda*T <= 1/(alpha_max p_ph)."""
-    if lam <= 0.0 or alpha_max <= 0.0 or p_ph <= 0.0:
-        raise ValueError("lambda, alpha_max and p_ph must be positive")
-    return 1.0 / (alpha_max * lam * p_ph)

@@ -79,6 +79,32 @@ def synthesis_budget(p_analog: float, n_rus_trials: int, p_m: float) -> tuple[fl
     return delta, mitigation.synthesis_t_count(delta)
 
 
+def _check_domain(theta_l, theta_th, p_m: float, timing_mode: str) -> None:
+    """Raise ValueError unless every gate (theta_l, theta_th) lies in the model's domain.
+
+    ``SmmConfig`` and :func:`error_rates` both call this, so the scalar and
+    the array path accept the same gates.  theta_l = 0 is the identity gate.
+    """
+    theta_l, theta_th = np.asarray(theta_l, dtype=float), np.asarray(theta_th, dtype=float)
+    if not np.isfinite(theta_l).all():
+        raise ValueError("theta_l must be finite")
+    bad = ~((theta_th > 0.0) & (theta_th <= MAX_THRESHOLD + 1e-15))
+    if bad.any():
+        raise ValueError(f"theta_th must lie in (0, pi/8], got {float(theta_th[bad][0])!r}")
+    mag = np.abs(theta_l)
+    bad = (theta_l != 0.0) & (mag > theta_th)
+    if bad.any():
+        mag, theta_th = np.broadcast_arrays(mag, theta_th)
+        raise ValueError(
+            f"|theta_l|={float(mag[bad][0])!r} exceeds theta_th={float(theta_th[bad][0])!r}; "
+            "route the gate to pure synthesis instead"
+        )
+    if not 0.0 <= p_m <= MAX_P_M:
+        raise ValueError(f"p_m must lie in [0, {MAX_P_M:g}], got {p_m!r}")
+    if timing_mode not in ("pipelined", "latency"):
+        raise ValueError(f"unknown timing_mode {timing_mode!r}")
+
+
 @dataclass(frozen=True)
 class SmmConfig:
     """Inputs of one SMM gate.
@@ -105,20 +131,7 @@ class SmmConfig:
     def __post_init__(self) -> None:
         if (self.theta_th is None) == (self.threshold_ratio is None):
             raise ValueError("set exactly one of theta_th and threshold_ratio")
-        if not math.isfinite(self.theta_l):
-            raise ValueError("theta_l must be finite")
-        th = self.resolved_threshold()
-        if not 0.0 < th <= MAX_THRESHOLD + 1e-15:
-            raise ValueError(f"theta_th must lie in (0, pi/8], got {th!r}")
-        if self.theta_l != 0.0 and abs(self.theta_l) > th:
-            raise ValueError(
-                f"|theta_l|={abs(self.theta_l)!r} exceeds theta_th={th!r}; "
-                "route the gate to pure synthesis instead"
-            )
-        if not 0.0 <= self.p_m <= MAX_P_M:
-            raise ValueError(f"p_m must lie in [0, {MAX_P_M:g}], got {self.p_m!r}")
-        if self.timing_mode not in ("pipelined", "latency"):
-            raise ValueError(f"unknown timing_mode {self.timing_mode!r}")
+        _check_domain(self.theta_l, self.resolved_threshold(), self.p_m, self.timing_mode)
 
     def resolved_threshold(self) -> float:
         if self.theta_th is not None:
@@ -257,33 +270,19 @@ def error_rates(
 
     Row r is the gate ``SmmConfig(theta_l[r], params, theta_th=theta_th[r],
     ...)``; ``theta_th`` broadcasts against ``theta_l``, and the domain is
-    checked as ``SmmConfig`` checks it.  Trial i runs at 2^i |theta_l| for
+    checked by the helper ``SmmConfig`` uses.  Trial i runs at 2^i |theta_l| for
     the rows with i < n_rus, weighted by 2^-i: one numpy pass over those rows
     per trial index, accumulated in the scalar path's order.  Each row's
     T-count comes from ``mitigation.synthesis_t_count``.  Values agree with
     :func:`effective_error_rate`, whose per-trial tables the enumerator, the
     sampler and ``verify`` read, to a few ulp (see :func:`tmr.branch_table`).
     """
+    _check_domain(theta_l, theta_th, p_m, timing_mode)
     theta_l, theta_th = np.broadcast_arrays(
         np.asarray(theta_l, dtype=float), np.asarray(theta_th, dtype=float)
     )
-    if not np.all(np.isfinite(theta_l)):
-        raise ValueError("theta_l must be finite")
-    bad = ~((theta_th > 0.0) & (theta_th <= MAX_THRESHOLD + 1e-15))
-    if bad.any():
-        raise ValueError(f"theta_th must lie in (0, pi/8], got {float(theta_th[bad][0])!r}")
     live = theta_l != 0.0  # theta_l = 0 rows are the identity gate
     mag, th = np.abs(theta_l[live]), theta_th[live]
-    bad = mag > th
-    if bad.any():
-        raise ValueError(
-            f"|theta_l|={float(mag[bad][0])!r} exceeds theta_th={float(th[bad][0])!r}; "
-            "route the gate to pure synthesis instead"
-        )
-    if not 0.0 <= p_m <= MAX_P_M:
-        raise ValueError(f"p_m must lie in [0, {MAX_P_M:g}], got {p_m!r}")
-    if timing_mode not in ("pipelined", "latency"):
-        raise ValueError(f"unknown timing_mode {timing_mode!r}")
 
     n = np.array([n_rus(x, t) for x, t in zip(mag.tolist(), th.tolist())], dtype=int)
     p_analog = np.zeros(mag.shape)

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from . import smm, tmr
+from . import mitigation, smm, tmr
 
 MIN_GATE_FACTOR = 2.0 * math.sqrt(2.0)  # N_gate >= 2 sqrt(2) lambda T
 CYCLE_TIME = 1e-6  # seconds per surface-code cycle
 D_MAX = 99  # largest code distance the solver tries
+P_THRESHOLD = 1e-2  # surface-code threshold of the logical error model
 
 
 class DistanceSolveError(RuntimeError):
@@ -61,7 +61,7 @@ def sampling_overhead(lambda_t: float, delta: float, epsilon: float) -> tuple[fl
 
 def logical_error_per_cycle(p_ph: float, d: int) -> float:
     """Surface-code logical error per code cycle: 0.1 (100 p_ph)^((d+1)/2)."""
-    if not 0.0 < p_ph < 1e-2:
+    if not 0.0 < p_ph < P_THRESHOLD:
         raise ValueError(f"p_ph must lie in (0, 1e-2), got {p_ph!r}")
     if d < 3 or d % 2 == 0:
         raise ValueError(f"code distance must be odd and >= 3, got {d}")
@@ -79,16 +79,13 @@ def patch_count(n_l: int) -> int:
     return math.ceil(2 * n_l + math.sqrt(8 * n_l)) + 11
 
 
-AlphaProvider = Callable[[float], float]
-
-
 def smm_alpha_provider(
     p_ph: float,
     k: int = 7,
     theta_th: float = 0.01,
     p_m: float = 2e-9,
     c1: float | None = None,
-) -> AlphaProvider:
+) -> mitigation.AlphaModel:
     """alpha_RUS(theta) backed by the SMM analytics at the given setup.
 
     |theta| >= theta_th is pure synthesis (n_rus = 0): the P_L of the gate at
@@ -125,7 +122,7 @@ class TepaiInstance:
     lam: float
     t: float
     n_l: int
-    alpha_model: float | AlphaProvider
+    alpha_model: float | mitigation.AlphaModel
     epsilon: float = 0.05
     q: float = 1.0
     p_ph: float = 1e-3
@@ -143,11 +140,6 @@ class TepaiInstance:
             raise ValueError("N_L must be >= 1")
         if self.c_smm <= 0.0:
             raise ValueError("c_smm must be positive")
-
-    def alpha_at(self, theta: float) -> float:
-        if callable(self.alpha_model):
-            return self.alpha_model(theta)
-        return float(self.alpha_model)
 
 
 @dataclass(frozen=True)
@@ -191,7 +183,8 @@ def estimate(instance: TepaiInstance) -> TepaiEstimate:
     Physical qubits per patch are counted as 2 d^2 (data plus measurement
     qubits of a rotated surface-code patch).  Every sampled gate, Pauli
     measurements included, is charged C_smm clocks of d code cycles; the
-    total time multiplies the single shot by e^Q e^(4 P_total) / eps^2.
+    total time multiplies the single shot by e^Q e^(4 P_total) / eps^2, with
+    P_total and its price taken from :mod:`starsmm.mitigation`.
     """
     lam_t = instance.lam * instance.t
     delta = select_angle(lam_t, instance.q)
@@ -199,11 +192,10 @@ def estimate(instance: TepaiInstance) -> TepaiEstimate:
     gamma_sq, n_shots = sampling_overhead(lam_t, delta, instance.epsilon)
     n_patch = patch_count(instance.n_l)
     d = solve_code_distance(n_gate, n_patch, instance.p_ph, instance.c_smm)
-    alpha = instance.alpha_at(delta)
-    p_total = n_gate * alpha * delta * instance.p_ph
-    mitigation = math.exp(4.0 * p_total)
+    p_total = mitigation.rotation_p_total(n_gate, delta, instance.alpha_model, instance.p_ph)
+    price = mitigation.sampling_price(p_total)
     single_shot = n_gate * instance.c_smm * d * CYCLE_TIME
-    total = single_shot * gamma_sq * mitigation / instance.epsilon ** 2
+    total = single_shot * gamma_sq * price / instance.epsilon ** 2
     return TepaiEstimate(
         instance=instance,
         delta_angle=delta,
@@ -214,7 +206,7 @@ def estimate(instance: TepaiInstance) -> TepaiEstimate:
         n_patch=n_patch,
         physical_qubits=n_patch * 2 * d * d,
         p_total=p_total,
-        mitigation_factor=mitigation,
+        mitigation_factor=price,
         single_shot_seconds=single_shot,
         total_seconds=total,
     )

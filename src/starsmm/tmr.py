@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_THETA = 0.25 * math.pi
+MAX_P_PH = 0.1  # largest physical error rate the TMR model covers
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class TmrParams:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if not 0.0 <= self.p_ph <= 0.1:
+        if not 0.0 <= self.p_ph <= MAX_P_PH:
             raise ValueError(f"p_ph must lie in [0, 0.1], got {self.p_ph!r}")
         jm = self.k // 2 if self.j_max is None else self.j_max
         if not 1 <= jm <= self.k:

@@ -317,12 +317,42 @@ class TestDomainErrors:
              "[alpha_sweep] theta_l_min = '0' must be > 0"),
             ("tradeoff", TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 0"),
              "[tradeoff] theta_l = '0' must be non-zero"),
+            ("alpha-sweep", ALPHA_CFG + "p_ph = 0.5\n",
+             "[alpha_sweep] p_ph = '0.5' must be <= 0.1"),
+            ("alpha-sweep", ALPHA_CFG + "p_ph = 0\n", "[alpha_sweep] p_ph = '0' must be > 0"),
+            ("tradeoff", TRADEOFF_CFG + "p_ph = 0.5\n", "[tradeoff] p_ph = '0.5' must be <= 0.1"),
+            ("tradeoff", TRADEOFF_CFG + "p_ph = 0\n", "[tradeoff] p_ph = '0' must be > 0"),
+            ("bound", BOUND_CFG + "p_ph = 0.5\n", "[bound] p_ph = '0.5' must be <= 0.1"),
+            ("bound", BOUND_CFG + "p_ph = 0\n", "[bound] p_ph = '0' must be > 0"),
+            ("tepai", TEPAI_CFG + "p_ph = 0.05\n", "[tepai] p_ph = '0.05' must be < 0.01"),
+            ("tepai", TEPAI_CFG.replace("t = 1,10", "t = 0"), "[tepai] t = '0' must be > 0"),
+            ("tepai", TEPAI_CFG.replace("t = 1,10", "t = 1,-2"),
+             "[tepai] t = '1,-2' must be > 0"),
+            ("tradeoff", TRADEOFF_CFG + "delta_sweep = 1e-6,2\n",
+             "[tradeoff] delta_sweep = '1e-6,2' must be < 1"),
+            ("bound", BOUND_CFG.replace("theta_star = 1e-5", "theta_star = 1"),
+             "[bound] theta_star = '1' must be <= 0.785"),
+            ("bound", BOUND_CFG.replace("theta_star = 1e-5", "theta_star = 0"),
+             "[bound] theta_star = '0' must be > 0"),
+            ("bound", BOUND_CFG + "p_m = 0\n", "[bound] p_m = '0' must be > 0"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 0,100,1\nn_l = 72\nalpha = 0.1\n",
+             "[tepai] lam_grid = '0,100,1' must be > 0"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 10,-1,1\nn_l = 72\nalpha = 0.1\n",
+             "[tepai] lam_grid = '10,-1,1' must be > 0"),
+            ("tradeoff", TRADEOFF_CFG.replace("c1 = calibrated", "c1 = -1"),
+             "[tradeoff] c1 = '-1' must be >= 0"),
         ],
         ids=[
             "tradeoff-k", "tradeoff-n_max", "alpha_sweep-k", "alpha_sweep-p_m", "tepai-q",
             "bound-alpha_v3-zero", "bound-alpha_v3-negative", "tepai-hubbard_t",
             "tepai-hubbard_t-small", "bound-p_m", "tepai-epsilon", "tepai-c_smm",
             "alpha_sweep-theta_l_min", "tradeoff-theta_l-zero",
+            "alpha_sweep-p_ph-large", "alpha_sweep-p_ph-zero-calibrated",
+            "tradeoff-p_ph-large", "tradeoff-p_ph-zero-calibrated",
+            "bound-p_ph-large", "bound-p_ph-zero", "tepai-p_ph", "tepai-t-zero",
+            "tepai-t-negative", "tradeoff-delta_sweep", "bound-theta_star-large",
+            "bound-theta_star-zero", "bound-p_m-zero-cultivation", "tepai-lam_grid-min",
+            "tepai-lam_grid-max", "tradeoff-c1-negative",
         ],
     )
     def test_out_of_domain_value_names_key(self, tmp_path, capsys, command, cfg, message):
@@ -341,14 +371,40 @@ class TestDomainErrors:
              "[tradeoff] theta_l = '1e-5,nan' must be finite"),
             ("tradeoff", TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = inf"),
              "[tradeoff] theta_l = 'inf' must be finite"),
+            ("tradeoff", TRADEOFF_CFG.replace("c1 = calibrated", "c1 = nan"),
+             "[tradeoff] c1 = 'nan' must be finite"),
         ],
         ids=["bound-alpha_v3", "alpha_sweep-theta_l_max", "tradeoff-theta_l-nan",
-             "tradeoff-theta_l-inf"],
+             "tradeoff-theta_l-inf", "tradeoff-c1-nan"],
     )
     def test_non_finite_value_names_key(self, tmp_path, capsys, command, cfg, message):
         assert _run(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+
+    def test_numeric_c1_allows_zero_p_ph(self, tmp_path):
+        # p_ph = 0 only rules out calibrating c1
+        cfg = ALPHA_CFG.replace("c1 = calibrated", "c1 = 0.04") + "p_ph = 0\n"
+        assert _run(tmp_path, "alpha-sweep", cfg) == 0
+
+    def test_p_m_zero_allowed_without_cultivation(self, tmp_path):
+        cfg = BOUND_CFG + "p_m = 0\narchitectures = v1,v2,v3\n"
+        assert _run(tmp_path, "bound", cfg) == 0
+
+
+class TestExitCodes:
+    def test_model_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("frontier out of range")
+
+        monkeypatch.setattr(cli.mitigation, "feasible_boundary", broken)
+        assert _run(tmp_path, "bound", BOUND_CFG) == 4
+        err = capsys.readouterr().err
+        assert "model error: frontier out of range" in err
+        assert "config error" not in err
+        assert _run(tmp_path, "bound", BOUND_CFG + "p_m = -1\n") == 2
+        assert "config error: [bound] p_m = '-1'" in capsys.readouterr().err
 
 
 class TestVerify:

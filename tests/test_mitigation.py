@@ -1,30 +1,28 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from starsmm import mitigation
+from starsmm import cli, hamcat, mitigation, tepai
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-class TestGammaFactors:
-    def test_gamma_sq_t_noiseless(self):
-        assert mitigation.gamma_sq_T(0.0) == 1.0
-
-    def test_gamma_sq_t_cultivation_rate(self):
-        got = mitigation.gamma_sq_T(2e-9)
-        assert abs(got - (1.0 + 8e-9)) / got < 1e-16
-
-    def test_gamma_sq_t_point_value(self):
-        assert mitigation.gamma_sq_T(0.01) == pytest.approx(0.98 ** -2, rel=1e-15)
-        assert mitigation.gamma_sq_T(0.01) == pytest.approx(1.0412328196584758, rel=1e-12)
-
-    def test_gamma_sq_t_domain(self):
-        with pytest.raises(ValueError):
-            mitigation.gamma_sq_T(0.5)
-
-    def test_gamma_sq_rotation(self):
-        assert mitigation.gamma_sq_rotation(0.0) == 1.0
-        p_l = 0.1 * 1e-5 * 1e-3
-        assert mitigation.gamma_sq_rotation(p_l) == pytest.approx(1.0 + 4e-9, rel=1e-15)
+def _tepai_molecule_instances(alpha_model):
+    """The TE-PAI instances of configs/tepai_molecules.cfg, plus 4Fe-4S at T = 0.001."""
+    cfg = cli.load_config(str(CONFIGS / "tepai_molecules.cfg"))
+    setup = dict(
+        q=cfg.getfloat("tepai", "q"), epsilon=cfg.getfloat("tepai", "epsilon"),
+        p_ph=cfg.getfloat("tepai", "p_ph"), c_smm=cfg.getfloat("tepai", "c_smm"),
+    )
+    times = [float(t) for t in cfg.get("tepai", "t").split(",")]
+    rows = [(lam, t, n_l) for _, lam, n_l in cli._tepai_systems(cfg) for t in times]
+    fes = hamcat.molecule("4Fe-4S")
+    rows.append((fes.lam, 0.001, fes.n_l))  # Delta ~ 1.30 rad
+    return [
+        tepai.TepaiInstance(lam=lam, t=t, n_l=n_l, alpha_model=alpha_model, **setup)
+        for lam, t, n_l in rows
+    ]
 
 
 class TestTotalBudget:
@@ -72,23 +70,46 @@ class TestTotalBudget:
         expected = (7 + 3 * n_syn) * 2e-9 + 3 * 2e-9
         assert budget.p_total == pytest.approx(expected, rel=1e-12)
 
+    def test_overflowing_price_is_infinite(self):
+        # e^(4 P_total) overflows a float far past P_total = 1; P_total stays exact
+        profile = mitigation.CircuitProfile(
+            n_t=0, rotations=((1e-5, 10 ** 50),), architecture="v3"
+        )
+        budget = mitigation.total_budget(profile, alpha_model=0.1)
+        assert budget.p_total == pytest.approx(1e41, rel=1e-12)
+        assert budget.gamma_total_sq == math.inf
+        assert not budget.feasible
+
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError):
             mitigation.CircuitProfile(n_t=0, architecture="v4")
 
-    def test_gamma_product_vs_exponential_gap(self):
-        profile = mitigation.CircuitProfile(
-            n_t=1000, rotations=((1e-3, 500), (1e-4, 2000)), architecture="v3",
-            p_m=1e-5,
-        )
-        budget = mitigation.total_budget(profile, alpha_model=0.5)
-        sum_p_sq = sum(c * r * r for r, c in budget.per_gate_rates)
-        gap = abs(math.log(budget.gamma_total_sq) - 4.0 * budget.p_total)
-        assert gap <= 8.0 * sum_p_sq
-
-    def test_trotter_horizon(self):
-        # lambda = 100, alpha_max = 0.1, p_ph = 1e-3 -> T <~ 100
-        assert mitigation.feasible_evolution_time(100.0, 0.1, 1e-3) == pytest.approx(100.0)
+    @pytest.mark.parametrize("alpha", ["0.1", "smm"])
+    def test_tepai_prices_through_mitigation(self, alpha):
+        # every configs/tepai_molecules.cfg row plus one with Delta > pi/4,
+        # bit for bit: one P_total and one price e^(4 P_total) for both
+        alpha_model = 0.1 if alpha == "0.1" else tepai.smm_alpha_provider(1e-3)
+        wide = 0
+        for instance in _tepai_molecule_instances(alpha_model):
+            est = tepai.estimate(instance)
+            delta, p_ph = est.delta_angle, instance.p_ph
+            alpha_delta = alpha_model(delta) if callable(alpha_model) else alpha_model
+            assert est.p_total == est.n_gate * alpha_delta * delta * p_ph
+            assert est.p_total == mitigation.rotation_p_total(
+                est.n_gate, delta, alpha_model, p_ph
+            )
+            assert est.mitigation_factor == mitigation.sampling_price(est.p_total)
+            assert est.mitigation_factor == math.exp(4.0 * est.p_total)
+            if delta > math.pi / 4:
+                wide += 1  # outside CircuitProfile's angle range
+                continue
+            profile = mitigation.CircuitProfile(
+                n_t=0, rotations=((delta, est.n_gate),), architecture="v3", p_ph=p_ph
+            )
+            budget = mitigation.total_budget(profile, alpha_model)
+            assert budget.p_total == est.p_total
+            assert budget.gamma_total_sq == est.mitigation_factor
+        assert wide == 1
 
 
 class TestFeasibleBoundary:
@@ -110,6 +131,9 @@ class TestFeasibleBoundary:
     def test_v3_constant_alpha_intercept(self):
         got = mitigation.feasible_boundary("v3", 1e-5, [0.0], alpha_model=0.1)[0][1]
         assert got == pytest.approx(1e9, rel=1e-6)
+        # a rotation far past the budget prices at inf but keeps its frontier
+        got = mitigation.feasible_boundary("v3", 1e-5, [0.0], alpha_model=1e50)[0][1]
+        assert got == pytest.approx(1e-42, rel=1e-12)
 
     def test_t_axis_intercepts(self):
         # N_R hits zero once N_T alone saturates the budget
@@ -134,9 +158,9 @@ class TestFeasibleBoundary:
             ):
                 if n_r == 0.0:
                     continue
-                a_t = mitigation.t_cost_rate(arch)
-                a_r = mitigation.rotation_cost_rate(arch, 1e-5, alpha_model=0.1)
-                assert a_t * n_t + a_r * n_r == pytest.approx(1.0, abs=1e-12)
+                profile = mitigation.CircuitProfile(n_t, ((1e-5, n_r),), arch)
+                budget = mitigation.total_budget(profile, alpha_model=0.1)
+                assert budget.p_total == pytest.approx(1.0, abs=1e-12)
 
     def test_architecture_dominance_ordering(self):
         grid = [0.0]

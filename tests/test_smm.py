@@ -28,6 +28,10 @@ class TestNRus:
         with pytest.raises(ValueError):
             smm.n_rus(0.02, 0.01)
 
+    @given(theta=st.floats(1e-300, 1e3), n=st.integers(0, 60))
+    def test_exact_at_power_of_two_ratios(self, theta, n):
+        assert smm.n_rus(theta, 2.0 ** n * theta) == n
+
 
 class TestSwitchProbability:
     def test_values(self):
@@ -177,6 +181,32 @@ class TestErrorRates:
             tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,)), theta_l, theta_th,
             p_m=p_m, include_higher_orders=higher, timing_mode=timing_mode,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 15),
+        c1=st.floats(0.01, 1.0),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-6]),
+        higher=st.booleans(),
+        timing_mode=st.sampled_from(["pipelined", "latency"]),
+        log_theta=st.floats(-12.0, math.log10(smm.MAX_THRESHOLD)),
+        log2_ratio=st.floats(0.0, 40.0),
+    )
+    def test_p_l_mirror_symmetric(self, k, c1, p_m, higher, timing_mode, log_theta, log2_ratio):
+        # P_L(-theta_L) == P_L(theta_L) exactly, on the scalar and the array path
+        params = tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,))
+        theta_l = min(10.0 ** log_theta, smm.MAX_THRESHOLD)
+        theta_th = min(theta_l * 2.0 ** log2_ratio, smm.MAX_THRESHOLD)
+        setup = dict(p_m=p_m, include_higher_orders=higher, timing_mode=timing_mode)
+        up, down = (
+            smm.effective_error_rate(
+                smm.SmmConfig(theta_l=x, tmr_params=params, theta_th=theta_th, **setup)
+            )
+            for x in (theta_l, -theta_l)
+        )
+        assert up.p_l == down.p_l
+        rates = smm.error_rates(params, [theta_l, -theta_l], theta_th, **setup)
+        assert rates.p_l[0] == rates.p_l[1]
 
     @pytest.mark.parametrize("timing_mode", ["pipelined", "latency"])
     def test_threshold_equal_to_angle_runs_no_trial(self, timing_mode):
