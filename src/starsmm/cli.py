@@ -14,8 +14,9 @@ command writes its rows in grid order; ``alpha-sweep`` and ``tradeoff``
 compute them as arrays with ``smm.error_rates``.  Outputs are
 CSV with 17-significant-digit floats and are byte-identical across runs for
 a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
-2 config error, 3 solver failure, 4 model error (a library ValueError on
-input the config checks let through).
+2 config error, 3 solver failure, 4 model error (a library ValueError,
+or a float overflow, underflow or division by zero, on input the config
+checks let through).
 """
 
 from __future__ import annotations
@@ -104,7 +105,11 @@ def _check_bounds(
 ) -> None:
     """Raise a ConfigError naming the key unless every value is finite and within the bounds."""
     for value in values:
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise ConfigError(f"[{section}] {key} = {raw!r} must be finite")
         if minimum is not None and value < minimum:
             raise ConfigError(f"[{section}] {key} = {raw!r} must be >= {minimum}")
@@ -170,17 +175,23 @@ def _get_bool(cfg, section, key, default: bool) -> bool:
 
 
 def _get_ints(cfg, section, key, default=None, minimum=None) -> list[int]:
-    values = _get_floats(cfg, section, key, default=default)
     raw = _get(cfg, section, key)
-    if not all(float(v).is_integer() for v in values):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer list")
+    if raw is None:
+        return list(default or [])
+    try:
+        values = [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer list") from exc
     _check_bounds(section, key, raw, values, minimum)
-    return [int(v) for v in values]
+    return values
 
 
-def _log_grid(lo: float, hi: float, points_per_decade: int) -> list[float]:
-    if lo <= 0.0 or hi < lo:
-        raise ConfigError(f"bad grid bounds [{lo}, {hi}]")
+def _log_grid(
+    section: str, lo_key: str, hi_key: str, lo: float, hi: float, points_per_decade: int
+) -> list[float]:
+    """Log-spaced grid over [lo, hi] (lo > 0); the keys name the bounds in errors."""
+    if hi < lo:
+        raise ConfigError(f"[{section}] {lo_key} = {lo!r} must be <= {hi_key} = {hi!r}")
     n = max(int(round(math.log10(hi / lo) * points_per_decade)), 0) + 1
     if n < 2:
         return [lo]
@@ -247,7 +258,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     p_ph = _get_p_ph(cfg, section)
     p_m = _get_float(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get_bool(cfg, section, "higher_orders", True)
-    grid = _log_grid(lo, hi, ppd)
+    grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
     if not grid or not ks:
         raise ConfigError("alpha sweep grid is empty")
 
@@ -363,7 +374,7 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
     alpha_model = _get_alpha(cfg, section, "alpha_v3", p_ph, p_m=p_m)
 
-    grid = _log_grid(lo, hi, ppd)
+    grid = _log_grid(section, "n_t_min", "n_t_max", lo, hi, ppd)
     rows = []
     for arch in architectures:
         curve = mitigation.feasible_boundary(
@@ -416,7 +427,8 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
         n_l = _get_int(cfg, section, "n_l")
         if n_l is None:
             raise ConfigError("lam_grid requires key 'n_l'")
-        for lam in _log_grid(lam_grid[0], lam_grid[1], int(lam_grid[2])):
+        lo, hi, ppd = lam_grid
+        for lam in _log_grid(section, "lam_grid min", "max", lo, hi, int(ppd)):
             systems.append((f"lambda={lam:.6g}", lam, n_l))
     if not systems:
         raise ConfigError("no target systems configured for tepai")
@@ -687,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     except tepai.DistanceSolveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 4
 

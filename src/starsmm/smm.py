@@ -483,68 +483,31 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
 # Previous-generation RUS model and pass-rate calibration
 # ---------------------------------------------------------------------------
 
-def _v2_params(k: int, p_ph: float, c1: float) -> tmr.TmrParams:
-    # the earlier protocol cancels only the leading branch: j_max = 1
-    return tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,), j_max=1)
-
-
-def v2_crossover_angle(k: int, p_ph: float, c1: float) -> float:
-    """Logical angle where the TMR residual meets the injection error rate.
-
-    Below the crossover the TMR + first-order-PCEC trial is the better
-    gadget; above it the [[4,1,1,2]] injection (error (2/15) p_ph per
-    trial) wins.  Greedy switching at the crossover is optimal because the
-    residual increases monotonically with angle.
-    """
-    if p_ph <= 0.0:
-        return tmr.MAX_THETA
-    params = _v2_params(k, p_ph, c1)
-    target = mitigation.INJECTION_RATE * p_ph
-
-    def res(theta_l: float) -> float:
-        return pcec.leading_residual_rate(tmr.output_model_for_logical(params, theta_l))
-
-    hi = tmr.MAX_THETA
-    if res(hi) <= target:
-        return hi
-    lo = 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if res(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def v2_rus_factor(
-    theta_l: float,
-    k: int,
-    p_ph: float,
-    c1: float,
-    theta_switch: float | None = None,
-) -> float:
+def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
     """RUS factor of the previous-generation gate (no digital stage).
 
-    The RUS process runs to success: TMR trials with first-order PCEC while
-    the doubling angle stays below the switch angle, injection-protocol
-    trials afterwards.  alpha = P_L / (theta_l * p_ph) with
-    P_L = sum_i 2^-i r(2^i theta_l).
+    The RUS process runs to success.  Trial i at 2^i theta_l uses TMR with
+    first-order PCEC until its residual reaches the [[4,1,1,2]] injection
+    error (2/15) p_ph; that trial and every later one use injection.  The
+    residual rises with angle, so switching at the first losing trial is
+    optimal.  alpha = P_L / (theta_l * p_ph) with
+    P_L = sum_{i<i0} 2^-i r(2^i theta_l) + 2^(1-i0) (2/15) p_ph.
     """
     if theta_l <= 0.0 or p_ph <= 0.0:
         raise ValueError("theta_l and p_ph must be positive")
-    if theta_switch is None:
-        theta_switch = v2_crossover_angle(k, p_ph, c1)
-    params = _v2_params(k, p_ph, c1)
-    i0 = n_rus(theta_l, theta_switch) if theta_l < theta_switch else 0
-    p_l = 0.0
-    for i in range(i0):
-        theta_rus = 2.0 ** i * theta_l
-        model = tmr.output_model_for_logical(params, theta_rus)
-        p_l += 2.0 ** (-i) * pcec.leading_residual_rate(model)
-    p_l += 2.0 ** (1 - i0) * mitigation.INJECTION_RATE * p_ph
+    # the earlier protocol cancels only the leading branch: j_max = 1
+    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,), j_max=1)
+    injection = mitigation.INJECTION_RATE * p_ph
+    n = n_rus(theta_l, tmr.MAX_THETA) if theta_l < tmr.MAX_THETA else 0
+    p_l, i0 = 0.0, 0
+    while i0 < n:
+        model = tmr.output_model_for_logical(params, 2.0 ** i0 * theta_l)
+        residual = pcec.leading_residual_rate(model)
+        if residual >= injection:
+            break
+        p_l += 2.0 ** (-i0) * residual
+        i0 += 1
+    p_l += 2.0 ** (1 - i0) * injection
     return p_l / (theta_l * p_ph)
 
 
@@ -554,14 +517,14 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
 
     The factor oscillates with log2(theta_l) (period one octave), so the
     calibration matches the octave average at CALIBRATION_ANCHOR.  Bisection
-    on log(c_1) is safe: the averaged factor is monotone in c_1.  The
-    crossover angle depends on c_1 only, so each candidate solves it once.
+    on log(c_1) is safe: the averaged factor is monotone in c_1.  Each
+    :func:`v2_rus_factor` call finds its own switch trial, so this is the
+    only bisection.
     """
 
     def averaged_alpha(c1: float) -> float:
-        switch = v2_crossover_angle(k, p_ph, c1)
         vals = [
-            v2_rus_factor(CALIBRATION_ANCHOR * 2.0 ** (j / 16.0), k, p_ph, c1, switch)
+            v2_rus_factor(CALIBRATION_ANCHOR * 2.0 ** (j / 16.0), k, p_ph, c1)
             for j in range(16)
         ]
         return sum(vals) / len(vals)

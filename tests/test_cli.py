@@ -120,6 +120,12 @@ class TestAlphaSweep:
         assert _run(tmp_path, "alpha-sweep", cfg) == 2
         assert "[alpha_sweep] k = '5,7.5' is not an integer list" in capsys.readouterr().err
 
+    def test_float_k_is_config_error(self, tmp_path, capsys):
+        # the same integer rule as the single-valued [tradeoff] k
+        cfg = ALPHA_CFG.replace("k = 5,7", "k = 7.0")
+        assert _run(tmp_path, "alpha-sweep", cfg) == 2
+        assert "[alpha_sweep] k = '7.0' is not an integer list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ppd", ["0", "-2"])
     def test_non_positive_points_per_decade_is_config_error(self, tmp_path, capsys, ppd):
         cfg = ALPHA_CFG.replace("points_per_decade = 2", f"points_per_decade = {ppd}")
@@ -373,15 +379,36 @@ class TestDomainErrors:
              "[tradeoff] theta_l = 'inf' must be finite"),
             ("tradeoff", TRADEOFF_CFG.replace("c1 = calibrated", "c1 = nan"),
              "[tradeoff] c1 = 'nan' must be finite"),
+            ("tradeoff", TRADEOFF_CFG.replace("k = 7", f"k = {10 ** 400}"),
+             f"[tradeoff] k = '{10 ** 400}' must be finite"),
+            ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", f"k = 5,{10 ** 400}"),
+             f"[alpha_sweep] k = '5,{10 ** 400}' must be finite"),
         ],
         ids=["bound-alpha_v3", "alpha_sweep-theta_l_max", "tradeoff-theta_l-nan",
-             "tradeoff-theta_l-inf", "tradeoff-c1-nan"],
+             "tradeoff-theta_l-inf", "tradeoff-c1-nan", "tradeoff-k-huge", "alpha_sweep-k-huge"],
     )
     def test_non_finite_value_names_key(self, tmp_path, capsys, command, cfg, message):
         assert _run(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [
+            ("alpha-sweep", ALPHA_CFG.replace("theta_l_max = 1e-4", "theta_l_max = 1e-7"),
+             "[alpha_sweep] theta_l_min = 1e-06 must be <= theta_l_max = 1e-07"),
+            ("bound", BOUND_CFG.replace("n_t_min = 1", "n_t_min = 1e10"),
+             "[bound] n_t_min = 10000000000.0 must be <= n_t_max = 1000000000.0"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 10,1,1\nn_l = 72\nalpha = 0.1\n",
+             "[tepai] lam_grid min = 10.0 must be <= max = 1.0"),
+        ],
+        ids=["alpha_sweep-theta_l", "bound-n_t", "tepai-lam_grid"],
+    )
+    def test_reversed_grid_bounds_name_keys(self, tmp_path, capsys, command, cfg, message):
+        assert _run(tmp_path, command, cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_numeric_c1_allows_zero_p_ph(self, tmp_path):
         # p_ph = 0 only rules out calibrating c1
@@ -405,6 +432,26 @@ class TestExitCodes:
         assert "config error" not in err
         assert _run(tmp_path, "bound", BOUND_CFG + "p_m = -1\n") == 2
         assert "config error: [bound] p_m = '-1'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "command,cfg,code",
+        [
+            ("tepai", TEPAI_CFG + "epsilon = 1e-300\n", 4),
+            ("tepai", TEPAI_CFG + "p_ph = 1e-300\n", 4),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 1e-300,1e300,1\nn_l = 72\nalpha = 0.1\n", 4),
+            ("alpha-sweep", ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-300"), 4),
+            ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", "k = 1e300"), 2),
+        ],
+        ids=["tepai-epsilon", "tepai-p_ph", "tepai-lam_grid", "alpha_sweep-theta_l_min",
+             "alpha_sweep-k"],
+    )
+    def test_float_range_failure_is_not_a_traceback(self, tmp_path, capsys, command, cfg, code):
+        # underflow to zero and overflow to infinity inside the models
+        assert _run(tmp_path, command, cfg) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("model error: " if code == 4 else "config error: ")
 
 
 class TestVerify:

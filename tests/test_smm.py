@@ -345,14 +345,38 @@ class TestV2Calibration:
         assert 1.4 < min(vals) and max(vals) < 1.9
 
     def test_injection_only_limit(self):
-        # switching at the target angle makes every trial an injection:
-        # P_L = sum_i 2^-i (2/15) p_ph = 2 (2/15) p_ph, the v1 gate rate
-        alpha = smm.v2_rus_factor(0.3, 7, 1e-3, 1.0, theta_switch=0.3)
+        # at c1 = 1 the first trial already loses to injection, so every trial
+        # is one: P_L = sum_i 2^-i (2/15) p_ph = 2 (2/15) p_ph, the v1 gate rate
+        alpha = smm.v2_rus_factor(0.3, 7, 1e-3, 1.0)
         assert alpha == pytest.approx((4.0 / 15.0) / 0.3, rel=1e-12)
 
-    def test_crossover_monotone_in_c1(self):
-        angles = [smm.v2_crossover_angle(7, 1e-3, c) for c in (0.01, 0.1, 1.0)]
-        assert angles[0] > angles[1] > angles[2]
+    V2_THETAS = [(math.pi / 4) / 2 ** m for m in (0, 1, 3, 7, 12, 20)] + [1e-5, 3.3e-4, 0.2, 1.0]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 9, 15])
+    def test_switch_minimises_the_factor(self, k):
+        # every switch index s in 0..n against the greedy first-losing-trial rule
+        for p_ph in (1e-4, 1e-3, 1e-2):
+            injection = 2.0 / 15.0 * p_ph
+            for c1 in (1e-3, 0.0367, 1.0):
+                params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,), j_max=1)
+                for theta_l in self.V2_THETAS:
+                    n = smm.n_rus(theta_l, math.pi / 4) if theta_l < math.pi / 4 else 0
+                    costs, analog = [], 0.0
+                    for s in range(n + 1):
+                        costs.append(analog + 2.0 ** (1 - s) * injection)
+                        if s < n:
+                            model = tmr.output_model_for_logical(params, 2.0 ** s * theta_l)
+                            analog += 2.0 ** (-s) * pcec.leading_residual_rate(model)
+                    best = min(costs) / (theta_l * p_ph)
+                    assert smm.v2_rus_factor(theta_l, k, p_ph, c1) == best, (p_ph, c1, theta_l)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 9, 15])
+    def test_factor_non_decreasing_in_c1(self, k):
+        # calibrate_c1's bisection relies on this
+        for p_ph in (1e-4, 1e-3, 1e-2):
+            for theta_l in self.V2_THETAS:
+                vals = [smm.v2_rus_factor(theta_l, k, p_ph, c1) for c1 in (1e-3, 0.0367, 1.0)]
+                assert vals == sorted(vals), (p_ph, theta_l)
 
 
 class TestPinnedValues:
