@@ -53,6 +53,11 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    # strict JSON: a NaN or infinity raises instead of writing a bare token
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -459,6 +464,14 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
             except tepai.DistanceSolveError:
                 rows.append((name, lam, t, q, eps) + ("ERROR",) * 6)
                 continue
+            except ArithmeticError as exc:  # a value underflowed or overflowed in the model
+                raise ValueError(f"[{section}] row {name}, T = {t!r}: {exc}") from exc
+            if not math.isfinite(est.total_seconds):
+                print(
+                    f"tepai: [{section}] row {name}, T = {t!r}: total_s overflows to "
+                    f"{est.total_seconds}",
+                    file=sys.stderr,
+                )
             estimates.append(est)
             rows.append((
                 name, lam, t, q, eps, est.d, est.n_patch, est.physical_qubits,
@@ -470,16 +483,16 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
          "single_shot_s", "total_s", "P_total"],
         rows,
     )
+    max_days = max((e.total_seconds / 86400.0 for e in estimates), default=None)
     summary = {
         "rows": len(rows),
         "solved": len(estimates),
         "failed": len(rows) - len(estimates),
         "max_physical_qubits": max((e.physical_qubits for e in estimates), default=None),
-        "max_total_days": max((e.total_seconds / 86400.0 for e in estimates), default=None),
+        # a non-finite maximum (reported per row above) is written as null
+        "max_total_days": max_days if max_days is None or math.isfinite(max_days) else None,
     }
-    (out_dir / "tepai_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out_dir / "tepai_summary.json", summary)
     print(f"tepai: wrote {len(rows)} rows to {out_dir / 'tepai.csv'}")
     if not estimates:
         print("tepai: every row failed the code-distance solve", file=sys.stderr)
@@ -655,9 +668,7 @@ def cmd_verify(cfg, out_dir: Path, seed: int) -> int:
         report[name] = {"pass": ok, "detail": detail}
         all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    (out_dir / "verify_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out_dir / "verify_report.json", report)
     print(f"verify: {'all checks passed' if all_ok else 'FAILURES detected'}")
     return 0 if all_ok else 1
 

@@ -517,16 +517,43 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
 
     The factor oscillates with log2(theta_l) (period one octave), so the
     calibration matches the octave average at CALIBRATION_ANCHOR.  Bisection
-    on log(c_1) is safe: the averaged factor is monotone in c_1.  Each
-    :func:`v2_rus_factor` call finds its own switch trial, so this is the
-    only bisection.
+    on log(c_1) is safe: the averaged factor is monotone in c_1.
+
+    c_1 enters :func:`v2_rus_factor` only through q_1 = pair * c_1 * p_ph.
+    The rest of each trial's geometry (p_ideal, the pair weight and
+    sin^2(Delta_1)) is built once per call, for every anchor and trial, and
+    each bisection step is float arithmetic on those rows in the scalar
+    path's order of operations.  The answer is then checked once through
+    :func:`v2_rus_factor`: a ValueError is raised unless its octave average
+    there is V2_RUS_FACTOR within 1e-6.
     """
+    if p_ph <= 0.0:
+        raise ValueError("p_ph must be positive")
+    params = tmr.TmrParams(k=k, p_ph=p_ph, j_max=1)
+    anchors = [CALIBRATION_ANCHOR * 2.0 ** (j / 16.0) for j in range(16)]
+    geometry = []  # per anchor: (p_ideal, pair, sin^2 Delta_1) of each trial
+    for anchor in anchors:
+        rows = []
+        for i in range(n_rus(anchor, tmr.MAX_THETA)):
+            model = tmr.output_model_for_logical(params, 2.0 ** i * anchor)
+            s2 = math.sin(model.branch_thetas[1] - model.theta_l) ** 2
+            rows.append((model.p_ideal, tmr.pair_weight(model.theta_phys, k, 1), s2))
+        geometry.append(rows)
+    injection = mitigation.INJECTION_RATE * p_ph
 
     def averaged_alpha(c1: float) -> float:
-        vals = [
-            v2_rus_factor(CALIBRATION_ANCHOR * 2.0 ** (j / 16.0), k, p_ph, c1)
-            for j in range(16)
-        ]
+        vals = []
+        for anchor, rows in zip(anchors, geometry):
+            p_l, i0 = 0.0, 0
+            for pid, pair, s2 in rows:
+                q1 = pair * c1 * p_ph
+                residual = 2.0 * (q1 / (pid + q1)) * s2
+                if residual >= injection:
+                    break
+                p_l += 2.0 ** (-i0) * residual
+                i0 += 1
+            p_l += 2.0 ** (1 - i0) * injection
+            vals.append(p_l / (anchor * p_ph))
         return sum(vals) / len(vals)
 
     lo, hi = math.log(1e-4), math.log(10.0)
@@ -540,4 +567,13 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
             lo = mid
         else:
             hi = mid
-    return math.exp(0.5 * (lo + hi))
+    c1 = math.exp(0.5 * (lo + hi))
+
+    vals = [v2_rus_factor(anchor, k, p_ph, c1) for anchor in anchors]
+    mean = sum(vals) / len(vals)
+    if abs(mean - mitigation.V2_RUS_FACTOR) > 1e-6:
+        raise ValueError(
+            f"calibrated c1 = {c1!r} (k = {k}, p_ph = {p_ph!r}) gives an octave-averaged "
+            f"v2 factor {mean!r}, not {mitigation.V2_RUS_FACTOR}"
+        )
+    return c1

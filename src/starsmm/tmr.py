@@ -140,13 +140,21 @@ def leading_error_angle(theta: float, k: int) -> float:
     return -math.asin(s ** (k - 2) / math.sqrt(s ** (2 * k - 4) + c ** (2 * k - 4)))
 
 
+def pair_weight(theta: float, k: int, j: int) -> float:
+    """Unnormalized order-j branch factor C(k,j) (|u_j|^2 + |u_{k-j}|^2).
+
+    Halved at j = k/2 for even k, where the pair is self-conjugate.  The
+    order-j weight is this factor times c_j p_ph^j.
+    """
+    pair = math.comb(k, j) * (_u_abs(theta, k, j) ** 2 + _u_abs(theta, k, k - j) ** 2)
+    return 0.5 * pair if 2 * j == k else pair
+
+
 def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
     """Full branch table of the post-selected output state.
 
-    q_0 = p_ideal and, for j >= 1,
-    q_j = C(k,j) (|u_j|^2 + |u_{k-j}|^2) c_j p_ph^j, halved at j = k/2 for
-    even k where the pair is self-conjugate.  Returned weights are
-    normalized (qbar_j = q_j / sum).
+    q_0 = p_ideal and, for j >= 1, q_j = pair_weight(theta, k, j) c_j p_ph^j.
+    Returned weights are normalized (qbar_j = q_j / sum).
     """
     if not 0.0 < theta <= MAX_THETA:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta!r}")
@@ -155,10 +163,7 @@ def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
     q = [pid]
     thetas = [logical_angle(theta, k)]
     for j in range(1, params.j_max + 1):
-        sample = math.comb(k, j) * (_u_abs(theta, k, j) ** 2 + _u_abs(theta, k, k - j) ** 2)
-        if 2 * j == k:
-            sample *= 0.5
-        q.append(sample * params.pass_coeffs[j - 1] * params.p_ph ** j)
+        q.append(pair_weight(theta, k, j) * params.pass_coeffs[j - 1] * params.p_ph ** j)
         thetas.append(branch_angles(theta, k, j))
     total = sum(q)
     if total <= 0.0:

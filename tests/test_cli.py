@@ -258,6 +258,29 @@ class TestTepai:
         assert summary["rows"] == summary["solved"] == 30
         assert summary["failed"] == 0
 
+    def test_summary_is_strict_json(self, tmp_path, capsys):
+        # total_s overflows to inf at alpha = 1e300; the summary writes null
+        cfg = TEPAI_CFG.replace("alpha = 0.1", "alpha = 1e300")
+        assert _run(tmp_path, "tepai", cfg) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "tepai_summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["max_total_days"] is None
+        assert summary["solved"] == 2
+        err = capsys.readouterr().err
+        assert "[tepai] row 4Fe-4S, T = 1.0: total_s overflows to inf" in err
+        assert "[tepai] row 4Fe-4S, T = 10.0: total_s overflows to inf" in err
+
+    @pytest.mark.parametrize("key", ["epsilon", "p_ph"])
+    def test_underflow_names_the_row(self, tmp_path, capsys, key):
+        assert _run(tmp_path, "tepai", TEPAI_CFG + f"{key} = 1e-300\n") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("model error: [tepai] row 4Fe-4S, T = 1.0: ")
+        assert "float division by zero" in err
+
     def test_zero_lambda_grid_density_is_config_error(self, tmp_path, capsys):
         cfg = "[tepai]\nt = 1\nlam_grid = 10,100,0\nn_l = 72\nalpha = 0.1\n"
         assert _run(tmp_path, "tepai", cfg) == 2

@@ -337,6 +337,30 @@ class TestV2Calibration:
     def test_calibrated_c1_regression(self):
         assert smm.calibrate_c1(7, 1e-3) == pytest.approx(0.036746250646356234, rel=1e-12)
 
+    @pytest.mark.parametrize("k", range(2, 16))
+    def test_scalar_route_hits_target(self, k):
+        # v2_rus_factor is the independent route; calibrate_c1 bisects on cached geometry
+        for p_ph in (1e-4, 3e-4, 1e-3, 3e-3):
+            c1 = smm.calibrate_c1(k, p_ph)
+            vals = [
+                smm.v2_rus_factor(smm.CALIBRATION_ANCHOR * 2 ** (j / 16.0), k, p_ph, c1)
+                for j in range(16)
+            ]
+            assert sum(vals) / len(vals) == pytest.approx(1.6, abs=1e-6), (k, p_ph)
+
+    @pytest.mark.parametrize(
+        "k,c1",
+        [(5, 0.04484475855634082), (7, 0.0367462506463562), (9, 0.030222714024269726)],
+    )
+    def test_shipped_config_c1_pins(self, k, c1):
+        # the c1 values the shipped configs calibrate, bit for bit
+        assert smm.calibrate_c1(k, 1e-3) == c1
+
+    def test_failed_scalar_check_raises(self, monkeypatch):
+        monkeypatch.setattr(smm, "v2_rus_factor", lambda *args: 1.7)
+        with pytest.raises(ValueError, match="octave-averaged v2 factor"):
+            smm.calibrate_c1.__wrapped__(7, 1e-3)
+
     def test_calibrated_band_is_narrow(self):
         c1 = smm.calibrate_c1()
         vals = [

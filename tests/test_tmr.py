@@ -201,6 +201,41 @@ class TestBranchWeights:
         )
 
 
+class TestPairWeight:
+    @staticmethod
+    def _inline_qbars(params, theta):
+        # branch_weights' weights as written before pair_weight was factored out
+        k = params.k
+        q = [tmr.p_ideal(theta, k)]
+        for j in range(1, params.j_max + 1):
+            sample = math.comb(k, j) * (
+                tmr._u_abs(theta, k, j) ** 2 + tmr._u_abs(theta, k, k - j) ** 2
+            )
+            if 2 * j == k:
+                sample *= 0.5
+            q.append(sample * params.pass_coeffs[j - 1] * params.p_ph ** j)
+        total = sum(q)
+        return tuple(w / total for w in q)
+
+    @pytest.mark.parametrize(
+        "k,theta", [(2, 0.3), (3, 0.1), (4, 0.2), (6, 0.05), (7, 1e-3), (8, 0.7), (15, 0.4)]
+    )
+    def test_branch_weights_bits_unchanged(self, k, theta):
+        # even k reaches the halved self-conjugate pair at j = k/2
+        for p_ph, coeffs in ((1e-3, ()), (3e-4, (0.0367, 2.5, 0.1, 7.0))):
+            params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=coeffs)
+            model = tmr.branch_weights(params, theta)
+            assert model.branch_qbars == self._inline_qbars(params, theta)
+
+    def test_halved_at_half_k(self):
+        theta = 0.2
+        s, c = math.sin(theta), math.cos(theta)
+        assert tmr.pair_weight(theta, 4, 2) == 0.5 * (6 * 2 * (s ** 2 * c ** 2) ** 2)
+        assert tmr.pair_weight(theta, 5, 2) == 10 * (
+            (s ** 2 * c ** 3) ** 2 + (s ** 3 * c ** 2) ** 2
+        )
+
+
 class TestSupplyTime:
     def test_small_angle_floor(self):
         params = tmr.TmrParams(k=5, p_ph=1e-3)
