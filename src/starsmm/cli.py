@@ -284,12 +284,21 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     if skipped:
         print(f"alpha-sweep: skipped {skipped} rows without {domain}", file=sys.stderr)
 
+    setup = dict(p_m=p_m, include_higher_orders=higher)
     rows = []
     for k in ks:
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
-        rates = smm.error_rates(
-            params, grid_in, thresholds, p_m=p_m, include_higher_orders=higher
-        )
+        try:
+            rates = smm.error_rates(params, grid_in, thresholds, **setup)
+        except ArithmeticError:  # a value overflowed or underflowed: name the first such row
+            for theta_l, threshold in zip(grid_in, thresholds):
+                try:
+                    smm.error_rates(params, theta_l, threshold, **setup)
+                except ArithmeticError as exc:
+                    raise ValueError(
+                        f"[{section}] row theta_L = {theta_l!r}, k = {k}: {exc}"
+                    ) from exc
+            raise
         rows.extend(
             (theta_l, k, theta_th, p_m, alpha, p_l, flag)
             for theta_l, theta_th, alpha, p_l, flag in zip(

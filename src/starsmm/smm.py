@@ -399,7 +399,10 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     The RNG is counter-based: Philox keyed by (seed, chunk index) with a
     fixed chunk size and a fixed draw order inside each chunk, so
     (seed, trajectory index) determines a trajectory regardless of how
-    chunks are scheduled; results are bit-reproducible.
+    chunks are scheduled; results are bit-reproducible.  Every trial draws
+    its three uniforms for the whole chunk, but only the live trajectories,
+    those that have not yet stopped, read theirs and are advanced: trial i
+    reaches 2^-i of the chunk, and a chunk stops drawing once none is live.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -429,36 +432,32 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         rng = np.random.Generator(np.random.Philox(key=key))
         err = np.zeros(size)
         clocks = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        success_err = np.zeros(size)
-        succeeded = np.zeros(size, dtype=bool)
+        # trial 0 runs every trajectory, on whole-array views; later trials
+        # index the live ones.  A stopped trajectory's err stays final.
+        live = slice(None)
         for row, edges, dl in zip(report.trials, cums, deltas):
-            u_coin = rng.random(size)
-            u_gate = rng.random(size)
-            u_canc = rng.random(size)
+            u_coin = rng.random(size)[live]
+            u_gate = rng.random(size)[live]
+            u_canc = rng.random(size)[live]
             j_gate = np.searchsorted(edges, u_gate, side="right")
             j_canc = np.searchsorted(edges, u_canc, side="right")
             step = dl[j_gate] - dl[j_canc]
             coin = u_coin < 0.5
-            err = np.where(alive, err + np.where(coin, step, -step), err)
-            clocks = np.where(alive, clocks + row.clocks, clocks)
-            newly = alive & coin
-            success_err = np.where(newly, err, success_err)
-            succeeded |= newly
-            alive &= ~coin
-        clocks = np.where(alive, clocks + t_digital, clocks)
-        s2 = np.sin(np.where(succeeded, success_err, err)) ** 2
+            err[live] += np.where(coin, step, -step)
+            clocks[live] += row.clocks
+            live = np.flatnonzero(~coin) if isinstance(live, slice) else live[~coin]
+            if live.size == 0:
+                break
+        clocks[live] += t_digital
+        x = np.sin(err) ** 2
         # digital branch: Z-flip with rate p_dig on top of the analog deviation
-        x = np.where(
-            succeeded,
-            s2,
-            (1.0 - p_digital_flip) * s2 + p_digital_flip * (1.0 - s2),
-        )
+        s2 = x[live]
+        x[live] = (1.0 - p_digital_flip) * s2 + p_digital_flip * (1.0 - s2)
         sum_x += float(x.sum())
         sum_x2 += float((x * x).sum())
         sum_t += float(clocks.sum())
         sum_t2 += float((clocks * clocks).sum())
-        n_digital += int(alive.sum())
+        n_digital += s2.size
         done += size
         chunk_index += 1
 

@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starsmm import cli
+from starsmm import cli, smm, tmr
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -65,8 +69,6 @@ class TestAlphaSweep:
         assert len(lines) == 1 + 5 * 2  # grid of 5 per k, two k values
 
     def test_rows_match_library_values(self, tmp_path):
-        from starsmm import smm, tmr
-
         assert _run(tmp_path, "alpha-sweep", ALPHA_CFG) == 0
         lines = (tmp_path / "alpha_sweep.csv").read_text().strip().split("\n")
         cols = lines[0].split(",")
@@ -85,8 +87,6 @@ class TestAlphaSweep:
         assert float(row["P_L"]) == pytest.approx(rep.p_l, rel=1e-15)
 
     def test_fixed_ratio_sweep_reproduces_scaling_slope(self, tmp_path):
-        import numpy as np
-
         cfg = (
             "[alpha_sweep]\nmode = fixed_ratio\nratio = 128\n"
             "theta_l_min = 1e-8\ntheta_l_max = 1e-4\npoints_per_decade = 3\n"
@@ -190,6 +190,71 @@ class TestAlphaSweep:
         assert _run(tmp_path, "alpha-sweep", cfg) == 2
         assert "[alpha_sweep] no theta_L" in capsys.readouterr().err
         assert not (tmp_path / "alpha_sweep.csv").exists()
+
+    def test_overflow_names_the_row(self, tmp_path, capsys):
+        # a subnormal synthesis accuracy: 1/delta overflows in the T-count
+        cfg = ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-300")
+        assert _run(tmp_path, "alpha-sweep", cfg) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("model error: [alpha_sweep] row theta_L = 1e-266, k = 5: ")
+        assert "cannot convert float infinity to integer" in err
+        assert not (tmp_path / "alpha_sweep.csv").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fixed_ratio=st.booleans(),
+        log2_ratio=st.floats(0.0, 12.0),
+        theta_th=st.floats(1e-4, smm.MAX_THRESHOLD),
+        log_lo=st.floats(-10.0, -5.0),
+        below_th=st.floats(0.01, 4.0),
+        decades=st.floats(0.0, 3.0),
+        ppd=st.integers(1, 3),
+        ks=st.lists(st.integers(2, 11), min_size=1, max_size=3, unique=True),
+        p_ph=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-6]),
+        c1=st.floats(0.01, 1.0),
+        higher=st.booleans(),
+    )
+    def test_every_row_equals_library_value(
+        self, fixed_ratio, log2_ratio, theta_th, log_lo, below_th, decades, ppd, ks, p_ph,
+        p_m, c1, higher,
+    ):
+        # _fmt writes .16e, which round-trips a float, so every cell compares with ==
+        ratio = 2.0 ** log2_ratio
+        lo = 10.0 ** log_lo if fixed_ratio else theta_th * 10.0 ** -below_th
+        setup = (
+            f"mode = fixed_ratio\nratio = {ratio!r}\n" if fixed_ratio
+            else f"mode = fixed_threshold\ntheta_th = {theta_th!r}\n"
+        )
+        cfg = (
+            f"[alpha_sweep]\n{setup}theta_l_min = {lo!r}\n"
+            f"theta_l_max = {lo * 10.0 ** decades!r}\npoints_per_decade = {ppd}\n"
+            f"k = {','.join(map(str, ks))}\np_ph = {p_ph!r}\np_m = {p_m!r}\n"
+            f"c1 = {c1!r}\nhigher_orders = {'true' if higher else 'false'}\n"
+        )
+        with tempfile.TemporaryDirectory() as out:
+            assert _run(Path(out), "alpha-sweep", cfg) == 0
+            lines = (Path(out) / "alpha_sweep.csv").read_text().strip().split("\n")
+        cells = [line.split(",") for line in lines[1:]]
+        assert len(cells) % len(ks) == 0
+        per_k = len(cells) // len(ks)
+        for i, k in enumerate(ks):
+            block = cells[i * per_k:(i + 1) * per_k]
+            assert [int(c[1]) for c in block] == [k] * per_k
+            theta_l = np.array([float(c[0]) for c in block])
+            thresholds = np.array([float(c[2]) for c in block])
+            if fixed_ratio:
+                assert np.array_equal(thresholds, ratio * theta_l)
+            else:
+                assert np.all(thresholds == theta_th)
+            rates = smm.error_rates(
+                tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,)), theta_l, thresholds,
+                p_m=p_m, include_higher_orders=higher,
+            )
+            assert [float(c[3]) for c in block] == [p_m] * per_k
+            assert [float(c[4]) for c in block] == rates.alpha_rus.tolist()
+            assert [float(c[5]) for c in block] == rates.p_l.tolist()
+            assert [bool(int(c[6])) for c in block] == rates.out_of_regime.tolist()
 
 
 class TestTradeoff:

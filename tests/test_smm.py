@@ -14,6 +14,82 @@ def _config(theta_l, k=5, p_ph=1e-3, c1=1.0, **kwargs):
     return smm.SmmConfig(theta_l=theta_l, tmr_params=params, **kwargs)
 
 
+def _reference_monte_carlo(config, shots, seed):
+    """The full-width sampler: every trial advances every trajectory, masked by ``alive``.
+
+    Test oracle for :func:`smm.monte_carlo`, which draws the same Philox
+    stream but advances only the live trajectories; the two must agree bit
+    for bit.
+    """
+    if config.theta_l == 0.0:
+        return smm.McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    report = smm.effective_error_rate(config)
+    p_digital_flip = report.delta + config.p_m * report.n_syn
+    cums, deltas = [], []
+    for row in report.trials:
+        edges = np.cumsum(row.model.branch_qbars)
+        edges[-1] = 1.0
+        cums.append(edges)
+        deltas.append(np.array(row.model.branch_thetas) - row.theta_rus)
+    t_digital = smm._digital_clocks(config.timing_mode, report.n_syn)
+
+    sum_x = sum_x2 = sum_t = sum_t2 = 0.0
+    n_digital = 0
+    done = 0
+    chunk_index = 0
+    while done < shots:
+        size = min(smm._MC_CHUNK, shots - done)
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        err = np.zeros(size)
+        clocks = np.zeros(size)
+        alive = np.ones(size, dtype=bool)
+        success_err = np.zeros(size)
+        succeeded = np.zeros(size, dtype=bool)
+        for row, edges, dl in zip(report.trials, cums, deltas):
+            u_coin = rng.random(size)
+            u_gate = rng.random(size)
+            u_canc = rng.random(size)
+            j_gate = np.searchsorted(edges, u_gate, side="right")
+            j_canc = np.searchsorted(edges, u_canc, side="right")
+            step = dl[j_gate] - dl[j_canc]
+            coin = u_coin < 0.5
+            err = np.where(alive, err + np.where(coin, step, -step), err)
+            clocks = np.where(alive, clocks + row.clocks, clocks)
+            newly = alive & coin
+            success_err = np.where(newly, err, success_err)
+            succeeded |= newly
+            alive &= ~coin
+        clocks = np.where(alive, clocks + t_digital, clocks)
+        s2 = np.sin(np.where(succeeded, success_err, err)) ** 2
+        x = np.where(
+            succeeded,
+            s2,
+            (1.0 - p_digital_flip) * s2 + p_digital_flip * (1.0 - s2),
+        )
+        sum_x += float(x.sum())
+        sum_x2 += float((x * x).sum())
+        sum_t += float(clocks.sum())
+        sum_t2 += float((clocks * clocks).sum())
+        n_digital += int(alive.sum())
+        done += size
+        chunk_index += 1
+
+    mean_x = sum_x / shots
+    mean_t = sum_t / shots
+    p_sw = n_digital / shots
+    return smm.McReport(
+        shots=shots,
+        seed=seed,
+        p_l_hat=mean_x,
+        p_l_se=math.sqrt(max(sum_x2 / shots - mean_x ** 2, 0.0) / shots),
+        clocks_hat=mean_t,
+        clocks_se=math.sqrt(max(sum_t2 / shots - mean_t ** 2, 0.0) / shots),
+        p_switch_hat=p_sw,
+        p_switch_se=math.sqrt(p_sw * (1.0 - p_sw) / shots),
+    )
+
+
 class TestNRus:
     def test_equal_angles_pure_digital(self):
         assert smm.n_rus(1e-3, 1e-3) == 0
@@ -325,6 +401,34 @@ class TestMonteCarlo:
         )
         assert mc.p_l_hat == 0.0 and mc.p_switch_hat == 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 11),
+        j_max=st.sampled_from([None, 1]),
+        c1=st.floats(0.01, 1.0),
+        p_ph=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+        p_m=st.sampled_from([0.0, 2e-9]),
+        higher=st.booleans(),
+        timing_mode=st.sampled_from(["pipelined", "latency"]),
+        log2_ratio=st.one_of(st.integers(0, 18), st.floats(0.0, 18.0)),
+        scale=st.floats(0.01, 1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        shots=st.one_of(st.sampled_from([1, 3, 131071, 131073]), st.integers(1, 5000)),
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_matches_full_width_sampler(
+        self, k, j_max, c1, p_ph, p_m, higher, timing_mode, log2_ratio, scale, sign, shots, seed
+    ):
+        # ratio 2^0 runs no trial; 2^18 runs 18, so most chunks empty before their last trial
+        ratio = 2.0 ** log2_ratio
+        config = smm.SmmConfig(
+            theta_l=sign * scale * smm.MAX_THRESHOLD / ratio,
+            tmr_params=tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,), j_max=j_max),
+            threshold_ratio=ratio, p_m=p_m, include_higher_orders=higher,
+            timing_mode=timing_mode,
+        )
+        assert smm.monte_carlo(config, shots, seed) == _reference_monte_carlo(config, shots, seed)
+
 
 class TestV2Calibration:
     def test_calibrated_factor_hits_target(self):
@@ -421,3 +525,14 @@ class TestPinnedValues:
             timing_mode="latency", p_m=2e-9,
         )
         assert smm.monte_carlo(cfg, 200_000, 11).clocks_hat == 5.190834508834256
+
+    def test_monte_carlo_deep_rus(self):
+        # n_rus = 17 over three chunks, the last one short: pins the draw layout
+        cfg = _config(
+            0.75 * (math.pi / 8) / 2 ** 17, k=7, c1=smm.calibrate_c1(7, 1e-3),
+            threshold_ratio=2.0 ** 17, timing_mode="latency", p_m=2e-9,
+        )
+        mc = smm.monte_carlo(cfg, 300_001, 17)
+        assert mc.p_l_hat == 3.7320716607960225e-10
+        assert mc.clocks_hat == 4.490983883105016
+        assert mc.p_switch_hat == 1.6666611111296295e-05
