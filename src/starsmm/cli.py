@@ -101,7 +101,7 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False):
     if cfg.has_option(section, key):
         return cfg.get(section, key)
     if required:
-        raise ConfigError(f"missing required key {key!r} in section [{section}]")
+        raise ConfigError(f"[{section}] {key} is required")
     return default
 
 
@@ -126,46 +126,30 @@ def _check_bounds(
             raise ConfigError(f"[{section}] {key} = {raw!r} must be < {below}")
 
 
-def _get_float(
-    cfg, section, key, default=None, required=False,
-    minimum=None, maximum=None, above=None, below=None,
-) -> float | None:
-    raw = _get(cfg, section, key, default=None, required=required)
+def _get_value(
+    cfg, section, key, default=None, *, cast=float, many=False, required=False, what=None,
+    **bounds,
+):
+    """[section] key converted by ``cast`` and checked by :func:`_check_bounds`.
+
+    ``many`` reads a non-empty comma-separated list.  ``what`` names the
+    expected value in the error for a token ``cast`` rejects.  Returns
+    ``default`` when the key is unset.
+    """
+    raw = _get(cfg, section, key, required=required)
     if raw is None:
         return default
+    tokens = [tok for tok in raw.split(",") if tok.strip()] if many else [raw]
+    if not tokens:
+        raise ConfigError(f"[{section}] {key} = {raw!r} must list at least one value")
     try:
-        value = float(raw)
+        values = [cast(tok) for tok in tokens]
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    _check_bounds(section, key, raw, [value], minimum, maximum, above, below)
-    return value
-
-
-def _get_int(cfg, section, key, default=None, required=False, minimum=None) -> int | None:
-    raw = _get(cfg, section, key, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-    _check_bounds(section, key, raw, [value], minimum)
-    return value
-
-
-def _get_floats(
-    cfg, section, key, default=None, required=False,
-    minimum=None, maximum=None, above=None, below=None,
-) -> list[float]:
-    raw = _get(cfg, section, key, default=None, required=required)
-    if raw is None:
-        return list(default or [])
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
-    _check_bounds(section, key, raw, values, minimum, maximum, above, below)
-    return values
+        if what is None:
+            what = ("an integer" if cast is int else "a number") + (" list" if many else "")
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
+    _check_bounds(section, key, raw, values, **bounds)
+    return values if many else values[0]
 
 
 def _get_bool(cfg, section, key, default: bool) -> bool:
@@ -177,18 +161,6 @@ def _get_bool(cfg, section, key, default: bool) -> bool:
     except KeyError as exc:
         words = "/".join(configparser.ConfigParser.BOOLEAN_STATES)
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean ({words})") from exc
-
-
-def _get_ints(cfg, section, key, default=None, minimum=None) -> list[int]:
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return list(default or [])
-    try:
-        values = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer list") from exc
-    _check_bounds(section, key, raw, values, minimum)
-    return values
 
 
 def _log_grid(
@@ -206,21 +178,17 @@ def _log_grid(
 
 def _get_c1(cfg, section) -> float | None:
     """The configured c1, or None for 'calibrated' (the default)."""
-    raw = _get(cfg, section, "c1", "calibrated")
-    if raw == "calibrated":
+    if _get(cfg, section, "c1", "calibrated") == "calibrated":
         return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] c1 = {raw!r} is not a number or 'calibrated'") from exc
-    _check_bounds(section, "c1", raw, [value], minimum=0.0)
-    return value
+    return _get_value(cfg, section, "c1", what="a number or 'calibrated'", minimum=0.0)
 
 
 def _get_p_ph(cfg, section) -> float:
     """[section] p_ph in [0, 0.1]; calibrating c1 needs p_ph > 0."""
     above = 0.0 if _get_c1(cfg, section) is None else None
-    return _get_float(cfg, section, "p_ph", 1e-3, minimum=0.0, maximum=tmr.MAX_P_PH, above=above)
+    return _get_value(
+        cfg, section, "p_ph", 1e-3, minimum=0.0, maximum=tmr.MAX_P_PH, above=above
+    )
 
 
 def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
@@ -230,15 +198,9 @@ def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
 
 def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigation.AlphaModel:
     """A constant RUS factor, or the SMM analytics for the value 'smm'."""
-    raw = _get(cfg, section, key, "0.1")
-    if raw == "smm":
+    if _get(cfg, section, key) == "smm":
         return tepai.smm_alpha_provider(p_ph, **smm_setup)
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number or 'smm'") from exc
-    _check_bounds(section, key, raw, [value], above=0.0)
-    return value
+    return _get_value(cfg, section, key, 0.1, what="a number or 'smm'", above=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +211,20 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     section = "alpha_sweep"
     mode = _get(cfg, section, "mode", required=True)
     if mode not in ("fixed_ratio", "fixed_threshold"):
-        raise ConfigError(f"mode must be fixed_ratio or fixed_threshold, got {mode!r}")
-    ratio = _get_float(cfg, section, "ratio", minimum=1.0)
-    theta_th = _get_float(cfg, section, "theta_th", above=0.0, maximum=smm.MAX_THRESHOLD)
-    if mode == "fixed_ratio" and ratio is None:
-        raise ConfigError("fixed_ratio mode requires key 'ratio'")
-    if mode == "fixed_threshold" and theta_th is None:
-        raise ConfigError("fixed_threshold mode requires key 'theta_th'")
-    lo = _get_float(cfg, section, "theta_l_min", 1e-8, above=0.0)
-    hi = _get_float(cfg, section, "theta_l_max", 1e-4, above=0.0)
-    ppd = _get_int(cfg, section, "points_per_decade", 8, minimum=1)
-    ks = _get_ints(cfg, section, "k", [5, 7, 9], minimum=2)
+        raise ConfigError(f"[{section}] mode = {mode!r} must be fixed_ratio or fixed_threshold")
+    ratio = _get_value(cfg, section, "ratio", required=mode == "fixed_ratio", minimum=1.0)
+    theta_th = _get_value(
+        cfg, section, "theta_th", required=mode == "fixed_threshold",
+        above=0.0, maximum=smm.MAX_THRESHOLD,
+    )
+    lo = _get_value(cfg, section, "theta_l_min", 1e-8, above=0.0)
+    hi = _get_value(cfg, section, "theta_l_max", 1e-4, above=0.0)
+    ppd = _get_value(cfg, section, "points_per_decade", 8, cast=int, minimum=1)
+    ks = _get_value(cfg, section, "k", [5, 7, 9], cast=int, many=True, minimum=2)
     p_ph = _get_p_ph(cfg, section)
-    p_m = _get_float(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
+    p_m = _get_value(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get_bool(cfg, section, "higher_orders", True)
     grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
-    if not grid or not ks:
-        raise ConfigError("alpha sweep grid is empty")
 
     # the model needs theta_L <= theta_th <= pi/8; grid points outside are skipped
     if mode == "fixed_ratio":
@@ -320,20 +279,18 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
 
 def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     section = "tradeoff"
-    theta_ls = _get_floats(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    theta_ls = _get_value(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7], many=True)
     if 0.0 in theta_ls:
         # negative angles are fine: the model is mirror-symmetric
         raw = _get(cfg, section, "theta_l")
         raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
-    n_max = _get_int(cfg, section, "n_max", 15, minimum=0)
-    k = _get_int(cfg, section, "k", 7, minimum=2)
+    n_max = _get_value(cfg, section, "n_max", 15, cast=int, minimum=0)
+    k = _get_value(cfg, section, "k", 7, cast=int, minimum=2)
     p_ph = _get_p_ph(cfg, section)
-    p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
-    if not theta_ls:
-        raise ConfigError("tradeoff theta_l grid is empty")
+    p_m = _get_value(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
 
-    deltas = _get_floats(cfg, section, "delta_sweep", [], above=0.0, below=1.0)
+    deltas = _get_value(cfg, section, "delta_sweep", [], above=0.0, below=1.0, many=True)
     if not deltas:
         d = max(p_m, 1e-12)
         while d < 1e-4:
@@ -375,17 +332,21 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     section = "bound"
     arch_raw = _get(cfg, section, "architectures", "v1,v2,v3,ftqc-cultivation")
     architectures = [a.strip() for a in arch_raw.split(",") if a.strip()]
+    if not architectures:
+        raise ConfigError(f"[{section}] architectures = {arch_raw!r} must list at least one value")
     for arch in architectures:
         if arch not in mitigation.ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {arch!r}")
-    theta_star = _get_float(cfg, section, "theta_star", 1e-5, above=0.0, maximum=tmr.MAX_THETA)
-    p_ph = _get_float(cfg, section, "p_ph", 1e-3, above=0.0, maximum=tmr.MAX_P_PH)
+            raise ConfigError(
+                f"[{section}] architectures = {arch_raw!r}: unknown architecture {arch!r}"
+            )
+    theta_star = _get_value(cfg, section, "theta_star", 1e-5, above=0.0, maximum=tmr.MAX_THETA)
+    p_ph = _get_value(cfg, section, "p_ph", 1e-3, above=0.0, maximum=tmr.MAX_P_PH)
     # the cultivation variant synthesizes its rotations at accuracy p_m
     above = 0.0 if "ftqc-cultivation" in architectures else None
-    p_m = _get_float(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M, above=above)
-    lo = _get_float(cfg, section, "n_t_min", 1.0, above=0.0)
-    hi = _get_float(cfg, section, "n_t_max", 1e10, above=0.0)
-    ppd = _get_int(cfg, section, "points_per_decade", 4, minimum=1)
+    p_m = _get_value(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M, above=above)
+    lo = _get_value(cfg, section, "n_t_min", 1.0, above=0.0)
+    hi = _get_value(cfg, section, "n_t_max", 1e10, above=0.0)
+    ppd = _get_value(cfg, section, "points_per_decade", 4, cast=int, minimum=1)
     alpha_model = _get_alpha(cfg, section, "alpha_v3", p_ph, p_m=p_m)
 
     grid = _log_grid(section, "n_t_min", "n_t_max", lo, hi, ppd)
@@ -419,47 +380,46 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
                         f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
                     )
                 length = int(size)
-                t_hop = _get_float(cfg, section, "hubbard_t", 1.0, minimum=0.0)
-                u_int = _get_float(cfg, section, "hubbard_u", 4.0, minimum=0.0)
+                t_hop = _get_value(cfg, section, "hubbard_t", 1.0, minimum=0.0)
+                u_int = _get_value(cfg, section, "hubbard_u", 4.0, minimum=0.0)
                 entry = hamcat.hubbard_entry(t_hop, u_int, length)
                 systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
             else:
                 try:
                     entry = hamcat.molecule(token)
                 except KeyError as exc:
-                    raise ConfigError(str(exc)) from exc
+                    raise ConfigError(f"[{section}] systems: {exc.args[0]}") from exc
                 systems.append((entry.name, entry.lam, entry.n_l))
-    lam_grid = _get_floats(cfg, "tepai", "lam_grid", [])
+    lam_grid = _get_value(cfg, section, "lam_grid", [], many=True)
     if lam_grid:
+        grid_raw = _get(cfg, section, "lam_grid")
         if len(lam_grid) != 3:
-            raise ConfigError("lam_grid must be 'min,max,points_per_decade'")
-        _check_bounds(section, "lam_grid", _get(cfg, section, "lam_grid"), lam_grid[:2], above=0.0)
+            raise ConfigError(
+                f"[{section}] lam_grid = {grid_raw!r} must be 'min,max,points_per_decade'"
+            )
+        _check_bounds(section, "lam_grid", grid_raw, lam_grid[:2], above=0.0)
         if not (lam_grid[2] >= 1 and lam_grid[2].is_integer()):
             raise ConfigError(
                 f"[tepai] lam_grid points_per_decade = {lam_grid[2]!r} must be an integer >= 1"
             )
-        n_l = _get_int(cfg, section, "n_l")
-        if n_l is None:
-            raise ConfigError("lam_grid requires key 'n_l'")
+        n_l = _get_value(cfg, section, "n_l", cast=int, required=True, minimum=1)
         lo, hi, ppd = lam_grid
         for lam in _log_grid(section, "lam_grid min", "max", lo, hi, int(ppd)):
             systems.append((f"lambda={lam:.6g}", lam, n_l))
     if not systems:
-        raise ConfigError("no target systems configured for tepai")
+        raise ConfigError(f"[{section}] systems: no target system (set systems or lam_grid)")
     return systems
 
 
 def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     section = "tepai"
-    times = _get_floats(cfg, section, "t", required=True, above=0.0)
-    q = _get_float(cfg, section, "q", 1.0, above=0.0)
-    eps = _get_float(cfg, section, "epsilon", 0.05, above=0.0, below=1.0)
-    p_ph = _get_float(cfg, section, "p_ph", 1e-3, above=0.0, below=tepai.P_THRESHOLD)
-    c_smm = _get_float(cfg, section, "c_smm", 3.0, above=0.0)
+    times = _get_value(cfg, section, "t", required=True, above=0.0, many=True)
+    q = _get_value(cfg, section, "q", 1.0, above=0.0)
+    eps = _get_value(cfg, section, "epsilon", 0.05, above=0.0, below=1.0)
+    p_ph = _get_value(cfg, section, "p_ph", 1e-3, above=0.0, below=tepai.P_THRESHOLD)
+    c_smm = _get_value(cfg, section, "c_smm", 3.0, above=0.0)
     alpha_model = _get_alpha(cfg, section, "alpha", p_ph)
     systems = _tepai_systems(cfg)
-    if not times:
-        raise ConfigError("tepai time grid is empty")
 
     rows, estimates = [], []
     for name, lam, n_l in systems:
@@ -654,7 +614,7 @@ def _check_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
 
 
 def cmd_verify(cfg, out_dir: Path, seed: int) -> int:
-    shots = _get_int(cfg, "verify", "mc_shots", 200_000, minimum=1)
+    shots = _get_value(cfg, "verify", "mc_shots", 200_000, cast=int, minimum=1)
     supplied_c1 = _get_c1(cfg, "verify")
     c1 = smm.calibrate_c1()
     checks = [

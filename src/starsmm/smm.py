@@ -154,7 +154,6 @@ class TrialRow:
 class SmmReport:
     """Analytic outputs of one SMM gate."""
 
-    config: SmmConfig
     n_rus: int
     p_switch: float
     p_analog: float
@@ -173,10 +172,10 @@ def _trial_residual(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
     return pcec.leading_residual_rate(model)
 
 
-def _trial_clocks(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
-    if config.timing_mode == "pipelined":
+def _analog_clocks(timing_mode: str, p_ideal):
+    if timing_mode == "pipelined":
         return TELEPORT_CLOCKS
-    return tmr.supply_time(config.tmr_params, model.theta_phys) + TELEPORT_CLOCKS
+    return 1.0 / p_ideal + TELEPORT_CLOCKS
 
 
 def _digital_clocks(timing_mode: str, n_syn):
@@ -185,11 +184,10 @@ def _digital_clocks(timing_mode: str, n_syn):
     return n_syn * T_GATE_LATENCY_CLOCKS
 
 
-def _identity_report(config: SmmConfig) -> SmmReport:
+def _identity_report() -> SmmReport:
     return SmmReport(
-        config=config, n_rus=0, p_switch=1.0, p_analog=0.0, delta=0.0,
-        n_syn=0, p_l=0.0, alpha_rus=0.0, expected_clocks=0.0, trials=(),
-        out_of_regime=False,
+        n_rus=0, p_switch=1.0, p_analog=0.0, delta=0.0, n_syn=0, p_l=0.0, alpha_rus=0.0,
+        expected_clocks=0.0, trials=(), out_of_regime=False,
     )
 
 
@@ -203,7 +201,7 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     negative theta_l is folded by mirror symmetry.
     """
     if config.theta_l == 0.0:
-        return _identity_report(config)
+        return _identity_report()
     theta_l = abs(config.theta_l)
     theta_th = config.resolved_threshold()
     n = n_rus(theta_l, theta_th)
@@ -215,7 +213,8 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
         model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
         rows.append(TrialRow(
             index=i, theta_rus=theta_rus, model=model,
-            residual=_trial_residual(config, model), clocks=_trial_clocks(config, model),
+            residual=_trial_residual(config, model),
+            clocks=_analog_clocks(config.timing_mode, model.p_ideal),
         ))
 
     # expected residual over all executed trials, digital branch included
@@ -241,7 +240,7 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     out_of_regime = p_ph > 0.0 and theta_l <= p_ph ** (k / 2.0)
 
     return SmmReport(
-        config=config, n_rus=n, p_switch=p_switch, p_analog=p_analog,
+        n_rus=n, p_switch=p_switch, p_analog=p_analog,
         delta=delta, n_syn=n_syn, p_l=p_l, alpha_rus=alpha,
         expected_clocks=clocks, trials=tuple(rows), out_of_regime=out_of_regime,
     )
@@ -292,10 +291,7 @@ def error_rates(
         p_ideal, thetas, qbars = tmr.branch_table(params, 2.0 ** i * mag[running])
         weight = 2.0 ** (-i)
         p_analog[running] += weight * pcec.residual_rates(thetas, qbars, include_higher_orders)
-        if timing_mode == "pipelined":
-            clocks[running] += weight * TELEPORT_CLOCKS
-        else:
-            clocks[running] += weight * (1.0 / p_ideal + TELEPORT_CLOCKS)
+        clocks[running] += weight * _analog_clocks(timing_mode, p_ideal)
 
     p_switch = np.ldexp(1.0, -n)
     # synthesis_budget per row; p_m = 0 with no residual needs no synthesis

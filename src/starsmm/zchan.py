@@ -132,9 +132,6 @@ class DensityMatrix2:
             raise ValueError("density matrix has an eigenvalue below -1e-12")
         object.__setattr__(self, "matrix", m)
 
-    def expectation(self, observable: np.ndarray) -> float:
-        return float(np.trace(observable @ self.matrix).real)
-
 
 def state_from_vector(vec) -> DensityMatrix2:
     v = np.asarray(vec, dtype=complex).reshape(2)

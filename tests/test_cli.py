@@ -285,6 +285,55 @@ class TestTradeoff:
         clocks = float(n0.split(",")[3])
         assert clocks > 100.0  # synthesis-dominated
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        thetas=st.lists(
+            st.tuples(st.floats(-9.0, math.log10(smm.MAX_THRESHOLD)), st.booleans()),
+            min_size=1, max_size=4,
+        ),
+        n_max=st.integers(0, 20),
+        k=st.integers(2, 11),
+        p_ph=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-6]),
+        c1=st.floats(0.01, 1.0),
+        deltas=st.none() | st.lists(st.floats(1e-12, 0.5), min_size=1, max_size=4),
+    )
+    def test_every_cell_equals_library_value(self, thetas, n_max, k, p_ph, p_m, c1, deltas):
+        theta_ls = [(-1.0 if negative else 1.0) * 10.0 ** e for e, negative in thetas]
+        cfg = (
+            f"[tradeoff]\ntheta_l = {','.join(map(repr, theta_ls))}\nn_max = {n_max}\n"
+            f"k = {k}\np_ph = {p_ph!r}\np_m = {p_m!r}\nc1 = {c1!r}\n"
+        )
+        if deltas is not None:
+            cfg += f"delta_sweep = {','.join(map(repr, deltas))}\n"
+        else:  # the default sweep: factors of 4 from max(p_m, 1e-12) up to 1e-4
+            deltas = [max(p_m, 1e-12) * 4.0 ** j for j in range(40)]
+            deltas = [d for d in deltas if d < 1e-4]
+        with tempfile.TemporaryDirectory() as out:
+            assert _run(Path(out), "tradeoff", cfg) == 0
+            lines = (Path(out) / "tradeoff.csv").read_text().strip().split("\n")
+        assert lines[0] == "theta_L,n,P_L,expected_clocks"
+        cells = [line.split(",") for line in lines[1:]]
+
+        ns = [
+            [n for n in range(n_max + 1) if 2.0 ** n * abs(theta_l) <= smm.MAX_THRESHOLD]
+            for theta_l in theta_ls
+        ]
+        theta_col = np.repeat(theta_ls, [len(row) for row in ns])
+        thresholds = np.array([2.0 ** n * abs(t) for t, row in zip(theta_ls, ns) for n in row])
+        rates = smm.error_rates(
+            tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,)), theta_col, thresholds,
+            p_m=p_m, timing_mode="latency",
+        )
+        expected, r = [], 0
+        for theta_l, theta_ns in zip(theta_ls, ns):
+            for n in theta_ns:
+                expected.append((theta_l, n, rates.p_l[r], rates.expected_clocks[r]))
+                r += 1
+            for j, delta in enumerate(deltas):
+                expected.append((theta_l, -(j + 1)) + smm.synthesis_only_gate(delta, p_m))
+        assert [(float(t), int(n), float(p), float(c)) for t, n, p, c in cells] == expected
+
 
 class TestBound:
     def test_four_architectures(self, tmp_path):
@@ -435,6 +484,10 @@ class TestDomainErrors:
              "[tepai] lam_grid = '10,-1,1' must be > 0"),
             ("tradeoff", TRADEOFF_CFG.replace("c1 = calibrated", "c1 = -1"),
              "[tradeoff] c1 = '-1' must be >= 0"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1\nn_l = 0\nalpha = 0.1\n",
+             "[tepai] n_l = '0' must be >= 1"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1\nn_l = -3\nalpha = 0.1\n",
+             "[tepai] n_l = '-3' must be >= 1"),
         ],
         ids=[
             "tradeoff-k", "tradeoff-n_max", "alpha_sweep-k", "alpha_sweep-p_m", "tepai-q",
@@ -446,7 +499,7 @@ class TestDomainErrors:
             "bound-p_ph-large", "bound-p_ph-zero", "tepai-p_ph", "tepai-t-zero",
             "tepai-t-negative", "tradeoff-delta_sweep", "bound-theta_star-large",
             "bound-theta_star-zero", "bound-p_m-zero-cultivation", "tepai-lam_grid-min",
-            "tepai-lam_grid-max", "tradeoff-c1-negative",
+            "tepai-lam_grid-max", "tradeoff-c1-negative", "tepai-n_l-zero", "tepai-n_l-negative",
         ],
     )
     def test_out_of_domain_value_names_key(self, tmp_path, capsys, command, cfg, message):
@@ -496,6 +549,40 @@ class TestDomainErrors:
     def test_reversed_grid_bounds_name_keys(self, tmp_path, capsys, command, cfg, message):
         assert _run(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("alpha-sweep", ALPHA_CFG.replace("mode = fixed_ratio", "mode = fixed_rati"),
+             "[alpha_sweep] mode"),
+            ("alpha-sweep", ALPHA_CFG.replace("ratio = 128\n", ""), "[alpha_sweep] ratio"),
+            ("alpha-sweep", ALPHA_CFG.replace("mode = fixed_ratio", "mode = fixed_threshold"),
+             "[alpha_sweep] theta_th"),
+            ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", "k = ,"), "[alpha_sweep] k"),
+            ("tradeoff", TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = ,"),
+             "[tradeoff] theta_l"),
+            ("bound", BOUND_CFG + "architectures = v4\n", "[bound] architectures"),
+            ("bound", BOUND_CFG + "architectures = ,\n", "[bound] architectures"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10\nn_l = 72\nalpha = 0.1\n",
+             "[tepai] lam_grid"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1\nalpha = 0.1\n", "[tepai] n_l"),
+            ("tepai", TEPAI_CFG.replace("4Fe-4S", "FeS"), "[tepai] systems"),
+            ("tepai", TEPAI_CFG.replace("t = 1,10", "t = ,"), "[tepai] t"),
+            ("tepai", "[tepai]\nt = 1\nalpha = 0.1\n", "[tepai] systems"),
+        ],
+        ids=[
+            "alpha_sweep-mode", "alpha_sweep-ratio-missing", "alpha_sweep-theta_th-missing",
+            "alpha_sweep-k-empty", "tradeoff-theta_l-empty", "bound-architectures-unknown",
+            "bound-architectures-empty", "tepai-lam_grid-length", "tepai-n_l-missing",
+            "tepai-systems-unknown", "tepai-t-empty", "tepai-systems-none",
+        ],
+    )
+    def test_config_error_names_key(self, tmp_path, capsys, command, cfg, key):
+        assert _run(tmp_path, command, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}")
+        assert '"' not in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_numeric_c1_allows_zero_p_ph(self, tmp_path):

@@ -329,6 +329,49 @@ class TestErrorRates:
             smm.error_rates(params, np.array([1e-5, theta_l]), theta_th, **kwargs)
 
 
+class TestPhotonLossDependence:
+    """P_L against p_ph at a fixed gate, with c1 as the only pass coefficient."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 15),
+        c1=st.floats(0.01, 1.0),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-6]),
+        higher=st.booleans(),
+        log_theta=st.floats(-12.0, math.log10(smm.MAX_THRESHOLD)),
+        log2_ratio=st.floats(0.0, 40.0),
+        log_p_min=st.floats(-8.0, -2.0),
+    )
+    def test_p_l_non_negative_and_monotone_without_magic_errors(
+        self, k, c1, p_m, higher, log_theta, log2_ratio, log_p_min
+    ):
+        theta_l = min(10.0 ** log_theta, smm.MAX_THRESHOLD)
+        theta_th = min(theta_l * 2.0 ** log2_ratio, smm.MAX_THRESHOLD)
+        p_phs = [0.0, *np.geomspace(10.0 ** log_p_min, tmr.MAX_P_PH, 8)]
+        p_ls = [
+            smm.error_rates(
+                tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,)), theta_l, theta_th,
+                p_m=p_m, include_higher_orders=higher,
+            ).p_l.item()
+            for p_ph in p_phs
+        ]
+        assert min(p_ls) >= 0.0
+        if p_m == 0.0:
+            assert p_ls == sorted(p_ls)
+
+    def test_t_count_step_breaks_monotonicity_at_finite_p_m(self):
+        # delta grows with p_ph, so N_syn steps down from 87 to 86 and the
+        # p_m N_syn term drops by more than the analog residual gains
+        reports = [
+            smm.effective_error_rate(_config(
+                1e-9, k=2, p_ph=p_ph, c1=0.0367, threshold_ratio=2.0 ** 17, p_m=2e-9
+            ))
+            for p_ph in (0.00013667163564620073, 0.00014481182276745346)
+        ]
+        assert [r.n_syn for r in reports] == [87, 86]
+        assert [r.p_l for r in reports] == [1.515110294738445e-12, 1.5110247360004137e-12]
+
+
 class TestExpectedClocks:
     def test_pure_digital_is_t_digital_only(self):
         cfg = _config(0.01, threshold_ratio=1.0, timing_mode="latency")
