@@ -14,7 +14,7 @@ for theta_l in (1e-2, 1e-3, 1e-4, 1e-6):
     theta = tmr.physical_angle_for(theta_l, params.k)
     print(
         f"{theta_l:12.1e}   {theta:14.6f}   {tmr.p_ideal(theta, params.k):7.4f}"
-        f"   {tmr.supply_time(params, theta):8.3f}"
+        f"   {1 / tmr.p_ideal(theta, params.k):8.3f}"
     )
 
 print("\nbranch table at theta_L = 1e-3:")

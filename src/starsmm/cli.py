@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import sys
@@ -297,9 +298,12 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
             deltas.append(d)
             d *= 4.0
 
-    # thresholds 2^n |theta_L| <= pi/8 for every theta_L, computed in one pass
+    # thresholds 2^n |theta_L| <= pi/8 for every theta_L, computed in one pass; the
+    # condition is monotone in n, so each row stops at its first failing n
     ns = [
-        [n for n in range(n_max + 1) if 2.0 ** n * abs(theta_l) <= smm.MAX_THRESHOLD]
+        list(itertools.takewhile(
+            lambda n: 2.0 ** n * abs(theta_l) <= smm.MAX_THRESHOLD, range(n_max + 1)
+        ))
         for theta_l in theta_ls
     ]
     theta_col = np.repeat(theta_ls, [len(row) for row in ns])
@@ -352,9 +356,14 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     grid = _log_grid(section, "n_t_min", "n_t_max", lo, hi, ppd)
     rows = []
     for arch in architectures:
-        curve = mitigation.feasible_boundary(
-            arch, theta_star, grid, p_ph=p_ph, p_m=p_m, alpha_model=alpha_model
-        )
+        try:
+            curve = mitigation.feasible_boundary(
+                arch, theta_star, grid, p_ph=p_ph, p_m=p_m, alpha_model=alpha_model
+            )
+        except ArithmeticError as exc:  # a value overflowed or underflowed in the model
+            raise ValueError(
+                f"[{section}] theta_star = {theta_star!r}, architecture {arch}: {exc}"
+            ) from exc
         rows.extend((arch, n_t, n_r) for n_t, n_r in curve)
     _write_csv(out_dir / "bound.csv", ["architecture", "N_T", "N_R"], rows)
     print(f"bound: wrote {len(rows)} rows to {out_dir / 'bound.csv'}")
@@ -560,7 +569,7 @@ def _check_smm_monte_carlo(c1: float, shots: int, seed: int) -> tuple[bool, str]
 
 def _check_switch_probability() -> tuple[bool, str]:
     for theta_l, theta_th in ((1e-3, 1e-3), (1e-3, 0.128), (1e-5, 0.05), (3e-4, 0.01)):
-        p = smm.switch_probability(theta_l, theta_th)
+        p = 2.0 ** -smm.n_rus(theta_l, theta_th)
         if not (theta_l / (2 * theta_th) < p <= theta_l / theta_th + 1e-15):
             return False, f"p_switch {p} outside bounds for ratio {theta_th / theta_l}"
     return True, "2^-ceil(log2 r) within (theta_l/2theta_th, theta_l/theta_th]"
@@ -595,7 +604,7 @@ def _check_timing_anchor(c1: float) -> tuple[bool, str]:
     for theta_l in (1e-3, 1e-4, 1e-5, 1e-6):
         params = tmr.TmrParams(k=7, p_ph=1e-3, pass_coeffs=(c1,))
         config = smm.SmmConfig(theta_l=theta_l, tmr_params=params, threshold_ratio=64.0)
-        clocks.append(smm.expected_clocks(config))
+        clocks.append(smm.effective_error_rate(config).expected_clocks)
     ok = all(2.5 <= c <= 3.5 for c in clocks)
     return ok, f"C_smm at ratio 64: {['%.3f' % c for c in clocks]}"
 

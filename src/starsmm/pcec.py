@@ -4,7 +4,9 @@ The TMR output applied through gate teleportation realizes the noisy
 channel ``N = sum_j qbar_j R(theta_j)``.  Sampling the inverse of each
 over-rotation with the same probabilities turns the coherent error into a
 stochastic Z-flip; this module builds that cancellation channel and the
-residual flip rate that serves as the per-trial error currency.
+residual flip rate that serves as the per-trial error currency, per model
+and as arrays over a branch table, with every error branch cancelled or,
+for the previous architecture generation, only the leading one.
 """
 
 from __future__ import annotations
@@ -46,29 +48,19 @@ def build_canceller(model: TmrOutputModel) -> RotationMixture:
     return zchan.mixture(pairs)
 
 
-def residual_rate(model: TmrOutputModel) -> float:
+def residual_rate(model: TmrOutputModel, higher_orders: bool = True) -> float:
     """Post-cancellation stochastic-Z rate: 2 sum_{j>=1} qbar_j sin^2(Delta_j).
 
     Agrees with the exact twirled-Z rate of canceller-after-noisy up to
-    O((sum qbar_j)^2) cross terms.
+    O((sum qbar_j)^2) cross terms.  With ``higher_orders`` false only the
+    leading branch counts, 2 qbar_1 sin^2(Delta_1): the comparison mode for
+    the earlier architecture generation, which cancelled only that branch.
     """
+    last = None if higher_orders else 2
     return 2.0 * sum(
         qbar * math.sin(theta_j - model.theta_l) ** 2
-        for qbar, theta_j in zip(model.branch_qbars[1:], model.branch_thetas[1:])
+        for qbar, theta_j in zip(model.branch_qbars[1:last], model.branch_thetas[1:last])
     )
-
-
-def leading_residual_rate(model: TmrOutputModel) -> float:
-    """First-order-only residual 2 qbar_1 sin^2(Delta_1).
-
-    This is the comparison mode for the earlier architecture generation,
-    which cancelled only the leading over-rotation branch.
-    """
-    if len(model.branch_qbars) < 2:
-        return 0.0
-    qbar1 = model.branch_qbars[1]
-    delta1 = model.branch_thetas[1] - model.theta_l
-    return 2.0 * qbar1 * math.sin(delta1) ** 2
 
 
 def residual_rates(
@@ -76,8 +68,8 @@ def residual_rates(
 ) -> np.ndarray:
     """Array form of :func:`residual_rate` over a :func:`starsmm.tmr.branch_table`.
 
-    Sums over the branch (last) axis; with ``higher_orders`` false only the
-    leading branch counts, as in :func:`leading_residual_rate`.
+    Sums over the branch (last) axis; ``higher_orders`` is as in
+    :func:`residual_rate`.
     """
     last = None if higher_orders else 2
     deltas = thetas[..., 1:last] - thetas[..., :1]

@@ -60,25 +60,6 @@ def n_rus(theta_l: float, theta_th: float) -> int:
     return max(0, math.ceil(math.log2(theta_th / theta_l) - 1e-12))
 
 
-def switch_probability(theta_l: float, theta_th: float) -> float:
-    """Probability of reaching the digital stage, 2^-n_rus."""
-    return 2.0 ** (-n_rus(theta_l, theta_th))
-
-
-def synthesis_budget(p_analog: float, n_rus_trials: int, p_m: float) -> tuple[float, int]:
-    """Synthesis accuracy delta and T-count for the digital stage.
-
-    delta = max(p_m, 0.1 * 2^N * p_analog), so the synthesis error stays
-    below the other error sources; N_syn = mitigation.synthesis_t_count(delta).
-    """
-    if p_analog < 0.0 or p_m < 0.0:
-        raise ValueError("p_analog and p_m must be non-negative")
-    delta = max(p_m, 0.1 * 2.0 ** n_rus_trials * p_analog)
-    if delta == 0.0:
-        raise ValueError("degenerate synthesis budget (p_m = 0 and p_analog = 0)")
-    return delta, mitigation.synthesis_t_count(delta)
-
-
 def _check_domain(theta_l, theta_th, p_m: float, timing_mode: str) -> None:
     """Raise ValueError unless every gate (theta_l, theta_th) lies in the model's domain.
 
@@ -157,19 +138,13 @@ class SmmReport:
     n_rus: int
     p_switch: float
     p_analog: float
-    delta: float
+    p_digital: float
     n_syn: int
     p_l: float
     alpha_rus: float
     expected_clocks: float
     trials: tuple[TrialRow, ...]
     out_of_regime: bool
-
-
-def _trial_residual(config: SmmConfig, model: tmr.TmrOutputModel) -> float:
-    if config.include_higher_orders:
-        return pcec.residual_rate(model)
-    return pcec.leading_residual_rate(model)
 
 
 def _analog_clocks(timing_mode: str, p_ideal):
@@ -184,10 +159,40 @@ def _digital_clocks(timing_mode: str, n_syn):
     return n_syn * T_GATE_LATENCY_CLOCKS
 
 
-def _identity_report() -> SmmReport:
-    return SmmReport(
-        n_rus=0, p_switch=1.0, p_analog=0.0, delta=0.0, n_syn=0, p_l=0.0, alpha_rus=0.0,
-        expected_clocks=0.0, trials=(), out_of_regime=False,
+def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, timing_mode: str):
+    """The closed-form finish of an SMM gate, shared by the scalar and the array path.
+
+    Elementwise over floats or arrays: gates at |theta_l| = ``mag`` that run
+    ``n`` analog trials with expected residual ``p_analog`` and expected analog
+    clocks ``analog_clocks``.  The digital stage, reached with probability
+    p_switch = 2^-n, synthesizes at delta = max(p_m, 0.1 * 2^n * p_analog), so
+    the synthesis error stays below the other sources, with
+    N_syn = mitigation.synthesis_t_count(delta) T-gates (none when p_m = 0 and
+    p_analog = 0), and flips the output at rate p_digital = delta + p_m N_syn.
+    Returns the :class:`SmmReport` fields it owns as numpy values.  Powers of
+    two are exact (``ldexp``) and p_ph^(k/2) is Python's ``pow``, so a scalar
+    gate gets the bits its row of the array path would get from equal inputs.
+    """
+    mag = np.asarray(mag)
+    p_switch = np.ldexp(1.0, -n)
+    delta = np.maximum(p_m, np.ldexp(0.1, n) * p_analog)
+    n_syn = np.array(
+        [mitigation.synthesis_t_count(d) if d > 0.0 else 0 for d in np.ravel(delta).tolist()],
+        dtype=int,
+    ).reshape(np.shape(delta))
+    p_digital = delta + p_m * n_syn
+    p_l = p_analog + p_switch * p_digital
+    p_ph = params.p_ph
+    if p_ph > 0.0:
+        alpha = p_l / (mag * p_ph)
+        flag = mag <= p_ph ** (params.k / 2.0)
+    else:
+        alpha = np.where(p_l == 0.0, 0.0, math.inf)
+        flag = np.zeros(mag.shape, dtype=bool)
+    return dict(
+        p_switch=p_switch, p_digital=p_digital, n_syn=n_syn, p_l=p_l, alpha_rus=alpha,
+        expected_clocks=analog_clocks + p_switch * _digital_clocks(timing_mode, n_syn),
+        out_of_regime=flag,
     )
 
 
@@ -201,11 +206,12 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     negative theta_l is folded by mirror symmetry.
     """
     if config.theta_l == 0.0:
-        return _identity_report()
+        return SmmReport(
+            n_rus=0, p_switch=1.0, p_analog=0.0, p_digital=0.0, n_syn=0, p_l=0.0,
+            alpha_rus=0.0, expected_clocks=0.0, trials=(), out_of_regime=False,
+        )
     theta_l = abs(config.theta_l)
-    theta_th = config.resolved_threshold()
-    n = n_rus(theta_l, theta_th)
-    p_switch = 2.0 ** (-n)
+    n = n_rus(theta_l, config.resolved_threshold())
 
     rows = []
     for i in range(n):
@@ -213,36 +219,19 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
         model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
         rows.append(TrialRow(
             index=i, theta_rus=theta_rus, model=model,
-            residual=_trial_residual(config, model),
+            residual=pcec.residual_rate(model, config.include_higher_orders),
             clocks=_analog_clocks(config.timing_mode, model.p_ideal),
         ))
 
-    # expected residual over all executed trials, digital branch included
+    # expected residual and clocks over all executed trials, digital branch included
     p_analog = sum(2.0 ** (-row.index) * row.residual for row in rows)
-
-    if config.p_m == 0.0 and p_analog == 0.0:
-        delta, n_syn = 0.0, 0
-    else:
-        delta, n_syn = synthesis_budget(p_analog, n, config.p_m)
-
-    p_l = p_analog + p_switch * (delta + config.p_m * n_syn)
-    p_ph = config.tmr_params.p_ph
-    if p_ph > 0.0:
-        alpha = p_l / (theta_l * p_ph)
-    else:
-        alpha = 0.0 if p_l == 0.0 else math.inf
-
-    t_digital = _digital_clocks(config.timing_mode, n_syn)
     clocks = sum(2.0 ** (-row.index) * row.clocks for row in rows)
-    clocks += p_switch * t_digital
-
-    k = config.tmr_params.k
-    out_of_regime = p_ph > 0.0 and theta_l <= p_ph ** (k / 2.0)
-
+    finish = _finish(
+        config.tmr_params, theta_l, n, p_analog, clocks, config.p_m, config.timing_mode
+    )
     return SmmReport(
-        n_rus=n, p_switch=p_switch, p_analog=p_analog,
-        delta=delta, n_syn=n_syn, p_l=p_l, alpha_rus=alpha,
-        expected_clocks=clocks, trials=tuple(rows), out_of_regime=out_of_regime,
+        n_rus=n, p_analog=p_analog, trials=tuple(rows),
+        **{name: value.item() for name, value in finish.items()},
     )
 
 
@@ -293,33 +282,14 @@ def error_rates(
         p_analog[running] += weight * pcec.residual_rates(thetas, qbars, include_higher_orders)
         clocks[running] += weight * _analog_clocks(timing_mode, p_ideal)
 
-    p_switch = np.ldexp(1.0, -n)
-    # synthesis_budget per row; p_m = 0 with no residual needs no synthesis
-    delta = np.maximum(p_m, np.ldexp(0.1, n) * p_analog)
-    n_syn = np.array(
-        [mitigation.synthesis_t_count(d) if d > 0.0 else 0 for d in delta.tolist()], dtype=int
-    )
-    p_l = p_analog + p_switch * (delta + p_m * n_syn)
-    clocks += p_switch * _digital_clocks(timing_mode, n_syn)
-    p_ph = params.p_ph
-    if p_ph > 0.0:
-        alpha = p_l / (mag * p_ph)
-        flag = mag <= p_ph ** (params.k / 2.0)
-    else:
-        alpha = np.where(p_l == 0.0, 0.0, math.inf)
-        flag = False
+    finish = _finish(params, mag, n, p_analog, clocks, p_m, timing_mode)
 
-    def per_row(values, dtype=float) -> np.ndarray:
-        full = np.zeros(theta_l.shape, dtype=dtype)  # identity rows stay zero
+    def per_row(values: np.ndarray) -> np.ndarray:
+        full = np.zeros(theta_l.shape, dtype=values.dtype)  # identity rows stay zero
         full[live] = values
         return full
 
-    return SweepRates(per_row(p_l), per_row(alpha), per_row(clocks), per_row(flag, bool))
-
-
-def expected_clocks(config: SmmConfig) -> float:
-    """Expected wall-clock cost of one SMM gate, in clocks."""
-    return effective_error_rate(config).expected_clocks
+    return SweepRates(**{name: per_row(finish[name]) for name in SweepRates.__dataclass_fields__})
 
 
 def synthesis_only_gate(delta: float, p_m: float = 2e-9) -> tuple[float, float]:
@@ -356,8 +326,7 @@ def enumerate_error_rate(config: SmmConfig) -> float:
         acc *= zchan.coherence_factor(net, row.theta_rus)
         total += 2.0 ** (-(row.index + 1)) * 0.5 * (1.0 - acc.real)
     # digital branch: all n analog trials plus the synthesis/magic flip
-    p_dig = report.delta + config.p_m * report.n_syn
-    total += report.p_switch * 0.5 * (1.0 - (acc * (1.0 - 2.0 * p_dig)).real)
+    total += report.p_switch * 0.5 * (1.0 - (acc * (1.0 - 2.0 * report.p_digital)).real)
     return total
 
 
@@ -406,7 +375,6 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         return McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
     report = effective_error_rate(config)
-    p_digital_flip = report.delta + config.p_m * report.n_syn
 
     # per-trial sampling tables
     cums, deltas = [], []
@@ -448,7 +416,7 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         x = np.sin(err) ** 2
         # digital branch: Z-flip with rate p_dig on top of the analog deviation
         s2 = x[live]
-        x[live] = (1.0 - p_digital_flip) * s2 + p_digital_flip * (1.0 - s2)
+        x[live] = (1.0 - report.p_digital) * s2 + report.p_digital * (1.0 - s2)
         sum_x += float(x.sum())
         sum_x2 += float((x * x).sum())
         sum_t += float(clocks.sum())
@@ -497,7 +465,7 @@ def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
     p_l, i0 = 0.0, 0
     while i0 < n:
         model = tmr.output_model_for_logical(params, 2.0 ** i0 * theta_l)
-        residual = pcec.leading_residual_rate(model)
+        residual = pcec.residual_rate(model, higher_orders=False)
         if residual >= injection:
             break
         p_l += 2.0 ** (-i0) * residual

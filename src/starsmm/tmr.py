@@ -4,7 +4,7 @@ The protocol applies k physical-angle rotation factors along the logical Z
 operator of a surface-code patch and post-selects on clean stabilizers.
 This module provides the closed forms for its ideal success probability,
 the logical angle, the error-branch angles theta_j, and the normalized
-branch weights qbar_j, plus an expected supply-time model.
+branch weights qbar_j, per gate and as arrays over many target angles.
 
 Pass rates are not simulated here: the order-j pass probability is modeled
 as ``c_j * p_ph**j`` with user-supplied coefficients ``c_j`` (default 1).
@@ -130,16 +130,6 @@ def branch_angles(theta: float, k: int, j: int) -> float:
     return mag if j % 2 == 0 else -mag
 
 
-def leading_error_angle(theta: float, k: int) -> float:
-    """The j = 1 branch angle from its dedicated closed form.
-
-    -arcsin( sin^{k-2} / sqrt(sin^{2k-4} + cos^{2k-4}) ); kept separate from
-    :func:`branch_angles` as a cross-check identity.
-    """
-    s, c = math.sin(theta), math.cos(theta)
-    return -math.asin(s ** (k - 2) / math.sqrt(s ** (2 * k - 4) + c ** (2 * k - 4)))
-
-
 def pair_weight(theta: float, k: int, j: int) -> float:
     """Unnormalized order-j branch factor C(k,j) (|u_j|^2 + |u_{k-j}|^2).
 
@@ -220,12 +210,3 @@ def output_model_for_logical(params: TmrParams, theta_l: float) -> TmrOutputMode
     """Branch table for a target logical angle (inverts the angle map)."""
     return branch_weights(params, physical_angle_for(theta_l, params.k))
 
-
-def supply_time(params: TmrParams, theta: float) -> float:
-    """Expected clocks to produce one accepted resource state.
-
-    Geometric-retry expectation of one clock per attempt: 1 / p_ideal.
-    """
-    if not 0.0 <= theta <= MAX_THETA:
-        raise ValueError(f"theta must lie in [0, pi/4], got {theta!r}")
-    return 1.0 / p_ideal(theta, params.k)

@@ -110,7 +110,7 @@ def _oracle_enumerate(config: smm.SmmConfig) -> tuple[float, float]:
     theta_l = abs(config.theta_l)
     n = smm.n_rus(theta_l, config.resolved_threshold())
     rep = smm.effective_error_rate(config)
-    p_dig = rep.delta + config.p_m * rep.n_syn
+    p_dig = rep.p_digital
 
     mean = second = 0.0
     dist = {0.0: 1.0}  # accumulated deviation -> probability

@@ -335,7 +335,32 @@ class TestTradeoff:
         assert [(float(t), int(n), float(p), float(c)) for t, n, p, c in cells] == expected
 
 
+    def test_large_n_max_stops_at_the_threshold_cap(self, tmp_path):
+        # 2^n |theta_L| passes pi/8 long before n = 2000; 2^2000 itself overflows
+        outputs = []
+        for n_max in (60, 2000):
+            cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 1e-3,-1e-5").replace(
+                "n_max = 8", f"n_max = {n_max}"
+            )
+            out = tmp_path / str(n_max)
+            out.mkdir()
+            assert _run(out, "tradeoff", cfg) == 0
+            outputs.append((out / "tradeoff.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestBound:
+    def test_model_error_names_theta_star_and_architecture(self, tmp_path, capsys):
+        # n_rus overflows at so small an angle: the error names the key and the row
+        cfg = BOUND_CFG.replace("theta_star = 1e-5", "theta_star = 1e-320").replace(
+            "alpha_v3 = 0.1", "alpha_v3 = smm"
+        )
+        assert _run(tmp_path, "bound", cfg) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("model error: [bound] theta_star = 1e-320, architecture v3: ")
+        assert "cannot convert float infinity to integer" in err
+        assert not (tmp_path / "bound.csv").exists()
+
     def test_four_architectures(self, tmp_path):
         assert _run(tmp_path, "bound", BOUND_CFG) == 0
         lines = (tmp_path / "bound.csv").read_text().strip().split("\n")[1:]

@@ -81,7 +81,7 @@ class TestResidualRate:
         # and the full-sum rate matches the leading-order rate in-regime
         model = tmr.output_model_for_logical(params, 1e-6)
         assert pcec.residual_rate(model) == pytest.approx(
-            pcec.leading_residual_rate(model), rel=1e-2
+            pcec.residual_rate(model, higher_orders=False), rel=1e-2
         )
 
     @pytest.mark.parametrize("k", [3, 4, 5, 7])
@@ -127,7 +127,7 @@ class TestChannelSet:
     def test_leading_residual_matches_full_for_jmax1(self):
         params = tmr.TmrParams(k=7, p_ph=1e-3, j_max=1)
         model = tmr.branch_weights(params, 0.3)
-        assert pcec.leading_residual_rate(model) == pytest.approx(
+        assert pcec.residual_rate(model, higher_orders=False) == pytest.approx(
             pcec.residual_rate(model), rel=1e-14
         )
 
@@ -141,4 +141,4 @@ class TestChannelSet:
         for x, r_full, r_lead in zip(theta_l, full, lead):
             model = tmr.output_model_for_logical(params, float(x))
             assert r_full == pytest.approx(pcec.residual_rate(model), rel=1e-13, abs=0.0)
-            assert r_lead == pytest.approx(pcec.leading_residual_rate(model), rel=1e-13, abs=0.0)
+            assert r_lead == pytest.approx(pcec.residual_rate(model, higher_orders=False), rel=1e-13, abs=0.0)

@@ -24,7 +24,7 @@ def _reference_monte_carlo(config, shots, seed):
     if config.theta_l == 0.0:
         return smm.McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     report = smm.effective_error_rate(config)
-    p_digital_flip = report.delta + config.p_m * report.n_syn
+    p_digital_flip = report.p_digital
     cums, deltas = [], []
     for row in report.trials:
         edges = np.cumsum(row.model.branch_qbars)
@@ -110,10 +110,15 @@ class TestNRus:
 
 
 class TestSwitchProbability:
+    @staticmethod
+    def _p_switch(theta_l, theta_th):
+        config = _config(theta_l, threshold_ratio=None, theta_th=theta_th)
+        return smm.effective_error_rate(config).p_switch
+
     def test_values(self):
-        assert smm.switch_probability(1e-3, 1e-3) == 1.0
-        assert smm.switch_probability(1e-3, 0.128) == 0.0078125
-        assert smm.switch_probability(1e-5, 0.05) == pytest.approx(2.0 ** -13)
+        assert self._p_switch(1e-3, 1e-3) == 1.0
+        assert self._p_switch(1e-3, 0.128) == 0.0078125
+        assert self._p_switch(1e-5, 0.05) == 2.0 ** -13
 
     def test_bracketing_bounds(self):
         rng = np.random.default_rng(3)
@@ -121,27 +126,42 @@ class TestSwitchProbability:
             theta_l = 10.0 ** rng.uniform(-7, -2)
             ratio = 10.0 ** rng.uniform(0, 3)
             theta_th = min(theta_l * ratio, smm.MAX_THRESHOLD)
-            p = smm.switch_probability(theta_l, theta_th)
+            p = self._p_switch(theta_l, theta_th)
             assert theta_l / (2 * theta_th) < p <= theta_l / theta_th * (1 + 1e-12)
 
 
 class TestSynthesisBudget:
+    """The synthesis budget delta = max(p_m, 0.1 2^N p_analog) and its T-count."""
+
     def test_magic_floor(self):
-        assert smm.synthesis_budget(0.0, 0, 2e-9) == (2e-9, 87)
+        # no analog trial: delta = p_m = 2e-9 and N_syn = 87
+        rep = smm.effective_error_rate(_config(1e-3, threshold_ratio=1.0, p_m=2e-9))
+        assert (rep.p_analog, rep.n_syn) == (0.0, 87)
+        assert rep.p_digital == 2e-9 + 2e-9 * 87 == rep.p_l
 
     def test_analog_dominated(self):
-        p_analog = 1e-6 / (0.1 * 2 ** 7)
-        delta, n_syn = smm.synthesis_budget(p_analog, 7, 2e-9)
-        assert delta == pytest.approx(1e-6)
-        assert n_syn == 60
+        rep = smm.effective_error_rate(_config(1e-3, threshold_ratio=128.0, p_m=2e-9))
+        assert rep.n_rus == 7
+        delta = 0.1 * 2 ** 7 * rep.p_analog
+        assert delta > 2e-9
+        assert rep.n_syn == math.ceil(3 * math.log2(1 / delta))
+        assert rep.p_digital == delta + 2e-9 * rep.n_syn
 
     def test_monotone_in_p_analog(self):
-        deltas = [smm.synthesis_budget(p, 5, 2e-9)[0] for p in (0.0, 1e-9, 1e-7, 1e-5)]
+        # p_ph = 0 first: no residual, so delta sits at the magic floor p_m
+        setups = [dict(p_ph=0.0)] + [dict(c1=c1) for c1 in (1e-4, 1e-2, 1.0)]
+        reports = [
+            smm.effective_error_rate(_config(1e-4, threshold_ratio=32.0, p_m=2e-9, **setup))
+            for setup in setups
+        ]
+        assert [r.p_analog for r in reports] == sorted(r.p_analog for r in reports)
+        deltas = [r.p_digital - 2e-9 * r.n_syn for r in reports]
+        assert deltas[0] == pytest.approx(2e-9, rel=1e-12)
         assert deltas == sorted(deltas)
 
-    def test_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            smm.synthesis_budget(0.0, 3, 0.0)
+    def test_no_synthesis_without_errors(self):
+        rep = smm.effective_error_rate(_config(1e-4, p_ph=0.0, p_m=0.0))
+        assert (rep.p_analog, rep.p_digital, rep.n_syn) == (0.0, 0.0, 0)
 
 
 class TestEffectiveErrorRate:
@@ -180,7 +200,7 @@ class TestEffectiveErrorRate:
         rep = smm.effective_error_rate(cfg)
         for row in rep.trials:
             assert row.model == tmr.output_model_for_logical(cfg.tmr_params, row.theta_rus)
-            assert row.clocks == tmr.supply_time(cfg.tmr_params, row.model.theta_phys) + 1.0
+            assert row.clocks == 1 / tmr.p_ideal(row.model.theta_phys, cfg.tmr_params.k) + 1.0
 
     def test_leading_order_mode(self):
         cfg_full = _config(1e-3, k=7, threshold_ratio=16.0)
@@ -222,7 +242,7 @@ class TestErrorRates:
     # checked so far differ by at most ~28 eps
     REL = 1e-13
 
-    def _compare(self, params, theta_l, theta_th, **kwargs):
+    def _compare(self, params, theta_l, theta_th, exact=False, **kwargs):
         rates = smm.error_rates(params, theta_l, theta_th, **kwargs)
         theta_th = np.broadcast_to(theta_th, np.shape(theta_l))
         for r, (x, th) in enumerate(zip(theta_l, theta_th)):
@@ -230,11 +250,12 @@ class TestErrorRates:
                 theta_l=float(x), tmr_params=params, theta_th=float(th), **kwargs
             )
             rep = smm.effective_error_rate(config)
-            assert rates.p_l[r] == pytest.approx(rep.p_l, rel=self.REL, abs=0.0)
-            assert rates.alpha_rus[r] == pytest.approx(rep.alpha_rus, rel=self.REL, abs=0.0)
-            assert rates.expected_clocks[r] == pytest.approx(
-                rep.expected_clocks, rel=self.REL, abs=0.0
-            )
+            got = (rates.p_l[r], rates.alpha_rus[r], rates.expected_clocks[r])
+            want = (rep.p_l, rep.alpha_rus, rep.expected_clocks)
+            if exact:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=self.REL, abs=0.0)
             assert rates.out_of_regime[r] == rep.out_of_regime
         return rates
 
@@ -288,18 +309,23 @@ class TestErrorRates:
     def test_threshold_equal_to_angle_runs_no_trial(self, timing_mode):
         params = tmr.TmrParams(k=7, p_ph=1e-3, pass_coeffs=(0.04,))
         theta_l = np.array([1e-6, 1e-3, smm.MAX_THRESHOLD])
-        rates = self._compare(params, theta_l, theta_l, p_m=2e-9, timing_mode=timing_mode)
+        # no trial runs, so both paths finish from p_analog = 0 and agree exactly
+        rates = self._compare(
+            params, theta_l, theta_l, exact=True, p_m=2e-9, timing_mode=timing_mode
+        )
         p_l, _ = smm.synthesis_only_gate(2e-9, 2e-9)
         assert np.all(rates.p_l == p_l)
 
     def test_zero_residual_and_zero_p_m(self):
+        # p_ph = 0 leaves no residual on either path, so they agree exactly
         params = tmr.TmrParams(k=5, p_ph=0.0)
-        rates = self._compare(params, np.array([1e-7, 1e-4]), 0.01, p_m=0.0)
+        rates = self._compare(params, np.array([1e-7, 1e-4]), 0.01, exact=True, p_m=0.0)
         assert np.all(rates.p_l == 0.0) and np.all(rates.alpha_rus == 0.0)
 
     def test_zero_p_ph_with_magic_errors(self):
+        # as above: only the shared digital stage contributes to P_L
         params = tmr.TmrParams(k=5, p_ph=0.0)
-        rates = self._compare(params, np.array([1e-7, 1e-4]), 0.01, p_m=2e-9)
+        rates = self._compare(params, np.array([1e-7, 1e-4]), 0.01, exact=True, p_m=2e-9)
         assert np.all(rates.p_l > 0.0) and np.all(np.isinf(rates.alpha_rus))
         assert not rates.out_of_regime.any()
 
@@ -385,7 +411,7 @@ class TestExpectedClocks:
         c1 = smm.calibrate_c1()
         for theta_l in (1e-3, 1e-4, 1e-5, 1e-6):
             cfg = _config(theta_l, k=7, c1=c1, threshold_ratio=64.0)
-            assert 2.5 <= smm.expected_clocks(cfg) <= 3.5
+            assert 2.5 <= smm.effective_error_rate(cfg).expected_clocks <= 3.5
 
     def test_synthesis_comparator_cost(self):
         p_l, clocks = smm.synthesis_only_gate(delta=2e-9)
@@ -537,7 +563,7 @@ class TestV2Calibration:
                         costs.append(analog + 2.0 ** (1 - s) * injection)
                         if s < n:
                             model = tmr.output_model_for_logical(params, 2.0 ** s * theta_l)
-                            analog += 2.0 ** (-s) * pcec.leading_residual_rate(model)
+                            analog += 2.0 ** (-s) * pcec.residual_rate(model, higher_orders=False)
                     best = min(costs) / (theta_l * p_ph)
                     assert smm.v2_rus_factor(theta_l, k, p_ph, c1) == best, (p_ph, c1, theta_l)
 

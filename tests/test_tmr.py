@@ -8,6 +8,16 @@ from hypothesis import strategies as st
 from starsmm import tmr
 
 
+def leading_error_angle(theta: float, k: int) -> float:
+    """The j = 1 branch angle from its dedicated closed form.
+
+    -arcsin( sin^{k-2} / sqrt(sin^{2k-4} + cos^{2k-4}) ); kept separate from
+    :func:`tmr.branch_angles` as a cross-check identity.
+    """
+    s, c = math.sin(theta), math.cos(theta)
+    return -math.asin(s ** (k - 2) / math.sqrt(s ** (2 * k - 4) + c ** (2 * k - 4)))
+
+
 def _asin_branch_angle(theta: float, k: int, j: int) -> float:
     """theta_j from the branch amplitudes: arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)).
 
@@ -113,7 +123,7 @@ class TestBranchAngles:
     def test_j1_matches_dedicated_closed_form(self, k):
         for theta in np.linspace(0.02, math.pi / 4, 20):
             assert tmr.branch_angles(theta, k, 1) == pytest.approx(
-                tmr.leading_error_angle(theta, k), abs=1e-12
+                leading_error_angle(theta, k), abs=1e-12
             )
 
     @pytest.mark.parametrize("k", [4, 5, 7])
@@ -237,19 +247,18 @@ class TestPairWeight:
 
 
 class TestSupplyTime:
+    """One accepted resource state takes 1 / p_ideal attempts of one clock each."""
+
     def test_small_angle_floor(self):
-        params = tmr.TmrParams(k=5, p_ph=1e-3)
-        assert tmr.supply_time(params, 1e-6) == pytest.approx(1.0, rel=1e-9)
+        assert 1 / tmr.p_ideal(1e-6, 5) == pytest.approx(1.0, rel=1e-9)
 
     def test_quarter_pi_k7(self):
-        params = tmr.TmrParams(k=7, p_ph=1e-3)
-        assert tmr.supply_time(params, math.pi / 4) == pytest.approx(64.0, rel=1e-12)
+        assert 1 / tmr.p_ideal(math.pi / 4, 7) == pytest.approx(64.0, rel=1e-12)
 
     def test_reference_operating_point(self):
         # one accepted state within a few clocks at theta_l = 1e-3, k = 5
-        params = tmr.TmrParams(k=5, p_ph=1e-3)
         theta = tmr.physical_angle_for(1e-3, 5)
-        assert 1.0 <= tmr.supply_time(params, theta) <= 3.0
+        assert 1.0 <= 1 / tmr.p_ideal(theta, 5) <= 3.0
 
 
 class TestParams:
