@@ -204,6 +204,26 @@ def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigatio
     return _get_value(cfg, section, key, 0.1, what="a number or 'smm'", above=0.0)
 
 
+def _error_rates(section, row_name, params, theta_l, theta_th, **setup) -> smm.SweepRates:
+    """``smm.error_rates``; an ArithmeticError becomes a ValueError naming ``row_name(r)``.
+
+    Rows are independent, so bisecting over prefixes finds the first failing row r.
+    """
+    try:
+        return smm.error_rates(params, theta_l, theta_th, **setup)
+    except ArithmeticError as exc:
+        error = exc
+    passes, fails = 0, len(theta_l)  # the first `passes` rows run, the first `fails` raise
+    while fails - passes > 1:
+        mid = (passes + fails) // 2
+        try:
+            smm.error_rates(params, theta_l[:mid], theta_th[:mid], **setup)
+            passes = mid
+        except ArithmeticError as exc:
+            fails, error = mid, exc
+    raise ValueError(f"[{section}] row {row_name(fails - 1)}: {error}") from error
+
+
 # ---------------------------------------------------------------------------
 # alpha-sweep
 # ---------------------------------------------------------------------------
@@ -227,44 +247,32 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     higher = _get_bool(cfg, section, "higher_orders", True)
     grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
 
-    # the model needs theta_L <= theta_th <= pi/8; grid points outside are skipped
-    if mode == "fixed_ratio":
-        domain = "ratio * theta_L <= pi/8"
-        grid_in = [theta_l for theta_l in grid if ratio * theta_l <= smm.MAX_THRESHOLD]
-        thresholds = ratio * np.array(grid_in)
-    else:
-        domain = "theta_L <= theta_th"
-        grid_in = [theta_l for theta_l in grid if theta_l <= theta_th]
-        thresholds = np.full(len(grid_in), theta_th)
+    grid_th = ratio * np.array(grid) if mode == "fixed_ratio" else np.full(len(grid), theta_th)
+    keep = smm.in_domain(grid, grid_th)
+    grid_in, thresholds = list(itertools.compress(grid, keep)), grid_th[keep]
     if not grid_in:
-        raise ConfigError(
-            f"[{section}] no theta_L in [theta_l_min, theta_l_max] = [{lo}, {hi}] has {domain}"
-        )
+        raise ConfigError(f"[{section}] no theta_L in [theta_l_min, theta_l_max] = [{lo}, {hi}] "
+                          "has theta_L <= theta_th <= pi/8")
     skipped = (len(grid) - len(grid_in)) * len(ks)
     if skipped:
-        print(f"alpha-sweep: skipped {skipped} rows without {domain}", file=sys.stderr)
+        print(f"alpha-sweep: skipped {skipped} rows without theta_L <= theta_th <= pi/8",
+              file=sys.stderr)
 
     setup = dict(p_m=p_m, include_higher_orders=higher)
     rows = []
     for k in ks:
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
-        try:
-            rates = smm.error_rates(params, grid_in, thresholds, **setup)
-        except ArithmeticError:  # a value overflowed or underflowed: name the first such row
-            for theta_l, threshold in zip(grid_in, thresholds):
-                try:
-                    smm.error_rates(params, theta_l, threshold, **setup)
-                except ArithmeticError as exc:
-                    raise ValueError(
-                        f"[{section}] row theta_L = {theta_l!r}, k = {k}: {exc}"
-                    ) from exc
-            raise
-        rows.extend(
-            (theta_l, k, theta_th, p_m, alpha, p_l, flag)
-            for theta_l, theta_th, alpha, p_l, flag in zip(
-                grid_in, thresholds, rates.alpha_rus, rates.p_l, rates.out_of_regime
-            )
+        rates = _error_rates(
+            section, lambda r: f"theta_L = {grid_in[r]!r}, k = {k}",
+            params, grid_in, thresholds, **setup,
         )
+        for theta_l, threshold, alpha, p_l, flag in zip(
+            grid_in, thresholds, rates.alpha_rus, rates.p_l, rates.out_of_regime
+        ):
+            if not math.isfinite(alpha):
+                print(f"alpha-sweep: [{section}] row theta_L = {theta_l!r}, k = {k}: "
+                      f"alpha_rus = P_L / (theta_L p_ph) is {alpha}", file=sys.stderr)
+            rows.append((theta_l, k, threshold, p_m, alpha, p_l, flag))
     _write_csv(
         out_dir / "alpha_sweep.csv",
         ["theta_L", "k", "theta_th", "p_m", "alpha_rus", "P_L", "out_of_regime_flag"],
@@ -298,27 +306,22 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
             deltas.append(d)
             d *= 4.0
 
-    # thresholds 2^n |theta_L| <= pi/8 for every theta_L, computed in one pass; the
-    # condition is monotone in n, so each row stops at its first failing n
-    ns = [
-        list(itertools.takewhile(
-            lambda n: 2.0 ** n * abs(theta_l) <= smm.MAX_THRESHOLD, range(n_max + 1)
-        ))
-        for theta_l in theta_ls
-    ]
-    theta_col = np.repeat(theta_ls, [len(row) for row in ns])
-    ratio_col = np.array([2.0 ** n for row in ns for n in row])
-    rates = smm.error_rates(
-        params, theta_col, ratio_col * np.abs(theta_col), p_m=p_m, timing_mode="latency"
+    # thresholds 2^n |theta_L| in smm.in_domain; none is past n = 1074 (2^-1074 is the least float)
+    with np.errstate(over="ignore"):  # an overflowing threshold is inf, outside the domain
+        ladder = np.ldexp(np.abs(theta_ls)[:, None], np.arange(min(n_max, 1074) + 1))
+    keep = smm.in_domain(np.array(theta_ls)[:, None], ladder)
+    row_theta, row_n = np.nonzero(keep)  # row-major: each theta_L's rows in order of n
+    rates = _error_rates(
+        section, lambda r: f"theta_L = {theta_ls[row_theta[r]]!r}, n = {row_n[r]}",
+        params, np.array(theta_ls)[row_theta], ladder[keep], p_m=p_m, timing_mode="latency",
     )
-    smm_values = zip(rates.p_l, rates.expected_clocks)
+    smm_rows = zip(row_n.tolist(), rates.p_l, rates.expected_clocks)
 
+    synthesis = [smm.synthesis_only_gate(delta=delta, p_m=p_m) for delta in deltas]
     rows = []
-    for theta_l, theta_ns in zip(theta_ls, ns):
-        rows.extend((theta_l, n, p_l, clocks) for n, (p_l, clocks) in zip(theta_ns, smm_values))
-        for j, delta in enumerate(deltas):
-            p_l, clocks = smm.synthesis_only_gate(delta=delta, p_m=p_m)
-            rows.append((theta_l, -(j + 1), p_l, clocks))
+    for theta_l, count in zip(theta_ls, keep.sum(axis=1).tolist()):
+        rows.extend((theta_l,) + cells for cells in itertools.islice(smm_rows, count))
+        rows.extend((theta_l, -(j + 1)) + gate for j, gate in enumerate(synthesis))
     _write_csv(
         out_dir / "tradeoff.csv",
         ["theta_L", "n", "P_L", "expected_clocks"],
@@ -382,16 +385,15 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     if raw:
         for token in (tok.strip() for tok in raw.split(",") if tok.strip()):
             if token.startswith("hubbard:"):
-                # the periodic L x L lattice behind the lambda formula needs L >= 3
-                size = token.split(":", 1)[1]
-                if not (size.isdecimal() and int(size) >= 3):
-                    raise ConfigError(
-                        f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
-                    )
-                length = int(size)
                 t_hop = _get_value(cfg, section, "hubbard_t", 1.0, minimum=0.0)
                 u_int = _get_value(cfg, section, "hubbard_u", 4.0, minimum=0.0)
-                entry = hamcat.hubbard_entry(t_hop, u_int, length)
+                try:
+                    length = int(token.split(":", 1)[1])
+                    entry = hamcat.hubbard_entry(t_hop, u_int, length)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
+                    ) from exc
                 systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
             else:
                 try:

@@ -62,7 +62,9 @@ def tfim_entry(J: float, h: float, length: int) -> SystemEntry:
 
 
 def hubbard_entry(t: float, u: float, length: int) -> SystemEntry:
-    """2D Hubbard on L x L: N_L = 2 L^2, lambda = (4t + U/4) L^2."""
+    """2D Hubbard on the periodic L x L lattice (L >= 3): N_L = 2 L^2, lambda = (4t + U/4) L^2."""
+    if length < 3:
+        raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
     if t < 0.0 or u < 0.0:
         raise ValueError("t and U must be non-negative")
     return SystemEntry(

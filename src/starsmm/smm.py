@@ -12,7 +12,8 @@ threshold.  This module provides:
 * a vectorized Monte-Carlo trajectory sampler cross-checking the analytics;
 * an exact trajectory enumerator built on the channel-algebra oracle;
 * the previous-generation ("fixed inverse-injection") RUS model used to
-  calibrate the pass-rate coefficient c_1 against its published RUS factor.
+  calibrate the pass-rate coefficient c_1 against its published RUS factor;
+* :func:`in_domain`, the one statement of which gates the model covers.
 
 Accounting convention: every executed trial leaves its post-cancellation
 residual in the output state, including the trials a digital-branch
@@ -60,25 +61,28 @@ def n_rus(theta_l: float, theta_th: float) -> int:
     return max(0, math.ceil(math.log2(theta_th / theta_l) - 1e-12))
 
 
-def _check_domain(theta_l, theta_th, p_m: float, timing_mode: str) -> None:
-    """Raise ValueError unless every gate (theta_l, theta_th) lies in the model's domain.
+def in_domain(theta_l, theta_th) -> np.ndarray:
+    """Elementwise mask of the gates the model covers: |theta_l| <= theta_th <= pi/8, theta_th > 0.
 
-    ``SmmConfig`` and :func:`error_rates` both call this, so the scalar and
-    the array path accept the same gates.  theta_l = 0 is the identity gate.
+    theta_l = 0 is the identity gate; NaN and infinite angles are outside.  The
+    pi/8 cap has a 1e-15 slack for thresholds computed as ratio * |theta_l|.
     """
     theta_l, theta_th = np.asarray(theta_l, dtype=float), np.asarray(theta_th, dtype=float)
-    if not np.isfinite(theta_l).all():
-        raise ValueError("theta_l must be finite")
-    bad = ~((theta_th > 0.0) & (theta_th <= MAX_THRESHOLD + 1e-15))
-    if bad.any():
-        raise ValueError(f"theta_th must lie in (0, pi/8], got {float(theta_th[bad][0])!r}")
-    mag = np.abs(theta_l)
-    bad = (theta_l != 0.0) & (mag > theta_th)
-    if bad.any():
-        mag, theta_th = np.broadcast_arrays(mag, theta_th)
+    return (theta_th > 0.0) & (theta_th <= MAX_THRESHOLD + 1e-15) & (np.abs(theta_l) <= theta_th)
+
+
+def _check_domain(theta_l, theta_th, p_m: float, timing_mode: str) -> None:
+    """Raise ValueError unless every gate (theta_l, theta_th) is :func:`in_domain`.
+
+    ``SmmConfig`` and :func:`error_rates` both call this, so the scalar and
+    the array path accept the same gates.
+    """
+    outside = ~in_domain(theta_l, theta_th)
+    if outside.any():
+        theta_l, theta_th = np.broadcast_arrays(theta_l, theta_th)
         raise ValueError(
-            f"|theta_l|={float(mag[bad][0])!r} exceeds theta_th={float(theta_th[bad][0])!r}; "
-            "route the gate to pure synthesis instead"
+            f"need |theta_l| <= theta_th <= pi/8 and theta_th > 0, got "
+            f"theta_l={float(theta_l[outside][0])!r}, theta_th={float(theta_th[outside][0])!r}"
         )
     if not 0.0 <= p_m <= MAX_P_M:
         raise ValueError(f"p_m must lie in [0, {MAX_P_M:g}], got {p_m!r}")
@@ -184,7 +188,9 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     p_l = p_analog + p_switch * p_digital
     p_ph = params.p_ph
     if p_ph > 0.0:
-        alpha = p_l / (mag * p_ph)
+        # mag * p_ph can underflow to 0, making alpha inf or nan; the CLI names such rows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            alpha = p_l / (mag * p_ph)
         flag = mag <= p_ph ** (params.k / 2.0)
     else:
         alpha = np.where(p_l == 0.0, 0.0, math.inf)
@@ -446,6 +452,34 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
 # Previous-generation RUS model and pass-rate calibration
 # ---------------------------------------------------------------------------
 
+def _v2_trials(theta_l: float, k: int, p_ph: float):
+    """Lazily, (p_ideal, pair weight, sin^2 Delta_1) of the v2 trials at 2^i theta_l.
+
+    None depends on c_1, which enters only through q_1 = pair * c_1 * p_ph.
+    """
+    params = tmr.TmrParams(k=k, p_ph=p_ph, j_max=1)
+    n = n_rus(theta_l, tmr.MAX_THETA) if theta_l < tmr.MAX_THETA else 0
+    for i in range(n):
+        model = tmr.output_model_for_logical(params, math.ldexp(theta_l, i))
+        s2 = math.sin(model.branch_thetas[1] - model.theta_l) ** 2
+        yield model.p_ideal, tmr.pair_weight(model.theta_phys, k, 1), s2
+
+
+def _v2_alpha(theta_l: float, trials, p_ph: float, c1: float) -> float:
+    """:func:`v2_rus_factor` at c_1 over :func:`_v2_trials` rows, read up to the switch."""
+    injection = mitigation.INJECTION_RATE * p_ph
+    p_l, i0 = 0.0, 0
+    for pid, pair, s2 in trials:
+        q1 = pair * c1 * p_ph
+        residual = 2.0 * (q1 / (pid + q1) * s2)
+        if residual >= injection:
+            break
+        p_l += 2.0 ** (-i0) * residual
+        i0 += 1
+    p_l += 2.0 ** (1 - i0) * injection
+    return p_l / (theta_l * p_ph)
+
+
 def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
     """RUS factor of the previous-generation gate (no digital stage).
 
@@ -456,22 +490,9 @@ def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
     optimal.  alpha = P_L / (theta_l * p_ph) with
     P_L = sum_{i<i0} 2^-i r(2^i theta_l) + 2^(1-i0) (2/15) p_ph.
     """
-    if theta_l <= 0.0 or p_ph <= 0.0:
-        raise ValueError("theta_l and p_ph must be positive")
-    # the earlier protocol cancels only the leading branch: j_max = 1
-    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,), j_max=1)
-    injection = mitigation.INJECTION_RATE * p_ph
-    n = n_rus(theta_l, tmr.MAX_THETA) if theta_l < tmr.MAX_THETA else 0
-    p_l, i0 = 0.0, 0
-    while i0 < n:
-        model = tmr.output_model_for_logical(params, 2.0 ** i0 * theta_l)
-        residual = pcec.residual_rate(model, higher_orders=False)
-        if residual >= injection:
-            break
-        p_l += 2.0 ** (-i0) * residual
-        i0 += 1
-    p_l += 2.0 ** (1 - i0) * injection
-    return p_l / (theta_l * p_ph)
+    if theta_l <= 0.0 or p_ph <= 0.0 or c1 < 0.0:
+        raise ValueError("theta_l and p_ph must be positive and c1 non-negative")
+    return _v2_alpha(theta_l, _v2_trials(theta_l, k, p_ph), p_ph, c1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -482,41 +503,18 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
     calibration matches the octave average at CALIBRATION_ANCHOR.  Bisection
     on log(c_1) is safe: the averaged factor is monotone in c_1.
 
-    c_1 enters :func:`v2_rus_factor` only through q_1 = pair * c_1 * p_ph.
-    The rest of each trial's geometry (p_ideal, the pair weight and
-    sin^2(Delta_1)) is built once per call, for every anchor and trial, and
-    each bisection step is float arithmetic on those rows in the scalar
-    path's order of operations.  The answer is then checked once through
-    :func:`v2_rus_factor`: a ValueError is raised unless its octave average
-    there is V2_RUS_FACTOR within 1e-6.
+    Each bisection step runs :func:`v2_rus_factor`'s switch loop over trial
+    rows built once per call.  The answer is then checked through
+    :func:`v2_rus_factor` itself: a ValueError is raised unless the octave
+    average there is V2_RUS_FACTOR within 1e-6.
     """
     if p_ph <= 0.0:
         raise ValueError("p_ph must be positive")
-    params = tmr.TmrParams(k=k, p_ph=p_ph, j_max=1)
     anchors = [CALIBRATION_ANCHOR * 2.0 ** (j / 16.0) for j in range(16)]
-    geometry = []  # per anchor: (p_ideal, pair, sin^2 Delta_1) of each trial
-    for anchor in anchors:
-        rows = []
-        for i in range(n_rus(anchor, tmr.MAX_THETA)):
-            model = tmr.output_model_for_logical(params, 2.0 ** i * anchor)
-            s2 = math.sin(model.branch_thetas[1] - model.theta_l) ** 2
-            rows.append((model.p_ideal, tmr.pair_weight(model.theta_phys, k, 1), s2))
-        geometry.append(rows)
-    injection = mitigation.INJECTION_RATE * p_ph
+    trials = [list(_v2_trials(anchor, k, p_ph)) for anchor in anchors]
 
     def averaged_alpha(c1: float) -> float:
-        vals = []
-        for anchor, rows in zip(anchors, geometry):
-            p_l, i0 = 0.0, 0
-            for pid, pair, s2 in rows:
-                q1 = pair * c1 * p_ph
-                residual = 2.0 * (q1 / (pid + q1)) * s2
-                if residual >= injection:
-                    break
-                p_l += 2.0 ** (-i0) * residual
-                i0 += 1
-            p_l += 2.0 ** (1 - i0) * injection
-            vals.append(p_l / (anchor * p_ph))
+        vals = [_v2_alpha(anchor, rows, p_ph, c1) for anchor, rows in zip(anchors, trials)]
         return sum(vals) / len(vals)
 
     lo, hi = math.log(1e-4), math.log(10.0)

@@ -27,6 +27,9 @@ MIN_GATE_FACTOR = 2.0 * math.sqrt(2.0)  # N_gate >= 2 sqrt(2) lambda T
 CYCLE_TIME = 1e-6  # seconds per surface-code cycle
 D_MAX = 99  # largest code distance the solver tries
 P_THRESHOLD = 1e-2  # surface-code threshold of the logical error model
+#: SMM setup behind :func:`smm_alpha_provider`: TMR factors k and RUS threshold theta_th.
+SMM_K = 7
+SMM_THETA_TH = 0.01
 
 
 class DistanceSolveError(RuntimeError):
@@ -80,31 +83,25 @@ def patch_count(n_l: int) -> int:
 
 
 def smm_alpha_provider(
-    p_ph: float,
-    k: int = 7,
-    theta_th: float = 0.01,
-    p_m: float = 2e-9,
-    c1: float | None = None,
+    p_ph: float, p_m: float = 2e-9, c1: float | None = None
 ) -> mitigation.AlphaModel:
-    """alpha_RUS(theta) backed by the SMM analytics at the given setup.
+    """alpha_RUS(theta) backed by the SMM analytics at k = SMM_K, theta_th = SMM_THETA_TH.
 
     |theta| >= theta_th is pure synthesis (n_rus = 0): the P_L of the gate at
     theta_th, so alpha = P_L(theta_th) / (|theta| p_ph).
     """
     if c1 is None:
-        c1 = smm.calibrate_c1(k=k, p_ph=p_ph)
-    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,))
+        c1 = smm.calibrate_c1(k=SMM_K, p_ph=p_ph)
+    params = tmr.TmrParams(k=SMM_K, p_ph=p_ph, pass_coeffs=(c1,))
 
     def report(theta_l: float) -> smm.SmmReport:
-        config = smm.SmmConfig(
-            theta_l=theta_l, tmr_params=params, theta_th=theta_th, p_m=p_m
-        )
+        config = smm.SmmConfig(theta_l=theta_l, tmr_params=params, theta_th=SMM_THETA_TH, p_m=p_m)
         return smm.effective_error_rate(config)
 
     def alpha(theta: float) -> float:
-        if abs(theta) < theta_th:
+        if abs(theta) < SMM_THETA_TH:
             return report(theta).alpha_rus
-        return report(theta_th).alpha_rus * theta_th / abs(theta)
+        return report(SMM_THETA_TH).alpha_rus * SMM_THETA_TH / abs(theta)
 
     return alpha
 

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +202,26 @@ class TestAlphaSweep:
         assert "cannot convert float infinity to integer" in err
         assert not (tmp_path / "alpha_sweep.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p_m,alpha", [("2e-9", "inf"), ("0", "nan")])
+    def test_non_finite_alpha_names_the_row(self, tmp_path, capsys, p_m, alpha):
+        # theta_L * p_ph underflows to 0: alpha_rus = P_L / 0, and 0 / 0 once P_L is 0 too
+        cfg = (
+            "[alpha_sweep]\nmode = fixed_ratio\nratio = 128\ntheta_l_min = 1e-300\n"
+            f"theta_l_max = 1e-299\np_m = {p_m}\np_ph = 1e-30\n"
+        )
+        assert _run(tmp_path, "alpha-sweep", cfg) == 0
+        lines = (tmp_path / "alpha_sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 27  # nine grid points for each k = 5, 7, 9
+        err = capsys.readouterr().err
+        for line in lines:
+            theta_l, k, _, _, cell = line.split(",")[:5]
+            assert cell == alpha
+            assert (
+                f"[alpha_sweep] row theta_L = {float(theta_l)!r}, k = {k}: "
+                f"alpha_rus = P_L / (theta_L p_ph) is {alpha}\n"
+            ) in err
+
     @settings(max_examples=30, deadline=None)
     @given(
         fixed_ratio=st.booleans(),
@@ -232,16 +254,24 @@ class TestAlphaSweep:
             f"k = {','.join(map(str, ks))}\np_ph = {p_ph!r}\np_m = {p_m!r}\n"
             f"c1 = {c1!r}\nhigher_orders = {'true' if higher else 'false'}\n"
         )
-        with tempfile.TemporaryDirectory() as out:
+        with tempfile.TemporaryDirectory() as out, redirect_stderr(io.StringIO()) as err:
             assert _run(Path(out), "alpha-sweep", cfg) == 0
             lines = (Path(out) / "alpha_sweep.csv").read_text().strip().split("\n")
+        # the kept rows and the skip count follow smm.in_domain over the whole grid
+        grid = cli._log_grid("alpha_sweep", "lo", "hi", lo, lo * 10.0 ** decades, ppd)
+        keep = smm.in_domain(grid, ratio * np.array(grid) if fixed_ratio else theta_th)
+        skipped = (len(grid) - int(keep.sum())) * len(ks)
+        assert ("alpha-sweep: skipped" in err.getvalue()) == (skipped > 0)
+        if skipped:
+            assert f"alpha-sweep: skipped {skipped} rows" in err.getvalue()
         cells = [line.split(",") for line in lines[1:]]
-        assert len(cells) % len(ks) == 0
-        per_k = len(cells) // len(ks)
+        per_k = int(keep.sum())
+        assert len(cells) == per_k * len(ks)
         for i, k in enumerate(ks):
             block = cells[i * per_k:(i + 1) * per_k]
             assert [int(c[1]) for c in block] == [k] * per_k
             theta_l = np.array([float(c[0]) for c in block])
+            assert theta_l.tolist() == np.array(grid)[keep].tolist()
             thresholds = np.array([float(c[2]) for c in block])
             if fixed_ratio:
                 assert np.array_equal(thresholds, ratio * theta_l)
@@ -347,6 +377,26 @@ class TestTradeoff:
             assert _run(out, "tradeoff", cfg) == 0
             outputs.append((out / "tradeoff.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_overflow_names_the_row(self, tmp_path, capsys):
+        # for a subnormal theta_L, 2^n |theta_L| <= pi/8 holds past n = 1023
+        cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 1e-310").replace(
+            "n_max = 8", "n_max = 2000"
+        )
+        assert _run(tmp_path, "tradeoff", cfg) == 4
+        assert capsys.readouterr().err.startswith("model error: [tradeoff] row theta_L = 1e-310")
+        assert not (tmp_path / "tradeoff.csv").exists()
+
+    def test_tiny_normal_angle_runs_every_threshold(self, tmp_path):
+        # 2^995 * 1e-300 ~ 0.32 <= pi/8 < 2^996 * 1e-300; eight default deltas
+        cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 1e-300").replace(
+            "n_max = 8", "n_max = 2000"
+        )
+        assert _run(tmp_path, "tradeoff", cfg) == 0
+        lines = (tmp_path / "tradeoff.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 1004
+        ns = [int(line.split(",")[1]) for line in lines]
+        assert ns == list(range(996)) + [-j for j in range(1, 9)]
 
 
 class TestBound:

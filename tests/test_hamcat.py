@@ -37,6 +37,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             hamcat.hubbard_entry(t, u, 10)
 
+    @pytest.mark.parametrize("length", [-3, 0, 1, 2])
+    def test_hubbard_needs_the_periodic_lattice(self, length):
+        # hubbard_terms rejects these lattices, so their catalog lambda has no term list
+        with pytest.raises(ValueError, match="L >= 3"):
+            hamcat.hubbard_entry(1.0, 4.0, length)
+        with pytest.raises(ValueError, match="L >= 3"):
+            hamcat.hubbard_terms(length, 1.0, 4.0)
+
     def test_tfim_formula(self):
         entry = hamcat.tfim_entry(1.0, 3.0, 4)
         assert entry.lam == pytest.approx((2 + 3) * 16)

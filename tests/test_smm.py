@@ -235,6 +235,39 @@ class TestEffectiveErrorRate:
             _config(1e-4, p_m=0.1)
 
 
+class TestDomain:
+    EDGES = [
+        0.0, -0.0, math.nextafter(smm.MAX_THRESHOLD, 0.0), smm.MAX_THRESHOLD,
+        math.nextafter(smm.MAX_THRESHOLD, 1.0), smm.MAX_THRESHOLD + 1e-15,
+        math.nextafter(smm.MAX_THRESHOLD + 1e-15, 1.0), math.nan, math.inf,
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta_l=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGES),
+        theta_th=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGES),
+        negative=st.booleans(),
+    )
+    def test_mask_accepts_exactly_the_configs(self, theta_l, theta_th, negative):
+        theta_l = -theta_l if negative else theta_l
+        params = tmr.TmrParams(k=5, p_ph=1e-3)
+        try:
+            smm.SmmConfig(theta_l=theta_l, tmr_params=params, theta_th=theta_th)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert smm.in_domain(theta_l, theta_th) == accepted
+        assert smm.in_domain([theta_l, 0.0], [theta_th, 0.01]).tolist() == [accepted, True]
+
+    def test_edges(self):
+        pi_8 = smm.MAX_THRESHOLD
+        thresholds = [pi_8, math.nextafter(pi_8, 1.0), pi_8 + 1e-15, 1.0, 0.0, -0.01, math.nan]
+        assert smm.in_domain(0.0, thresholds).tolist() == [True] * 3 + [False] * 4
+        assert smm.in_domain([-0.01, 0.01, 0.0101, math.nan, -math.inf], 0.01).tolist() == [
+            True, True, False, False, False,
+        ]
+
+
 class TestErrorRates:
     """The array form against a loop over the scalar reference path."""
 
