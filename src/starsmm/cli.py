@@ -98,14 +98,6 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _get(cfg, section: str, key: str, default=None, required: bool = False):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    if required:
-        raise ConfigError(f"[{section}] {key} is required")
-    return default
-
-
 def _check_bounds(
     section, key, raw, values, minimum=None, maximum=None, above=None, below=None
 ) -> None:
@@ -127,41 +119,45 @@ def _check_bounds(
             raise ConfigError(f"[{section}] {key} = {raw!r} must be < {below}")
 
 
+def _boolean(token: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[token.lower()]
+
+
+_KINDS = {int: "an integer", float: "a number",
+          _boolean: f"a boolean ({'/'.join(configparser.ConfigParser.BOOLEAN_STATES)})"}
+
+
 def _get_value(
-    cfg, section, key, default=None, *, cast=float, many=False, required=False, what=None,
+    cfg, section, key, default=None, *, cast=float, words=(), many=False, required=False,
     **bounds,
 ):
     """[section] key converted by ``cast`` and checked by :func:`_check_bounds`.
 
-    ``many`` reads a non-empty comma-separated list.  ``what`` names the
-    expected value in the error for a token ``cast`` rejects.  Returns
+    ``words`` are the names the key accepts, or a mapping from each name to
+    its value; ``cast=None`` accepts only those.  ``many`` reads a non-empty
+    comma-separated list.  Only numbers are bounds-checked.  Returns
     ``default`` when the key is unset.
     """
-    raw = _get(cfg, section, key, required=required)
-    if raw is None:
+    if not cfg.has_option(section, key):
+        if required:
+            raise ConfigError(f"[{section}] {key} is required")
         return default
-    tokens = [tok for tok in raw.split(",") if tok.strip()] if many else [raw]
+    raw = cfg.get(section, key)
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()] if many else [raw]
     if not tokens:
         raise ConfigError(f"[{section}] {key} = {raw!r} must list at least one value")
+    names = words if isinstance(words, dict) else {word: word for word in words}
     try:
-        values = [cast(tok) for tok in tokens]
-    except ValueError as exc:
-        if what is None:
-            what = ("an integer" if cast is int else "a number") + (" list" if many else "")
+        values = [names[tok] if tok in names or cast is None else cast(tok) for tok in tokens]
+    except (ValueError, KeyError) as exc:
+        if cast is None:
+            what = ("a list of " if many else "one of ") + ", ".join(map(repr, names))
+        else:
+            what = " or ".join([_KINDS[cast] + (" list" if many else ""), *map(repr, names)])
         raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
-    _check_bounds(section, key, raw, values, **bounds)
+    numbers = [value for value in values if isinstance(value, (int, float))]
+    _check_bounds(section, key, raw, numbers, **bounds)
     return values if many else values[0]
-
-
-def _get_bool(cfg, section, key, default: bool) -> bool:
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError as exc:
-        words = "/".join(configparser.ConfigParser.BOOLEAN_STATES)
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean ({words})") from exc
 
 
 def _log_grid(
@@ -179,9 +175,7 @@ def _log_grid(
 
 def _get_c1(cfg, section) -> float | None:
     """The configured c1, or None for 'calibrated' (the default)."""
-    if _get(cfg, section, "c1", "calibrated") == "calibrated":
-        return None
-    return _get_value(cfg, section, "c1", what="a number or 'calibrated'", minimum=0.0)
+    return _get_value(cfg, section, "c1", words={"calibrated": None}, minimum=0.0)
 
 
 def _get_p_ph(cfg, section) -> float:
@@ -199,19 +193,20 @@ def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
 
 def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigation.AlphaModel:
     """A constant RUS factor, or the SMM analytics for the value 'smm'."""
-    if _get(cfg, section, key) == "smm":
-        return tepai.smm_alpha_provider(p_ph, **smm_setup)
-    return _get_value(cfg, section, key, 0.1, what="a number or 'smm'", above=0.0)
+    alpha = _get_value(cfg, section, key, 0.1, words={"smm": None}, above=0.0)
+    return tepai.smm_alpha_provider(p_ph, **smm_setup) if alpha is None else alpha
 
 
 def _error_rates(section, row_name, params, theta_l, theta_th, **setup) -> smm.SweepRates:
-    """``smm.error_rates``; an ArithmeticError becomes a ValueError naming ``row_name(r)``.
+    """``smm.error_rates``; a failure becomes a ValueError naming ``row_name(r)``.
 
-    Rows are independent, so bisecting over prefixes finds the first failing row r.
+    ``smm.in_domain`` and the config checks have vetted every argument, so a
+    ValueError or ArithmeticError belongs to a row.  Rows are independent, so
+    bisecting over prefixes finds the first failing row r.
     """
     try:
         return smm.error_rates(params, theta_l, theta_th, **setup)
-    except ArithmeticError as exc:
+    except (ValueError, ArithmeticError) as exc:
         error = exc
     passes, fails = 0, len(theta_l)  # the first `passes` rows run, the first `fails` raise
     while fails - passes > 1:
@@ -219,7 +214,7 @@ def _error_rates(section, row_name, params, theta_l, theta_th, **setup) -> smm.S
         try:
             smm.error_rates(params, theta_l[:mid], theta_th[:mid], **setup)
             passes = mid
-        except ArithmeticError as exc:
+        except (ValueError, ArithmeticError) as exc:
             fails, error = mid, exc
     raise ValueError(f"[{section}] row {row_name(fails - 1)}: {error}") from error
 
@@ -230,9 +225,8 @@ def _error_rates(section, row_name, params, theta_l, theta_th, **setup) -> smm.S
 
 def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     section = "alpha_sweep"
-    mode = _get(cfg, section, "mode", required=True)
-    if mode not in ("fixed_ratio", "fixed_threshold"):
-        raise ConfigError(f"[{section}] mode = {mode!r} must be fixed_ratio or fixed_threshold")
+    mode = _get_value(cfg, section, "mode", cast=None, words=("fixed_ratio", "fixed_threshold"),
+                      required=True)
     ratio = _get_value(cfg, section, "ratio", required=mode == "fixed_ratio", minimum=1.0)
     theta_th = _get_value(
         cfg, section, "theta_th", required=mode == "fixed_threshold",
@@ -244,7 +238,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     ks = _get_value(cfg, section, "k", [5, 7, 9], cast=int, many=True, minimum=2)
     p_ph = _get_p_ph(cfg, section)
     p_m = _get_value(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
-    higher = _get_bool(cfg, section, "higher_orders", True)
+    higher = _get_value(cfg, section, "higher_orders", True, cast=_boolean)
     grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
 
     grid_th = ratio * np.array(grid) if mode == "fixed_ratio" else np.full(len(grid), theta_th)
@@ -291,7 +285,7 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     theta_ls = _get_value(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7], many=True)
     if 0.0 in theta_ls:
         # negative angles are fine: the model is mirror-symmetric
-        raw = _get(cfg, section, "theta_l")
+        raw = cfg.get(section, "theta_l")
         raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
     n_max = _get_value(cfg, section, "n_max", 15, cast=int, minimum=0)
     k = _get_value(cfg, section, "k", 7, cast=int, minimum=2)
@@ -337,15 +331,10 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
 
 def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     section = "bound"
-    arch_raw = _get(cfg, section, "architectures", "v1,v2,v3,ftqc-cultivation")
-    architectures = [a.strip() for a in arch_raw.split(",") if a.strip()]
-    if not architectures:
-        raise ConfigError(f"[{section}] architectures = {arch_raw!r} must list at least one value")
-    for arch in architectures:
-        if arch not in mitigation.ARCHITECTURES:
-            raise ConfigError(
-                f"[{section}] architectures = {arch_raw!r}: unknown architecture {arch!r}"
-            )
+    architectures = _get_value(
+        cfg, section, "architectures", list(mitigation.ARCHITECTURES),
+        cast=None, words=mitigation.ARCHITECTURES, many=True,
+    )
     theta_star = _get_value(cfg, section, "theta_star", 1e-5, above=0.0, maximum=tmr.MAX_THETA)
     p_ph = _get_value(cfg, section, "p_ph", 1e-3, above=0.0, maximum=tmr.MAX_P_PH)
     # the cultivation variant synthesizes its rotations at accuracy p_m
@@ -381,29 +370,27 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     """(name, lambda, N_L) rows from system names and/or a lambda grid."""
     section = "tepai"
     systems = []
-    raw = _get(cfg, section, "systems")
-    if raw:
-        for token in (tok.strip() for tok in raw.split(",") if tok.strip()):
-            if token.startswith("hubbard:"):
-                t_hop = _get_value(cfg, section, "hubbard_t", 1.0, minimum=0.0)
-                u_int = _get_value(cfg, section, "hubbard_u", 4.0, minimum=0.0)
-                try:
-                    length = int(token.split(":", 1)[1])
-                    entry = hamcat.hubbard_entry(t_hop, u_int, length)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
-                    ) from exc
-                systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
-            else:
-                try:
-                    entry = hamcat.molecule(token)
-                except KeyError as exc:
-                    raise ConfigError(f"[{section}] systems: {exc.args[0]}") from exc
-                systems.append((entry.name, entry.lam, entry.n_l))
+    for token in _get_value(cfg, section, "systems", [], cast=str, many=True):
+        if token.startswith("hubbard:"):
+            t_hop = _get_value(cfg, section, "hubbard_t", 1.0, minimum=0.0)
+            u_int = _get_value(cfg, section, "hubbard_u", 4.0, minimum=0.0)
+            try:
+                length = int(token.split(":", 1)[1])
+                entry = hamcat.hubbard_entry(t_hop, u_int, length)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
+                ) from exc
+            systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
+        else:
+            try:
+                entry = hamcat.molecule(token)
+            except KeyError as exc:
+                raise ConfigError(f"[{section}] systems: {exc.args[0]}") from exc
+            systems.append((entry.name, entry.lam, entry.n_l))
     lam_grid = _get_value(cfg, section, "lam_grid", [], many=True)
     if lam_grid:
-        grid_raw = _get(cfg, section, "lam_grid")
+        grid_raw = cfg.get(section, "lam_grid")
         if len(lam_grid) != 3:
             raise ConfigError(
                 f"[{section}] lam_grid = {grid_raw!r} must be 'min,max,points_per_decade'"

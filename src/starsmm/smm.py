@@ -319,7 +319,13 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     success-at-m trajectory class is evaluated without perturbative
     truncation.  Differs from :func:`effective_error_rate` only by the
     O((sum qbar)^2) cross terms the analytic sum drops.
+
+    The channels keep every branch up to ``j_max``, so a config with
+    ``include_higher_orders=False`` raises ValueError unless ``j_max = 1``,
+    where the leading-order model keeps every branch too.
     """
+    if not config.include_higher_orders and config.tmr_params.j_max > 1:
+        raise ValueError("the enumerator keeps every branch: leading order needs j_max = 1")
     if config.theta_l == 0.0:
         return 0.0
     report = effective_error_rate(config)
@@ -365,7 +371,9 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     failures), and the accumulated angle deviation is scored exactly as
     sin^2 at completion.  Digital-branch trajectories keep their analog
     deviation and fold in the synthesis/magic flip rate, matching the
-    full-accounting P_L.
+    full-accounting P_L.  The branch tables keep every branch up to
+    ``j_max``, so ``include_higher_orders=False`` reaches the sample only
+    through ``p_digital``: with ``j_max > 1`` it estimates neither model.
 
     The RNG is counter-based: Philox keyed by (seed, chunk index) with a
     fixed chunk size and a fixed draw order inside each chunk, so

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsmm import cli, smm, tmr
+from starsmm import cli, hamcat, pcec, smm, tepai, tmr
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -200,6 +201,18 @@ class TestAlphaSweep:
         err = capsys.readouterr().err
         assert err.startswith("model error: [alpha_sweep] row theta_L = 1e-266, k = 5: ")
         assert "cannot convert float infinity to integer" in err
+        assert not (tmp_path / "alpha_sweep.csv").exists()
+
+    def test_library_value_error_names_the_row(self, tmp_path, capsys):
+        # delta = 0.1 * 2^N * p_analog reaches 1, which the T-count rejects
+        cfg = (
+            "[alpha_sweep]\nmode = fixed_threshold\ntheta_th = 0.39\ntheta_l_min = 1e-300\n"
+            "theta_l_max = 1e-290\npoints_per_decade = 1\nk = 2\np_ph = 0.01\np_m = 0\nc1 = 1\n"
+        )
+        assert _run(tmp_path, "alpha-sweep", cfg) == 4
+        assert capsys.readouterr().err == (
+            "model error: [alpha_sweep] row theta_L = 1e-300, k = 2: delta must lie in (0, 1)\n"
+        )
         assert not (tmp_path / "alpha_sweep.csv").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -660,6 +673,24 @@ class TestDomainErrors:
         assert '"' not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [
+            ("alpha-sweep", ALPHA_CFG.replace("mode = fixed_ratio", "mode = fixed_rati"),
+             "[alpha_sweep] mode = 'fixed_rati' is not one of 'fixed_ratio', 'fixed_threshold'"),
+            ("bound", BOUND_CFG + "architectures = v1,warpdrive\n",
+             "[bound] architectures = 'v1,warpdrive' is not a list of "
+             "'v1', 'v2', 'v3', 'ftqc-cultivation'"),
+            ("tepai", TEPAI_CFG.replace("4Fe-4S", ",") + "lam_grid = 10,100,1\nn_l = 72\n",
+             "[tepai] systems = ',' must list at least one value"),
+        ],
+        ids=["alpha_sweep-mode", "bound-architectures", "tepai-systems-empty"],
+    )
+    def test_name_error_lists_allowed_names(self, tmp_path, capsys, command, cfg, message):
+        assert _run(tmp_path, command, cfg) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_numeric_c1_allows_zero_p_ph(self, tmp_path):
         # p_ph = 0 only rules out calibrating c1
         cfg = ALPHA_CFG.replace("c1 = calibrated", "c1 = 0.04") + "p_ph = 0\n"
@@ -668,6 +699,33 @@ class TestDomainErrors:
     def test_p_m_zero_allowed_without_cultivation(self, tmp_path):
         cfg = BOUND_CFG + "p_m = 0\narchitectures = v1,v2,v3\n"
         assert _run(tmp_path, "bound", cfg) == 0
+
+
+class TestConfigReader:
+    def test_reader_is_asked_for_exactly_the_declared_keys(self, tmp_path, monkeypatch):
+        asked = {}
+        read = cli._get_value
+
+        def recording(cfg, section, key, *args, **kwargs):
+            asked.setdefault(section, set()).add(key)
+            return read(cfg, section, key, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_get_value", recording)
+        runs = [
+            ("alpha-sweep", ALPHA_CFG + "higher_orders = off\n"),
+            ("alpha-sweep", ALPHA_CFG.replace("mode = fixed_ratio", "mode = fixed_threshold")
+             .replace("ratio = 128", "theta_th = 0.01")),
+            ("tradeoff", TRADEOFF_CFG),
+            ("bound", BOUND_CFG.replace("alpha_v3 = 0.1", "alpha_v3 = smm")),
+            ("tepai", TEPAI_CFG.replace("4Fe-4S", "hubbard:4,4Fe-4S")
+             + "lam_grid = 10,100,1\nn_l = 72\n"),
+            ("verify", "[verify]\nmc_shots = 20000\n"),
+        ]
+        for i, (command, cfg) in enumerate(runs):
+            out = tmp_path / str(i)
+            out.mkdir()
+            assert _run(out, command, cfg) == 0
+        assert asked == cli._KNOWN_KEYS
 
 
 class TestExitCodes:
@@ -715,6 +773,36 @@ class TestVerify:
         assert _run(tmp_path, "verify", cfg, seed=9) == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert not report["c1_calibration"]["pass"]
+
+    @pytest.mark.parametrize(
+        "check,module,name,broken",
+        [
+            ("smm_enumeration_oracle", smm, "enumerate_error_rate",
+             lambda original, config: 2.0 * original(config)),
+            # the noisy channel without its canceller
+            ("pcec_residual_oracle", pcec, "composed_error_channel",
+             lambda original, model: pcec.build_noisy_channel(model)),
+            # a bias of ten standard errors
+            ("smm_monte_carlo", smm, "monte_carlo",
+             lambda original, *args: dataclasses.replace(
+                 rep := original(*args), p_l_hat=rep.p_l_hat + 10.0 * rep.p_l_se)),
+            ("tepai_identities", tepai, "sampling_overhead",
+             lambda original, *args: (1.001 * (pair := original(*args))[0], pair[1])),
+            ("hubbard_l1_norm", hamcat, "l1_norm",
+             lambda original, terms: 1.001 * original(terms)),
+        ],
+        ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard"],
+    )
+    def test_broken_library_fails_its_check(
+        self, tmp_path, capsys, monkeypatch, check, module, name, broken
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: broken(original, *args))
+        assert _run(tmp_path, "verify", "[verify]\nmc_shots = 20000\n", seed=9) == 1
+        assert "verify: FAILURES detected" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        # each broken function is called by its own check only
+        assert {key for key, entry in report.items() if not entry["pass"]} == {check}
 
     @pytest.mark.parametrize(
         "cfg,message",

@@ -471,6 +471,22 @@ class TestEnumerationOracle:
         )
         assert abs(rep.p_l - exact) <= 10.0 * q_max ** 2
 
+    def test_leading_order_with_higher_branches_raises(self):
+        # k = 5 keeps j_max = 2 branches; the leading-order P_L drops the second
+        cfg = _config(0.02, k=5, threshold_ratio=2.0, p_m=0.0, include_higher_orders=False)
+        assert cfg.tmr_params.j_max == 2
+        with pytest.raises(ValueError, match="j_max = 1"):
+            smm.enumerate_error_rate(cfg)
+
+    def test_leading_order_at_j_max_one_matches_analytic(self):
+        params = tmr.TmrParams(k=5, p_ph=1e-3, pass_coeffs=(smm.calibrate_c1(),), j_max=1)
+        setup = dict(theta_l=0.02, tmr_params=params, threshold_ratio=2.0, p_m=0.0)
+        lead = smm.SmmConfig(include_higher_orders=False, **setup)
+        rep = smm.effective_error_rate(lead)
+        assert rep.p_l == smm.effective_error_rate(smm.SmmConfig(**setup)).p_l
+        q_sum = sum(row.model.error_weight() for row in rep.trials)
+        assert abs(rep.p_l - smm.enumerate_error_rate(lead)) <= 10.0 * q_sum ** 2
+
 
 class TestMonteCarlo:
     def test_bit_reproducible(self):
