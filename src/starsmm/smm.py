@@ -49,6 +49,8 @@ T_GATE_LATENCY_CLOCKS = 10.0 / 2 + TELEPORT_CLOCKS
 #: Logical angle at which calibrate_c1 matches the octave-averaged
 #: previous-generation RUS factor to its published value.
 CALIBRATION_ANCHOR = 1e-5
+#: The octave above CALIBRATION_ANCHOR that calibrate_c1 averages over.
+_OCTAVE = tuple(CALIBRATION_ANCHOR * 2.0 ** (j / 16.0) for j in range(16))
 
 
 def n_rus(theta_l: float, theta_th: float) -> int:
@@ -326,8 +328,6 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     """
     if not config.include_higher_orders and config.tmr_params.j_max > 1:
         raise ValueError("the enumerator keeps every branch: leading order needs j_max = 1")
-    if config.theta_l == 0.0:
-        return 0.0
     report = effective_error_rate(config)
     total = 0.0
     acc = 1.0 + 0.0j
@@ -385,9 +385,6 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if config.theta_l == 0.0:
-        return McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-
     report = effective_error_rate(config)
 
     # per-trial sampling tables
@@ -503,26 +500,31 @@ def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
     return _v2_alpha(theta_l, _v2_trials(theta_l, k, p_ph), p_ph, c1)
 
 
+def v2_octave_average(k: int, p_ph: float, c1: float) -> float:
+    """:func:`v2_rus_factor` averaged over the 16 angles CALIBRATION_ANCHOR * 2^(j/16), j < 16."""
+    vals = [v2_rus_factor(theta_l, k, p_ph, c1) for theta_l in _OCTAVE]
+    return sum(vals) / len(vals)
+
+
 @functools.lru_cache(maxsize=None)
 def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
     """Fit c_1 so the previous-generation RUS factor matches V2_RUS_FACTOR.
 
     The factor oscillates with log2(theta_l) (period one octave), so the
-    calibration matches the octave average at CALIBRATION_ANCHOR.  Bisection
-    on log(c_1) is safe: the averaged factor is monotone in c_1.
+    calibration matches :func:`v2_octave_average`.  Bisection on log(c_1) is
+    safe: the averaged factor is monotone in c_1.
 
     Each bisection step runs :func:`v2_rus_factor`'s switch loop over trial
     rows built once per call.  The answer is then checked through
-    :func:`v2_rus_factor` itself: a ValueError is raised unless the octave
-    average there is V2_RUS_FACTOR within 1e-6.
+    :func:`v2_octave_average` itself: a ValueError is raised unless it is
+    V2_RUS_FACTOR within 1e-6.
     """
     if p_ph <= 0.0:
         raise ValueError("p_ph must be positive")
-    anchors = [CALIBRATION_ANCHOR * 2.0 ** (j / 16.0) for j in range(16)]
-    trials = [list(_v2_trials(anchor, k, p_ph)) for anchor in anchors]
+    trials = [list(_v2_trials(theta_l, k, p_ph)) for theta_l in _OCTAVE]
 
     def averaged_alpha(c1: float) -> float:
-        vals = [_v2_alpha(anchor, rows, p_ph, c1) for anchor, rows in zip(anchors, trials)]
+        vals = [_v2_alpha(theta_l, rows, p_ph, c1) for theta_l, rows in zip(_OCTAVE, trials)]
         return sum(vals) / len(vals)
 
     lo, hi = math.log(1e-4), math.log(10.0)
@@ -538,8 +540,7 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
             hi = mid
     c1 = math.exp(0.5 * (lo + hi))
 
-    vals = [v2_rus_factor(anchor, k, p_ph, c1) for anchor in anchors]
-    mean = sum(vals) / len(vals)
+    mean = v2_octave_average(k, p_ph, c1)
     if abs(mean - mitigation.V2_RUS_FACTOR) > 1e-6:
         raise ValueError(
             f"calibrated c1 = {c1!r} (k = {k}, p_ph = {p_ph!r}) gives an octave-averaged "

@@ -319,7 +319,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         "tradeoff": "[tradeoff]\ntheta_l = 1e-5\nn_max = 6\nk = 7\n",
         "bound": "[bound]\nalpha_v3 = 0.1\nn_t_max = 1e8\npoints_per_decade = 1\n",
         "tepai": "[tepai]\nsystems = 4Fe-4S\nt = 10\nalpha = 0.1\n",
-        "verify": "[verify]\nmc_shots = 50000\n",
+        "verify": "[verify]\n",
     }
     ok = True
     for command, cfg_text in configs.items():

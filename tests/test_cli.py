@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsmm import cli, hamcat, pcec, smm, tepai, tmr
+from starsmm import cli, hamcat, mitigation, pcec, smm, tepai, tmr, zchan
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -137,6 +138,11 @@ class TestAlphaSweep:
 
     def test_missing_config_is_error(self, tmp_path):
         assert _run(tmp_path, "alpha-sweep", None) == 2
+
+    def test_config_file_not_found_is_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert cli.main(["alpha-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: config file not found: {path}\n"
 
     @pytest.mark.parametrize(
         "cfg,kept,skipped",
@@ -520,6 +526,19 @@ alpha = 0.1
         assert names[0] == "hubbard-4x4"
         assert len(names) == 1 + 2  # hubbard + two lambda grid points
 
+    @pytest.mark.parametrize(
+        "couplings,lam",
+        [("hubbard_u = 8\n", 600.0), ("hubbard_t = 0.5\n", 300.0),
+         ("hubbard_t = 0.5\nhubbard_u = 8\n", 400.0)],
+        ids=["u", "t", "t-u"],
+    )
+    def test_hubbard_couplings_set_lambda(self, tmp_path, couplings, lam):
+        # lambda = (4t + U/4) L^2 with defaults t = 1, U = 4
+        cfg = TEPAI_CFG.replace("4Fe-4S", "hubbard:10") + couplings
+        assert _run(tmp_path, "tepai", cfg) == 0
+        lines = (tmp_path / "tepai.csv").read_text().strip().split("\n")[1:]
+        assert {float(line.split(",")[1]) for line in lines} == {lam}
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize(
@@ -719,7 +738,7 @@ class TestConfigReader:
             ("bound", BOUND_CFG.replace("alpha_v3 = 0.1", "alpha_v3 = smm")),
             ("tepai", TEPAI_CFG.replace("4Fe-4S", "hubbard:4,4Fe-4S")
              + "lam_grid = 10,100,1\nn_l = 72\n"),
-            ("verify", "[verify]\nmc_shots = 20000\n"),
+            ("verify", "[verify]\n"),
         ]
         for i, (command, cfg) in enumerate(runs):
             out = tmp_path / str(i)
@@ -769,7 +788,7 @@ class TestVerify:
         assert all(entry["pass"] for entry in report.values())
 
     def test_tampered_c1_detected(self, tmp_path):
-        cfg = "[verify]\nmc_shots = 50000\nc1 = 0.9\n"
+        cfg = "[verify]\nc1 = 0.9\n"
         assert _run(tmp_path, "verify", cfg, seed=9) == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert not report["c1_calibration"]["pass"]
@@ -790,15 +809,39 @@ class TestVerify:
              lambda original, *args: (1.001 * (pair := original(*args))[0], pair[1])),
             ("hubbard_l1_norm", hamcat, "l1_norm",
              lambda original, terms: 1.001 * original(terms)),
+            # the array path behind the sweep CSVs: its k = 3 gates miss the bound 11-20x
+            ("smm_enumeration_oracle", pcec, "residual_rates",
+             lambda original, *args: 1.01 * original(*args)),
+            ("channel_algebra", zchan, "worst_case_vs_pauli_model",
+             lambda original, *args: 1.0 + original(*args)),
+            # a new seed on every call
+            ("smm_monte_carlo", smm, "monte_carlo",
+             lambda original, config, shots, seed, calls=itertools.count():
+                 original(config, shots, seed + next(calls))),
+            # only on the check's own inputs: the tepai and SMM checks call these too
+            ("switch_probability_bounds", smm, "n_rus",
+             lambda original, theta_l, theta_th:
+                 original(theta_l, theta_th) + ((theta_l, theta_th) == (3e-4, 0.01))),
+            ("tepai_gate_count_minimum", tepai, "gate_count",
+             lambda original, lam_t, delta:
+                 original(lam_t, delta) * (0.999 if lam_t == 37.0 else 1.0)),
+            ("timing_anchor", smm, "effective_error_rate",
+             lambda original, config: dataclasses.replace(
+                 rep := original(config), expected_clocks=rep.expected_clocks + 1.0)
+             if config.threshold_ratio == 64.0 else original(config)),
+            ("bound_intercepts", mitigation, "feasible_boundary",
+             lambda original, *args: [(n_t, 1.001 * n_r) for n_t, n_r in original(*args)]),
         ],
-        ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard"],
+        ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard", "error_rates",
+             "channel_algebra", "monte_carlo_reproducibility", "switch_probability",
+             "gate_count_minimum", "timing_anchor", "bound_intercepts"],
     )
     def test_broken_library_fails_its_check(
         self, tmp_path, capsys, monkeypatch, check, module, name, broken
     ):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: broken(original, *args))
-        assert _run(tmp_path, "verify", "[verify]\nmc_shots = 20000\n", seed=9) == 1
+        assert _run(tmp_path, "verify", None, seed=9) == 1
         assert "verify: FAILURES detected" in capsys.readouterr().out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         # each broken function is called by its own check only
@@ -807,7 +850,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "cfg,message",
         [
-            ("[verify]\nmc_shots = 0\n", "[verify] mc_shots = '0' must be >= 1"),
+            ("[verify]\nmc_shots = 200000\n", "unknown key 'mc_shots' in section [verify]"),
             ("[verify]\nc1 = abc\n", "[verify] c1 = 'abc' is not a number or 'calibrated'"),
         ],
         ids=["mc_shots", "c1"],

@@ -487,6 +487,12 @@ class TestEnumerationOracle:
         q_sum = sum(row.model.error_weight() for row in rep.trials)
         assert abs(rep.p_l - smm.enumerate_error_rate(lead)) <= 10.0 * q_sum ** 2
 
+    @pytest.mark.parametrize("timing_mode", ["pipelined", "latency"])
+    def test_zero_angle_is_the_identity(self, timing_mode):
+        cfg = _config(0.0, theta_th=0.01, threshold_ratio=None, timing_mode=timing_mode)
+        exact = smm.enumerate_error_rate(cfg)
+        assert exact == 0.0 and math.copysign(1.0, exact) == 1.0
+
 
 class TestMonteCarlo:
     def test_bit_reproducible(self):

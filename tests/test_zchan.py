@@ -189,3 +189,47 @@ def test_coherence_factor_multiplies_under_composition():
     zb = zchan.coherence_factor(b, 0.0)
     zc = zchan.coherence_factor(zchan.compose(a, b), 0.0)
     assert zc == pytest.approx(za * zb, abs=1e-14)
+
+
+def test_reduce_angle_maps_minus_half_pi_to_half_pi():
+    assert zchan.reduce_angle(-math.pi / 2) == math.pi / 2
+
+
+def test_mixture_merges_branches_across_the_wrap_around():
+    # -pi/2 + 1e-15 and pi/2 are the same channel modulo pi
+    mix = zchan.mixture([(0.5, math.pi / 2), (0.5, -math.pi / 2 + 1e-15)])
+    assert mix.branches == ((1.0, math.pi / 2),)
+
+
+@pytest.mark.parametrize(
+    "branches,message",
+    [
+        ((), "at least one branch"),
+        (((1.0, -math.pi / 2),), "is not pi-reduced"),
+        (((1.0, 2.0),), "outside"),
+    ],
+    ids=["empty", "not-reduced", "outside"],
+)
+def test_rotation_mixture_rejects_bad_branches(branches, message):
+    with pytest.raises(ValueError, match=message):
+        zchan.RotationMixture(branches)
+
+
+def test_mixture_rejects_all_zero_weights():
+    with pytest.raises(ValueError, match="no branches with non-zero weight"):
+        zchan.mixture([(0.0, 0.1), (0.0, -0.2)])
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        (np.eye(3) / 3, "2x2"),
+        ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+        (np.eye(2), "trace"),
+        ([[1.5, 0.0], [0.0, -0.5]], "eigenvalue"),
+    ],
+    ids=["shape", "hermitian", "trace", "psd"],
+)
+def test_density_matrix_rejects_non_states(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        zchan.DensityMatrix2(np.asarray(matrix))
