@@ -30,6 +30,7 @@ and sampler estimate the same full-accounting quantity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -361,6 +362,51 @@ class McReport:
 
 
 _MC_CHUNK = 1 << 17
+#: A chunk with at most this many live trajectories computes their draws with
+#: :func:`_philox_words` instead of streaming the whole trial: the measured
+#: cross-over of the two on a 2-core Xeon VM.
+_KERNEL_LIVE = 2048
+_HALF = np.uint64(1 << 63)  # a uniform is < 0.5 exactly when its raw word is < 2^63
+_DOUBLE_SHIFT = np.uint64(11)
+
+#: Philox4x64-10 round multipliers and Weyl key increments (Random123).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, built from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> _S32
+    b_lo, b_hi = b & _LO32, b >> _S32
+    t = a_hi * b_lo + ((a_lo * b_lo) >> _S32)
+    u = a_lo * b_hi + (t & _LO32)
+    return a_hi * b_hi + (t >> _S32) + (u >> _S32), a * b
+
+
+def _philox_words(key: tuple[int, int], pos) -> np.ndarray:
+    """``np.random.Philox(key=key).random_raw(n)[pos]``, computed at the positions alone.
+
+    Philox4x64-10 maps a counter (c0, c1, c2, c3) to a block of four words,
+    and numpy's stream starts at counter 1, so position p is lane p % 4 of the
+    block at counter [p // 4 + 1, 0, 0, 0].  Both multiplies of a round run as
+    one (2, n) product of the even counter words (c0, c2).
+    """
+    pos = np.asarray(pos, dtype=np.uint64)
+    flat = pos.ravel()
+    even = np.stack((flat // np.uint64(4) + np.uint64(1), np.zeros_like(flat)))
+    odd = np.zeros_like(even)  # (c1, c3)
+    for r in range(10):
+        round_key = np.array([[(k + r * w) % 2 ** 64] for k, w in zip(key, _PHILOX_W)], np.uint64)
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ round_key, lo[::-1]
+    lane = (flat % np.uint64(4)).astype(np.intp)
+    return np.choose(lane, (even[0], odd[0], even[1], odd[1])).reshape(pos.shape)
+
+
+def _branch_floor(edge: float) -> int:
+    """The least raw word whose uniform (word >> 11) * 2^-53 is >= ``edge``; 2^64 if none is."""
+    return math.ceil(edge * 2.0 ** 53) << 11
 
 
 def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
@@ -375,26 +421,44 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     ``j_max``, so ``include_higher_orders=False`` reaches the sample only
     through ``p_digital``: with ``j_max > 1`` it estimates neither model.
 
-    The RNG is counter-based: Philox keyed by (seed, chunk index) with a
-    fixed chunk size and a fixed draw order inside each chunk, so
-    (seed, trajectory index) determines a trajectory regardless of how
-    chunks are scheduled; results are bit-reproducible.  Every trial draws
-    its three uniforms for the whole chunk, but only the live trajectories,
-    those that have not yet stopped, read theirs and are advanced: trial i
-    reaches 2^-i of the chunk, and a chunk stops drawing once none is live.
+    The RNG is counter-based: chunks of ``_MC_CHUNK`` trajectories, each read
+    from the Philox4x64-10 stream keyed by (seed, chunk index).  Trajectory t
+    of a chunk of ``size`` reads its coin, gate and canceller uniforms of
+    trial i at stream positions 3 i size + {0, size, 2 size} + t, as
+    ``Generator.random`` would draw three arrays of ``size`` per trial, so
+    (seed, trajectory index) fixes a trajectory however chunks are scheduled.
+    Trial i reaches only the live trajectories, those that have not stopped,
+    about 2^-i of the chunk.  While more than ``_KERNEL_LIVE`` are live, a
+    trial streams its 3 size raw words and tests them under a live mask over
+    the whole chunk; from then on (live only shrinks) :func:`_philox_words`
+    computes just the live ones' words at their positions and the stream is
+    left.  A chunk stops once none is live.
+
+    The bits are those of a sampler that draws every uniform with
+    ``Generator.random`` and advances every trajectory: a uniform is
+    (word >> 11) * 2^-53, so the coin test u < 1/2 is word < 2^63, and a draw
+    picks a non-identity branch exactly when its word reaches
+    :func:`_branch_floor` of the identity edge.  Only those draws are turned
+    into uniforms and looked up; every other draw moves the deviation by
+    exactly 0.  A trajectory's clocks are the trial clocks summed in trial
+    order, and sin^2, the digital fold and the four sums run over the whole
+    chunk as such a sampler's would.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     report = effective_error_rate(config)
 
-    # per-trial sampling tables
-    cums, deltas = [], []
+    # per-trial sampling tables: branch edges, angle deviations, identity floor
+    tables = []
     for row in report.trials:
         edges = np.cumsum(row.model.branch_qbars)
         edges[-1] = 1.0
-        cums.append(edges)
-        deltas.append(np.array(row.model.branch_thetas) - row.theta_rus)  # Delta_0 = 0
+        deltas = np.array(row.model.branch_thetas) - row.theta_rus  # Delta_0 = 0
+        tables.append((edges, deltas, _branch_floor(float(edges[0]))))
+    # clocks of a trajectory that stops at trial i (index i), or goes digital (index n_rus)
+    elapsed = list(itertools.accumulate((row.clocks for row in report.trials), initial=0.0))
     t_digital = _digital_clocks(config.timing_mode, report.n_syn)
+    stop_clocks = np.array(elapsed[1:] + [elapsed[-1] + t_digital])
 
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
     n_digital = 0
@@ -402,32 +466,47 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     chunk_index = 0
     while done < shots:
         size = min(_MC_CHUNK, shots - done)
-        # one independent Philox stream per (seed, chunk) key pair
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        key = (seed & 0xFFFFFFFFFFFFFFFF, chunk_index)
+        stream = np.random.Philox(key=np.array(key, dtype=np.uint64))
         err = np.zeros(size)
-        clocks = np.zeros(size)
-        # trial 0 runs every trajectory, on whole-array views; later trials
-        # index the live ones.  A stopped trajectory's err stays final.
-        live = slice(None)
-        for row, edges, dl in zip(report.trials, cums, deltas):
-            u_coin = rng.random(size)[live]
-            u_gate = rng.random(size)[live]
-            u_canc = rng.random(size)[live]
-            j_gate = np.searchsorted(edges, u_gate, side="right")
-            j_canc = np.searchsorted(edges, u_canc, side="right")
-            step = dl[j_gate] - dl[j_canc]
-            coin = u_coin < 0.5
-            err[live] += np.where(coin, step, -step)
-            clocks[live] += row.clocks
-            live = np.flatnonzero(~coin) if isinstance(live, slice) else live[~coin]
-            if live.size == 0:
+        stop = np.zeros(size, dtype=np.intp)  # trials survived: the stopping trial, or n_rus
+        # a live mask over the whole chunk while streaming, then live indices
+        alive = np.ones(size, dtype=bool)
+        live = None if size > _KERNEL_LIVE else np.arange(size)
+        for i, (edges, deltas, floor) in enumerate(tables):
+            if live is None:
+                coin = stream.random_raw(size) < _HALF
+                draws = stream.random_raw(2 * size).reshape(2, size)  # gate, canceller
+                hit = (draws >= floor) & alive
+            else:
+                words = _philox_words(key, (3 * i + np.arange(3)[:, None]) * size + live)
+                coin, draws = words[0] < _HALF, words[1:]
+                hit = draws >= floor
+            moved = np.flatnonzero(hit[0] | hit[1])
+            if moved.size:
+                branch = np.zeros((2, moved.size), dtype=np.intp)
+                hit = hit[:, moved]
+                uniforms = (draws[:, moved][hit] >> _DOUBLE_SHIFT) * 2.0 ** -53
+                branch[hit] = np.searchsorted(edges, uniforms, side="right")
+                step = deltas[branch[0]] - deltas[branch[1]]
+                err[moved if live is None else live[moved]] += np.where(coin[moved], step, -step)
+            if live is None:
+                alive &= ~coin
+                stop += alive
+                if np.count_nonzero(alive) <= _KERNEL_LIVE:
+                    live = np.flatnonzero(alive)
+            else:
+                live = live[~coin]
+                stop[live] += 1
+            if live is not None and live.size == 0:
                 break
-        clocks[live] += t_digital
+        if live is None:
+            live = np.flatnonzero(alive)
         x = np.sin(err) ** 2
         # digital branch: Z-flip with rate p_dig on top of the analog deviation
         s2 = x[live]
         x[live] = (1.0 - report.p_digital) * s2 + report.p_digital * (1.0 - s2)
+        clocks = stop_clocks[stop]
         sum_x += float(x.sum())
         sum_x2 += float((x * x).sum())
         sum_t += float(clocks.sum())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starsmm import pcec, smm, tmr
@@ -17,9 +17,11 @@ def _config(theta_l, k=5, p_ph=1e-3, c1=1.0, **kwargs):
 def _reference_monte_carlo(config, shots, seed):
     """The full-width sampler: every trial advances every trajectory, masked by ``alive``.
 
-    Test oracle for :func:`smm.monte_carlo`, which draws the same Philox
-    stream but advances only the live trajectories; the two must agree bit
-    for bit.
+    Test oracle for :func:`smm.monte_carlo`.  It draws every uniform of every
+    trial with ``Generator.random`` on the (seed, chunk) Philox stream and
+    tests them as doubles.  ``monte_carlo`` reads the same stream positions
+    as raw words, tests them as integers, and computes only the live
+    trajectories' words once few are left; the two must agree bit for bit.
     """
     if config.theta_l == 0.0:
         return smm.McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -525,6 +527,27 @@ class TestMonteCarlo:
         )
         assert mc.p_l_hat == 0.0 and mc.p_switch_hat == 1.0
 
+    # n_rus = 17 at seed 2^64 - 1: two full chunks that switch from the stream to the
+    # counter kernel mid-chunk and a short one above _KERNEL_LIVE (2 * 2^17 + 2049),
+    # one short chunk above it (2049), and one computed by the kernel from trial 0 (2048)
+    @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
+             timing_mode="pipelined", log2_ratio=17, scale=0.75, sign=1.0,
+             shots=2 * 2 ** 17 + 2049, seed=2 ** 64 - 1)
+    @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
+             timing_mode="latency", log2_ratio=17, scale=0.75, sign=1.0,
+             shots=2 * 2 ** 17 + 2049, seed=2 ** 64 - 1)
+    @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
+             timing_mode="pipelined", log2_ratio=17, scale=0.75, sign=1.0,
+             shots=2049, seed=2 ** 64 - 1)
+    @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
+             timing_mode="latency", log2_ratio=17, scale=0.75, sign=1.0,
+             shots=2049, seed=2 ** 64 - 1)
+    @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
+             timing_mode="pipelined", log2_ratio=17, scale=0.75, sign=1.0,
+             shots=2048, seed=2 ** 64 - 1)
+    @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
+             timing_mode="latency", log2_ratio=17, scale=0.75, sign=1.0,
+             shots=2048, seed=2 ** 64 - 1)
     @settings(max_examples=40, deadline=None)
     @given(
         k=st.integers(2, 11),
@@ -552,6 +575,30 @@ class TestMonteCarlo:
             timing_mode=timing_mode,
         )
         assert smm.monte_carlo(config, shots, seed) == _reference_monte_carlo(config, shots, seed)
+
+    @pytest.mark.parametrize("k0", [0, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("k1", [0, 7, 2 ** 40])
+    def test_philox_words_match_the_stream(self, k0, k1):
+        deep = 3 * 17 * 2 ** 17  # the draws of 17 trials of a full chunk
+        pos = np.array([[0, 1, 2, 3, 5, 6, 7, 4097], [deep - 1, deep, deep + 1, deep + 2,
+                                                      deep + 3, deep + 5, deep + 6, deep + 7]])
+        key = np.array([k0, k1], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(deep + 8)
+        assert np.array_equal(smm._philox_words((k0, k1), pos), raw[pos])
+        # the uniforms the sampler's integer tests stand for
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(8)
+        assert np.array_equal(uniforms, (raw[:8] >> np.uint64(11)) * 2.0 ** -53)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edge=st.one_of(st.sampled_from([0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0]), st.floats(0.0, 1.0)),
+        word=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_branch_floor_is_the_uniform_test(self, edge, word):
+        floor = smm._branch_floor(edge)
+        for r in {word, floor - 1, floor}:
+            if 0 <= r < 2 ** 64:
+                assert (r >= floor) == ((r >> 11) * 2.0 ** -53 >= edge)
 
 
 class TestV2Calibration:
