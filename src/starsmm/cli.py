@@ -166,10 +166,11 @@ def _log_grid(
     """Log-spaced grid over [lo, hi] (lo > 0); the keys name the bounds in errors."""
     if hi < lo:
         raise ConfigError(f"[{section}] {lo_key} = {lo!r} must be <= {hi_key} = {hi!r}")
-    n = max(int(round(math.log10(hi / lo) * points_per_decade)), 0) + 1
+    span = math.log10(hi) - math.log10(lo)  # hi / lo itself can overflow
+    n = max(int(round(span * points_per_decade)), 0) + 1
     if n < 2:
         return [lo]
-    step = (math.log10(hi) - math.log10(lo)) / (n - 1)
+    step = span / (n - 1)
     return [10.0 ** (math.log10(lo) + i * step) for i in range(n)]
 
 
@@ -186,23 +187,34 @@ def _get_p_ph(cfg, section) -> float:
     )
 
 
+def _calibrate_c1(section, k: int, p_ph: float) -> float:
+    """``smm.calibrate_c1``; a failure becomes a ValueError naming [section] p_ph and k."""
+    try:
+        return smm.calibrate_c1(k=k, p_ph=p_ph)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"[{section}] p_ph = {p_ph!r}, k = {k}: calibrating c1: {exc}") from exc
+
+
 def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
     c1 = _get_c1(cfg, section)
-    return smm.calibrate_c1(k=k, p_ph=p_ph) if c1 is None else c1
+    return _calibrate_c1(section, k, p_ph) if c1 is None else c1
 
 
 def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigation.AlphaModel:
     """A constant RUS factor, or the SMM analytics for the value 'smm'."""
     alpha = _get_value(cfg, section, key, 0.1, words={"smm": None}, above=0.0)
-    return tepai.smm_alpha_provider(p_ph, **smm_setup) if alpha is None else alpha
+    if alpha is None:
+        c1 = _calibrate_c1(section, tepai.SMM_K, p_ph)
+        return tepai.smm_alpha_provider(p_ph, c1=c1, **smm_setup)
+    return alpha
 
 
 def _error_rates(section, row_name, params, theta_l, theta_th, **setup) -> smm.SweepRates:
     """``smm.error_rates``; a failure becomes a ValueError naming ``row_name(r)``.
 
-    ``smm.in_domain`` and the config checks have vetted every argument, so a
-    ValueError or ArithmeticError belongs to a row.  Rows are independent, so
-    bisecting over prefixes finds the first failing row r.
+    Every gate ``smm.in_domain`` accepts evaluates, so a failure (a library ValueError, or
+    ``math.comb(k, j)`` past the float range at huge k) belongs to a row.  Rows are
+    independent, so bisecting over prefixes finds the first failing row r.
     """
     try:
         return smm.error_rates(params, theta_l, theta_th, **setup)
@@ -300,7 +312,7 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
             deltas.append(d)
             d *= 4.0
 
-    # thresholds 2^n |theta_L| in smm.in_domain; none is past n = 1074 (2^-1074 is the least float)
+    # every threshold 2^n |theta_L| in smm.in_domain evaluates; none is past n = 1074 (least float)
     with np.errstate(over="ignore"):  # an overflowing threshold is inf, outside the domain
         ladder = np.ldexp(np.abs(theta_ls)[:, None], np.arange(min(n_max, 1074) + 1))
     keep = smm.in_domain(np.array(theta_ls)[:, None], ladder)
@@ -352,7 +364,7 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
             curve = mitigation.feasible_boundary(
                 arch, theta_star, grid, p_ph=p_ph, p_m=p_m, alpha_model=alpha_model
             )
-        except ArithmeticError as exc:  # a value overflowed or underflowed in the model
+        except ValueError as exc:  # e.g. a rotation cost rate that underflows to 0
             raise ValueError(
                 f"[{section}] theta_star = {theta_star!r}, architecture {arch}: {exc}"
             ) from exc
@@ -422,16 +434,15 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     rows, estimates = [], []
     for name, lam, n_l in systems:
         for t in times:
-            instance = tepai.TepaiInstance(
-                lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
-                c_smm=c_smm, alpha_model=alpha_model, name=name,
-            )
             try:
-                est = tepai.estimate(instance)
+                est = tepai.estimate(tepai.TepaiInstance(
+                    lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
+                    c_smm=c_smm, alpha_model=alpha_model, name=name,
+                ))
             except tepai.DistanceSolveError:
                 rows.append((name, lam, t, q, eps) + ("ERROR",) * 6)
                 continue
-            except ArithmeticError as exc:  # a value underflowed or overflowed in the model
+            except (ValueError, ArithmeticError) as exc:  # a library check or a float range
                 raise ValueError(f"[{section}] row {name}, T = {t!r}: {exc}") from exc
             if not math.isfinite(est.total_seconds):
                 print(

@@ -26,10 +26,13 @@ INJECTION_RATE = 2.0 / 15.0  # [[4,1,1,2]] injection error per trial / p_ph
 
 
 def synthesis_t_count(delta: float) -> int:
-    """T-count of one synthesized rotation at accuracy delta: ceil(3 log2(1/delta))."""
+    """T-count of one synthesized rotation at accuracy delta: ceil(3 log2(1/delta)).
+
+    Written as ceil(-3 log2 delta), so a subnormal delta does not overflow 1/delta.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return math.ceil(3.0 * math.log2(1.0 / delta))
+    return math.ceil(-3.0 * math.log2(delta))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ def n_rus(theta_l: float, theta_th: float) -> int:
         raise ValueError(
             f"need 0 < theta_l <= theta_th, got theta_l={theta_l!r}, theta_th={theta_th!r}"
         )
-    # snap ratios that are exact powers of two despite float rounding
-    return max(0, math.ceil(math.log2(theta_th / theta_l) - 1e-12))
+    # a difference of logs, which no subnormal theta_l overflows; snap exact powers of two
+    return max(0, math.ceil(math.log2(theta_th) - math.log2(theta_l) - 1e-12))
 
 
 def in_domain(theta_l, theta_th) -> np.ndarray:
@@ -182,7 +182,7 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     """
     mag = np.asarray(mag)
     p_switch = np.ldexp(1.0, -n)
-    delta = np.maximum(p_m, np.ldexp(0.1, n) * p_analog)
+    delta = np.maximum(p_m, 0.1 * np.ldexp(p_analog, n))
     n_syn = np.array(
         [mitigation.synthesis_t_count(d) if d > 0.0 else 0 for d in np.ravel(delta).tolist()],
         dtype=int,
@@ -224,7 +224,7 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
 
     rows = []
     for i in range(n):
-        theta_rus = 2.0 ** i * theta_l
+        theta_rus = math.ldexp(theta_l, i)
         model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
         rows.append(TrialRow(
             index=i, theta_rus=theta_rus, model=model,
@@ -286,7 +286,7 @@ def error_rates(
     clocks = np.zeros(mag.shape)
     for i in range(int(n.max(initial=0))):
         running = n > i  # the rows that reach trial i
-        p_ideal, thetas, qbars = tmr.branch_table(params, 2.0 ** i * mag[running])
+        p_ideal, thetas, qbars = tmr.branch_table(params, np.ldexp(mag[running], i))
         weight = 2.0 ** (-i)
         p_analog[running] += weight * pcec.residual_rates(thetas, qbars, include_higher_orders)
         clocks[running] += weight * _analog_clocks(timing_mode, p_ideal)

@@ -200,14 +200,23 @@ class TestAlphaSweep:
         assert "[alpha_sweep] no theta_L" in capsys.readouterr().err
         assert not (tmp_path / "alpha_sweep.csv").exists()
 
-    def test_overflow_names_the_row(self, tmp_path, capsys):
-        # a subnormal synthesis accuracy: 1/delta overflows in the T-count
+    def test_subnormal_synthesis_accuracy_writes_the_row(self, tmp_path):
+        # below theta_L ~ 1e-266 the synthesis accuracy delta is subnormal; it has a T-count
         cfg = ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-300")
-        assert _run(tmp_path, "alpha-sweep", cfg) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("model error: [alpha_sweep] row theta_L = 1e-266, k = 5: ")
-        assert "cannot convert float infinity to integer" in err
-        assert not (tmp_path / "alpha_sweep.csv").exists()
+        assert _run(tmp_path, "alpha-sweep", cfg) == 0
+        lines = (tmp_path / "alpha_sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 1186  # 593 theta_L for each of k = 5, 7
+        assert all(math.isfinite(float(cell)) for line in lines for cell in line.split(","))
+
+    def test_grid_from_the_least_float(self, tmp_path):
+        # theta_l_max / theta_l_min overflows; the grid spans log10 differences instead
+        cfg = ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 5e-324").replace(
+            "theta_l_max = 1e-4", "theta_l_max = 1e-3"
+        )
+        assert _run(tmp_path, "alpha-sweep", cfg) == 0
+        lines = (tmp_path / "alpha_sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 1284  # 642 theta_L for each of k = 5, 7
+        assert float(lines[0].split(",")[0]) == 5e-324
 
     def test_library_value_error_names_the_row(self, tmp_path, capsys):
         # delta = 0.1 * 2^N * p_analog reaches 1, which the T-count rejects
@@ -397,14 +406,16 @@ class TestTradeoff:
             outputs.append((out / "tradeoff.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_overflow_names_the_row(self, tmp_path, capsys):
-        # for a subnormal theta_L, 2^n |theta_L| <= pi/8 holds past n = 1023
+    def test_subnormal_angle_runs_every_threshold(self, tmp_path):
+        # 2^1028 * 1e-310 ~ 0.36 <= pi/8 < 2^1029 * 1e-310: thresholds past 2^1024 |theta_L|
         cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 1e-310").replace(
             "n_max = 8", "n_max = 2000"
         )
-        assert _run(tmp_path, "tradeoff", cfg) == 4
-        assert capsys.readouterr().err.startswith("model error: [tradeoff] row theta_L = 1e-310")
-        assert not (tmp_path / "tradeoff.csv").exists()
+        assert _run(tmp_path, "tradeoff", cfg) == 0
+        lines = (tmp_path / "tradeoff.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 1037
+        ns = [int(line.split(",")[1]) for line in lines]
+        assert ns == list(range(1029)) + [-j for j in range(1, 9)]
 
     def test_tiny_normal_angle_runs_every_threshold(self, tmp_path):
         # 2^995 * 1e-300 ~ 0.32 <= pi/8 < 2^996 * 1e-300; eight default deltas
@@ -420,14 +431,15 @@ class TestTradeoff:
 
 class TestBound:
     def test_model_error_names_theta_star_and_architecture(self, tmp_path, capsys):
-        # n_rus overflows at so small an angle: the error names the key and the row
+        # P_L underflows to 0 at so small an angle, and so does the rotation cost rate
         cfg = BOUND_CFG.replace("theta_star = 1e-5", "theta_star = 1e-320").replace(
             "alpha_v3 = 0.1", "alpha_v3 = smm"
         )
         assert _run(tmp_path, "bound", cfg) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("model error: [bound] theta_star = 1e-320, architecture v3: ")
-        assert "cannot convert float infinity to integer" in err
+        assert capsys.readouterr().err == (
+            "model error: [bound] theta_star = 1e-320, architecture v3: "
+            "rotation cost rate must be positive\n"
+        )
         assert not (tmp_path / "bound.csv").exists()
 
     def test_four_architectures(self, tmp_path):
@@ -488,6 +500,22 @@ class TestTepai:
         err = capsys.readouterr().err
         assert err.startswith("model error: [tepai] row 4Fe-4S, T = 1.0: ")
         assert "float division by zero" in err
+
+    @pytest.mark.parametrize(
+        "t,lam_grid,message",
+        [
+            ("1", "1e-300,1e-290,1",
+             "row lambda=1e-300, T = 1.0: delta must lie in (0, pi/2), got 1.5707963267948966"),
+            ("1e-200", "1e-200,1e-190,1",
+             "row lambda=1e-200, T = 1e-200: lambda*T must be positive"),
+        ],
+        ids=["angle", "instance"],
+    )
+    def test_library_value_error_names_the_row(self, tmp_path, capsys, t, lam_grid, message):
+        # lambda T is so small that the TE-PAI angle rounds to pi/2, or lambda T underflows to 0
+        cfg = f"[tepai]\nt = {t}\nlam_grid = {lam_grid}\nn_l = 72\nalpha = 0.1\n"
+        assert _run(tmp_path, "tepai", cfg) == 4
+        assert capsys.readouterr().err == f"model error: [tepai] {message}\n"
 
     def test_zero_lambda_grid_density_is_config_error(self, tmp_path, capsys):
         cfg = "[tepai]\nt = 1\nlam_grid = 10,100,0\nn_l = 72\nalpha = 0.1\n"
@@ -754,9 +782,9 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.mitigation, "feasible_boundary", broken)
         assert _run(tmp_path, "bound", BOUND_CFG) == 4
-        err = capsys.readouterr().err
-        assert "model error: frontier out of range" in err
-        assert "config error" not in err
+        assert capsys.readouterr().err == (
+            "model error: [bound] theta_star = 1e-05, architecture v1: frontier out of range\n"
+        )
         assert _run(tmp_path, "bound", BOUND_CFG + "p_m = -1\n") == 2
         assert "config error: [bound] p_m = '-1'" in capsys.readouterr().err
 
@@ -767,10 +795,10 @@ class TestExitCodes:
             ("tepai", TEPAI_CFG + "epsilon = 1e-300\n", 4),
             ("tepai", TEPAI_CFG + "p_ph = 1e-300\n", 4),
             ("tepai", "[tepai]\nt = 1\nlam_grid = 1e-300,1e300,1\nn_l = 72\nalpha = 0.1\n", 4),
-            ("alpha-sweep", ALPHA_CFG.replace("theta_l_min = 1e-6", "theta_l_min = 1e-300"), 4),
+            ("alpha-sweep", ALPHA_CFG + "p_ph = 1e-320\n", 4),
             ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", "k = 1e300"), 2),
         ],
-        ids=["tepai-epsilon", "tepai-p_ph", "tepai-lam_grid", "alpha_sweep-theta_l_min",
+        ids=["tepai-epsilon", "tepai-p_ph", "tepai-lam_grid", "alpha_sweep-p_ph",
              "alpha_sweep-k"],
     )
     def test_float_range_failure_is_not_a_traceback(self, tmp_path, capsys, command, cfg, code):
@@ -779,6 +807,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("model error: " if code == 4 else "config error: ")
+
+    @pytest.mark.parametrize(
+        "command,cfg,k",
+        [
+            ("alpha-sweep", ALPHA_CFG, 5),
+            ("tradeoff", TRADEOFF_CFG, 7),
+            ("bound", BOUND_CFG.replace("alpha_v3 = 0.1", "alpha_v3 = smm"), 7),
+            ("tepai", TEPAI_CFG.replace("alpha = 0.1", "alpha = smm"), 7),
+        ],
+        ids=["alpha_sweep", "tradeoff", "bound", "tepai"],
+    )
+    def test_failed_calibration_names_p_ph_and_k(self, tmp_path, capsys, command, cfg, k):
+        # theta_L p_ph underflows to 0 in the previous-generation RUS factor
+        section = command.replace("-", "_")
+        assert _run(tmp_path, command, cfg + "p_ph = 1e-320\n") == 4
+        assert capsys.readouterr().err == (
+            f"model error: [{section}] p_ph = 1e-320, k = {k}: "
+            "calibrating c1: float division by zero\n"
+        )
 
 
 class TestVerify:

@@ -2,6 +2,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from starsmm import cli, hamcat, mitigation, tepai
 
@@ -23,6 +25,35 @@ def _tepai_molecule_instances(alpha_model):
         tepai.TepaiInstance(lam=lam, t=t, n_l=n_l, alpha_model=alpha_model, **setup)
         for lam, t, n_l in rows
     ]
+
+
+class TestSynthesisTCount:
+    #: (ceil(3 log2(1/delta)), the count) where the two forms round apart
+    DIFFERS = {0.24999999999999997: (7, 6), 0.12499999999999999: (10, 9),
+               0.7937005259840997: (1, 2)}
+
+    @given(delta=st.floats(5e-324, 1.0, exclude_max=True))
+    @example(delta=0.24999999999999997)
+    @example(delta=0.12499999999999999)
+    @example(delta=0.7937005259840997)
+    @example(delta=5.562684646268003e-309)  # 2^-1024, the largest delta whose 1/delta is inf
+    @example(delta=5e-324)
+    def test_matches_reciprocal_form(self, delta):
+        count = mitigation.synthesis_t_count(delta)
+        reciprocal = 1.0 / delta
+        if reciprocal == math.inf:  # delta <= 2^-1024: that form has no count
+            assert 3 * 1024 <= count <= 3 * 1074
+            return
+        bits = 3.0 * math.log2(reciprocal)
+        if delta in self.DIFFERS:
+            assert (math.ceil(bits), count) == self.DIFFERS[delta]
+        if abs(bits - round(bits)) <= 1e-12:
+            assert abs(count - math.ceil(bits)) <= 1
+        else:
+            assert count == math.ceil(bits)
+
+    def test_least_float(self):
+        assert mitigation.synthesis_t_count(5e-324) == 3222
 
 
 class TestTotalBudget:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from starsmm import pcec, smm, tmr
@@ -106,9 +106,25 @@ class TestNRus:
         with pytest.raises(ValueError):
             smm.n_rus(0.02, 0.01)
 
-    @given(theta=st.floats(1e-300, 1e3), n=st.integers(0, 60))
+    @given(theta=st.floats(5e-324, 1e3), n=st.integers(0, 1074))
+    @example(theta=5e-324, n=1074)
+    @example(theta=1e-310, n=1030)
     def test_exact_at_power_of_two_ratios(self, theta, n):
-        assert smm.n_rus(theta, 2.0 ** n * theta) == n
+        # a subnormal theta reaches ratios past 2^1024, which no float holds
+        try:
+            threshold = math.ldexp(theta, n)
+        except OverflowError:
+            assume(False)
+        assert smm.n_rus(theta, threshold) == n
+
+    @given(a=st.floats(5e-324, 1e3), b=st.floats(5e-324, 1e3))
+    def test_matches_ratio_form_off_integers(self, a, b):
+        # the log difference agrees with log2 of the ratio wherever that ratio is a float
+        theta_l, theta_th = min(a, b), max(a, b)
+        assume(theta_th / theta_l < math.inf)
+        log_ratio = math.log2(theta_th / theta_l)
+        assume(abs(log_ratio - round(log_ratio)) > 2e-12)
+        assert smm.n_rus(theta_l, theta_th) == math.ceil(log_ratio - 1e-12)
 
 
 class TestSwitchProbability:
@@ -312,6 +328,17 @@ class TestErrorRates:
         self._compare(
             tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,)), theta_l, theta_th,
             p_m=p_m, include_higher_orders=higher, timing_mode=timing_mode,
+        )
+
+    def test_subnormal_angles(self):
+        # up to 1073 trials, with thresholds past 2^1024 |theta_L|
+        theta_l = np.repeat([1e-310, 5e-324, 3e-321], 3)
+        theta_th = np.tile([smm.MAX_THRESHOLD, 0.39, 0.01], 3)
+        self._compare(tmr.TmrParams(k=7, p_ph=0.0, pass_coeffs=(1.0,)), theta_l, theta_th)
+        # at p_ph > 0, 5e-324 * p_ph underflows to 0 and alpha_rus = 0 / 0 is undefined
+        defined = theta_l != 5e-324
+        self._compare(
+            tmr.TmrParams(k=7, p_ph=1e-2, pass_coeffs=(1.0,)), theta_l[defined], theta_th[defined]
         )
 
     @settings(max_examples=60, deadline=None)
