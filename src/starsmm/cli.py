@@ -14,9 +14,9 @@ command writes its rows in grid order; ``alpha-sweep`` and ``tradeoff``
 compute them as arrays with ``smm.error_rates``.  Outputs are
 CSV with 17-significant-digit floats and are byte-identical across runs for
 a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
-2 config error, 3 solver failure, 4 model error (a library ValueError,
-or a float overflow, underflow or division by zero, on input the config
-checks let through).
+2 config error, 3 solver failure, 4 model error (a library ValueError on
+input the config checks let through, or, in ``tepai``, a float overflow,
+underflow or division by zero).
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _calibrate_c1(section, k: int, p_ph: float) -> float:
     """``smm.calibrate_c1``; a failure becomes a ValueError naming [section] p_ph and k."""
     try:
         return smm.calibrate_c1(k=k, p_ph=p_ph)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ValueError(f"[{section}] p_ph = {p_ph!r}, k = {k}: calibrating c1: {exc}") from exc
 
 
@@ -209,26 +209,16 @@ def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigatio
     return alpha
 
 
-def _error_rates(section, row_name, params, theta_l, theta_th, **setup) -> smm.SweepRates:
-    """``smm.error_rates``; a failure becomes a ValueError naming ``row_name(r)``.
+def _error_rates(section, k: int, params, theta_l, theta_th, **setup) -> smm.SweepRates:
+    """``smm.error_rates``; a failure becomes a ValueError naming [section] and k.
 
-    Every gate ``smm.in_domain`` accepts evaluates, so a failure (a library ValueError, or
-    ``math.comb(k, j)`` past the float range at huge k) belongs to a row.  Rows are
-    independent, so bisecting over prefixes finds the first failing row r.
+    Every gate ``smm.in_domain`` accepts evaluates, and ``smm.error_rates`` names
+    the first gate it cannot finish (a synthesis accuracy delta of 1 or more).
     """
     try:
         return smm.error_rates(params, theta_l, theta_th, **setup)
-    except (ValueError, ArithmeticError) as exc:
-        error = exc
-    passes, fails = 0, len(theta_l)  # the first `passes` rows run, the first `fails` raise
-    while fails - passes > 1:
-        mid = (passes + fails) // 2
-        try:
-            smm.error_rates(params, theta_l[:mid], theta_th[:mid], **setup)
-            passes = mid
-        except (ValueError, ArithmeticError) as exc:
-            fails, error = mid, exc
-    raise ValueError(f"[{section}] row {row_name(fails - 1)}: {error}") from error
+    except ValueError as exc:
+        raise ValueError(f"[{section}] k = {k}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +237,8 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     lo = _get_value(cfg, section, "theta_l_min", 1e-8, above=0.0)
     hi = _get_value(cfg, section, "theta_l_max", 1e-4, above=0.0)
     ppd = _get_value(cfg, section, "points_per_decade", 8, cast=int, minimum=1)
-    ks = _get_value(cfg, section, "k", [5, 7, 9], cast=int, many=True, minimum=2)
+    ks = _get_value(cfg, section, "k", [5, 7, 9], cast=int, many=True,
+                    minimum=2, maximum=tmr.MAX_K)
     p_ph = _get_p_ph(cfg, section)
     p_m = _get_value(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get_value(cfg, section, "higher_orders", True, cast=_boolean)
@@ -268,10 +259,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     rows = []
     for k in ks:
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
-        rates = _error_rates(
-            section, lambda r: f"theta_L = {grid_in[r]!r}, k = {k}",
-            params, grid_in, thresholds, **setup,
-        )
+        rates = _error_rates(section, k, params, grid_in, thresholds, **setup)
         for theta_l, threshold, alpha, p_l, flag in zip(
             grid_in, thresholds, rates.alpha_rus, rates.p_l, rates.out_of_regime
         ):
@@ -300,7 +288,7 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
         raw = cfg.get(section, "theta_l")
         raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
     n_max = _get_value(cfg, section, "n_max", 15, cast=int, minimum=0)
-    k = _get_value(cfg, section, "k", 7, cast=int, minimum=2)
+    k = _get_value(cfg, section, "k", 7, cast=int, minimum=2, maximum=tmr.MAX_K)
     p_ph = _get_p_ph(cfg, section)
     p_m = _get_value(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
@@ -317,10 +305,8 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
         ladder = np.ldexp(np.abs(theta_ls)[:, None], np.arange(min(n_max, 1074) + 1))
     keep = smm.in_domain(np.array(theta_ls)[:, None], ladder)
     row_theta, row_n = np.nonzero(keep)  # row-major: each theta_L's rows in order of n
-    rates = _error_rates(
-        section, lambda r: f"theta_L = {theta_ls[row_theta[r]]!r}, n = {row_n[r]}",
-        params, np.array(theta_ls)[row_theta], ladder[keep], p_m=p_m, timing_mode="latency",
-    )
+    rates = _error_rates(section, k, params, np.array(theta_ls)[row_theta], ladder[keep],
+                         p_m=p_m, timing_mode="latency")
     smm_rows = zip(row_n.tolist(), rates.p_l, rates.expected_clocks)
 
     synthesis = [smm.synthesis_only_gate(delta=delta, p_m=p_m) for delta in deltas]

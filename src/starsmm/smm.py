@@ -166,6 +166,14 @@ def _digital_clocks(timing_mode: str, n_syn):
     return n_syn * T_GATE_LATENCY_CLOCKS
 
 
+def _t_count(mag: float, n: int, delta: float) -> int:
+    """``mitigation.synthesis_t_count(delta)`` (0 at delta = 0); a refusal names the gate."""
+    try:
+        return mitigation.synthesis_t_count(delta) if delta > 0.0 else 0
+    except ValueError as exc:
+        raise ValueError(f"gate |theta_L| = {mag!r}, n_rus = {n}: {exc}") from exc
+
+
 def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, timing_mode: str):
     """The closed-form finish of an SMM gate, shared by the scalar and the array path.
 
@@ -176,6 +184,8 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     the synthesis error stays below the other sources, with
     N_syn = mitigation.synthesis_t_count(delta) T-gates (none when p_m = 0 and
     p_analog = 0), and flips the output at rate p_digital = delta + p_m N_syn.
+    Gates are taken in order, so when the synthesis refuses a delta of 1 or
+    more, the ValueError names the first such gate's |theta_l| and n.
     Returns the :class:`SmmReport` fields it owns as numpy values.  Powers of
     two are exact (``ldexp``) and p_ph^(k/2) is Python's ``pow``, so a scalar
     gate gets the bits its row of the array path would get from equal inputs.
@@ -183,10 +193,8 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     mag = np.asarray(mag)
     p_switch = np.ldexp(1.0, -n)
     delta = np.maximum(p_m, 0.1 * np.ldexp(p_analog, n))
-    n_syn = np.array(
-        [mitigation.synthesis_t_count(d) if d > 0.0 else 0 for d in np.ravel(delta).tolist()],
-        dtype=int,
-    ).reshape(np.shape(delta))
+    gates = zip(*(np.ravel(x).tolist() for x in (mag, n, delta)))
+    n_syn = np.array([_t_count(*gate) for gate in gates], dtype=int).reshape(np.shape(delta))
     p_digital = delta + p_m * n_syn
     p_l = p_analog + p_switch * p_digital
     p_ph = params.p_ph
@@ -596,10 +604,10 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
     Each bisection step runs :func:`v2_rus_factor`'s switch loop over trial
     rows built once per call.  The answer is then checked through
     :func:`v2_octave_average` itself: a ValueError is raised unless it is
-    V2_RUS_FACTOR within 1e-6.
+    V2_RUS_FACTOR within 1e-6.  p_ph must keep CALIBRATION_ANCHOR * p_ph > 0.
     """
-    if p_ph <= 0.0:
-        raise ValueError("p_ph must be positive")
+    if not CALIBRATION_ANCHOR * p_ph > 0.0:  # the v2 factor divides by theta_l * p_ph
+        raise ValueError(f"need {CALIBRATION_ANCHOR} * p_ph > 0, got p_ph = {p_ph!r}")
     trials = [list(_v2_trials(theta_l, k, p_ph)) for theta_l in _OCTAVE]
 
     def averaged_alpha(c1: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 MAX_THETA = 0.25 * math.pi
 MAX_P_PH = 0.1  # largest physical error rate the TMR model covers
+MAX_K = 1024  # largest k: p_ideal >= 2^(1-k) keeps 1/p_ideal finite, C(k, k // 2) a float
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class TmrParams:
     """Static parameters of one TMR configuration.
 
     Attributes:
-        k: number of transversal rotation factors (k = Theta(d); kept free).
+        k: number of transversal rotation factors (k = Theta(d)), in [2, MAX_K].
         p_ph: physical error rate, in [0, 0.1].
         pass_coeffs: coefficients c_j of the order-j pass rate
             ``q_j_pass = c_j * p_ph**j`` for j = 1..j_max. Missing entries
@@ -41,8 +42,8 @@ class TmrParams:
     j_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        if not 2 <= self.k <= MAX_K:
+            raise ValueError(f"k must lie in [2, {MAX_K}], got {self.k}")
         if not 0.0 <= self.p_ph <= MAX_P_PH:
             raise ValueError(f"p_ph must lie in [0, 0.1], got {self.p_ph!r}")
         jm = self.k // 2 if self.j_max is None else self.j_max

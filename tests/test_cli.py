@@ -226,7 +226,8 @@ class TestAlphaSweep:
         )
         assert _run(tmp_path, "alpha-sweep", cfg) == 4
         assert capsys.readouterr().err == (
-            "model error: [alpha_sweep] row theta_L = 1e-300, k = 2: delta must lie in (0, 1)\n"
+            "model error: [alpha_sweep] k = 2: gate |theta_L| = 1e-300, n_rus = 996: "
+            "delta must lie in (0, 1)\n"
         )
         assert not (tmp_path / "alpha_sweep.csv").exists()
 
@@ -428,6 +429,30 @@ class TestTradeoff:
         ns = [int(line.split(",")[1]) for line in lines]
         assert ns == list(range(996)) + [-j for j in range(1, 9)]
 
+    def test_library_value_error_names_a_later_row(self, tmp_path, capsys):
+        # the rows n = 0..2 of theta_L = 1e-4 evaluate; at n = 3 delta reaches 1
+        cfg = (
+            "[tradeoff]\ntheta_l = 1e-4,-1e-5\nn_max = 12\nk = 2\np_ph = 0.1\np_m = 0\n"
+            "c1 = 1e6\n"
+        )
+        assert _run(tmp_path, "tradeoff", cfg) == 4
+        assert capsys.readouterr().err == (
+            "model error: [tradeoff] k = 2: gate |theta_L| = 0.0001, n_rus = 3: "
+            "delta must lie in (0, 1)\n"
+        )
+        assert not (tmp_path / "tradeoff.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_k_runs(self, tmp_path):
+        # 1 / p_ideal overflowed in the latency clocks from about k = 1029
+        cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", "theta_l = 0.196").replace(
+            "n_max = 8", "n_max = 1"
+        ).replace("k = 7", f"k = {tmr.MAX_K}")
+        assert _run(tmp_path, "tradeoff", cfg) == 0
+        lines = (tmp_path / "tradeoff.csv").read_text().strip().split("\n")[1:]
+        assert [int(line.split(",")[1]) for line in lines][:2] == [0, 1]
+        assert all(math.isfinite(float(cell)) for line in lines for cell in line.split(","))
+
 
 class TestBound:
     def test_model_error_names_theta_star_and_architecture(self, tmp_path, capsys):
@@ -573,6 +598,10 @@ class TestDomainErrors:
         "command,cfg,message",
         [
             ("tradeoff", TRADEOFF_CFG.replace("k = 7", "k = 1"), "[tradeoff] k = '1' must be >= 2"),
+            ("tradeoff", TRADEOFF_CFG.replace("k = 7", "k = 1025"),
+             "[tradeoff] k = '1025' must be <= 1024"),
+            ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", "k = 5,1025"),
+             "[alpha_sweep] k = '5,1025' must be <= 1024"),
             ("tradeoff", TRADEOFF_CFG.replace("n_max = 8", "n_max = -3"),
              "[tradeoff] n_max = '-3' must be >= 0"),
             ("alpha-sweep", ALPHA_CFG.replace("k = 5,7", "k = 5,1"),
@@ -625,7 +654,8 @@ class TestDomainErrors:
              "[tepai] n_l = '-3' must be >= 1"),
         ],
         ids=[
-            "tradeoff-k", "tradeoff-n_max", "alpha_sweep-k", "alpha_sweep-p_m", "tepai-q",
+            "tradeoff-k", "tradeoff-k-large", "alpha_sweep-k-large", "tradeoff-n_max",
+            "alpha_sweep-k", "alpha_sweep-p_m", "tepai-q",
             "bound-alpha_v3-zero", "bound-alpha_v3-negative", "tepai-hubbard_t",
             "tepai-hubbard_t-small", "bound-p_m", "tepai-epsilon", "tepai-c_smm",
             "alpha_sweep-theta_l_min", "tradeoff-theta_l-zero",
@@ -819,12 +849,12 @@ class TestExitCodes:
         ids=["alpha_sweep", "tradeoff", "bound", "tepai"],
     )
     def test_failed_calibration_names_p_ph_and_k(self, tmp_path, capsys, command, cfg, k):
-        # theta_L p_ph underflows to 0 in the previous-generation RUS factor
+        # theta_L p_ph would underflow to 0 in the previous-generation RUS factor
         section = command.replace("-", "_")
         assert _run(tmp_path, command, cfg + "p_ph = 1e-320\n") == 4
         assert capsys.readouterr().err == (
             f"model error: [{section}] p_ph = 1e-320, k = {k}: "
-            "calibrating c1: float division by zero\n"
+            "calibrating c1: need 1e-05 * p_ph > 0, got p_ph = 1e-320\n"
         )
 
 

@@ -147,3 +147,23 @@ class TestExport:
         lines = text.strip().split("\n")
         kinds = ["zz" if set(tok[0] for tok in l.split()[1:]) == {"Z"} else "hop" for l in lines]
         assert kinds == ["hop"] * 72 + ["zz"] * 9
+
+
+@pytest.mark.parametrize(
+    "call,kwargs,message",
+    [
+        (hamcat.SystemEntry, dict(name="x", n_l=0, lam=1.0), "N_L must be >= 1"),
+        (hamcat.SystemEntry, dict(name="x", n_l=1, lam=0.0), "lambda must be positive"),
+        (hamcat.PauliTerm, dict(coefficient=0.0, ops=((0, "X"),)), "zero-coefficient"),
+        (hamcat.PauliTerm, dict(coefficient=1.0, ops=((1, "X"), (0, "Z"))), "strictly increasing"),
+        (hamcat.PauliTerm, dict(coefficient=1.0, ops=((0, "X"), (0, "Z"))), "strictly increasing"),
+        (hamcat.PauliTerm, dict(coefficient=1.0, ops=((0, "W"),)), "unknown Pauli letter 'W'"),
+        (hamcat.hubbard_terms, dict(length=3, t=-1.0, u=4.0), "t and U must be non-negative"),
+        (hamcat.hubbard_terms, dict(length=3, t=1.0, u=-4.0), "t and U must be non-negative"),
+    ],
+    ids=["entry-n_l", "entry-lambda", "term-coefficient", "term-order", "term-repeat",
+         "term-letter", "hubbard-t", "hubbard-u"],
+)
+def test_validation_names_the_argument(call, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        call(**kwargs)

@@ -200,3 +200,22 @@ class TestFeasibleBoundary:
             for arch in mitigation.ARCHITECTURES
         }
         assert order["v3"] > order["v2"] > order["ftqc-cultivation"] > order["v1"]
+
+
+@pytest.mark.parametrize(
+    "call,kwargs,message",
+    [
+        (mitigation.CircuitProfile, dict(n_t=-1), "n_t must be non-negative"),
+        (mitigation.CircuitProfile, dict(n_t=0, rotations=((1e-5, -1),)),
+         "rotation counts must be non-negative"),
+        (mitigation.CircuitProfile, dict(n_t=0, rotations=((0.0, 1),)), "rotation angle 0.0"),
+        (mitigation.CircuitProfile, dict(n_t=0, rotations=((1.0, 1),)), "rotation angle 1.0"),
+        (mitigation.feasible_boundary,
+         dict(architecture="v1", theta_star=1e-5, n_t_grid=[1.0, -1.0]),
+         "N_T must be non-negative"),
+    ],
+    ids=["n_t", "rotation-count", "rotation-angle-zero", "rotation-angle-large", "grid-n_t"],
+)
+def test_validation_names_the_argument(call, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        call(**kwargs)

@@ -417,6 +417,28 @@ class TestErrorRates:
             smm.error_rates(params, np.array([1e-5, theta_l]), theta_th, **kwargs)
 
 
+class TestRefusedSynthesis:
+    """A synthesis accuracy delta = max(p_m, 0.1 * 2^n * p_analog) of 1 or more."""
+
+    # 2^n p_analog grows with the trial count: n_rus = 2 evaluates, n_rus = 7 and 8 do not
+    PARAMS = tmr.TmrParams(k=2, p_ph=0.1, pass_coeffs=(1e6,))
+    MESSAGE = "gate |theta_L| = 0.0001, n_rus = 7: delta must lie in (0, 1)"
+
+    def test_array_path_names_the_first_failing_row(self):
+        rates = smm.error_rates(self.PARAMS, [1e-4], [4e-4], p_m=0.0)
+        assert rates.p_l[0] == pytest.approx(1.585, rel=1e-3)
+        for thresholds in ([4e-4, 1.28e-2], [4e-4, 1.28e-2, 2.56e-2]):
+            with pytest.raises(ValueError) as info:
+                smm.error_rates(self.PARAMS, [1e-4] * len(thresholds), thresholds, p_m=0.0)
+            assert str(info.value) == self.MESSAGE
+
+    def test_scalar_path_names_the_gate(self):
+        config = smm.SmmConfig(theta_l=-1e-4, tmr_params=self.PARAMS, theta_th=1.28e-2, p_m=0.0)
+        with pytest.raises(ValueError) as info:
+            smm.effective_error_rate(config)
+        assert str(info.value) == self.MESSAGE
+
+
 class TestPhotonLossDependence:
     """P_L against p_ph at a fixed gate, with c1 as the only pass coefficient."""
 
@@ -658,6 +680,12 @@ class TestV2Calibration:
         # the c1 values the shipped configs calibrate, bit for bit
         assert smm.calibrate_c1(k, 1e-3) == c1
 
+    def test_target_below_the_floor_raises(self, monkeypatch):
+        # the factor at the least c1 tried, 1e-4, already exceeds a target this low
+        monkeypatch.setattr(smm.mitigation, "V2_RUS_FACTOR", 1e-6)
+        with pytest.raises(ValueError, match="below the injection-only floor"):
+            smm.calibrate_c1.__wrapped__(7, 1e-3)
+
     def test_failed_scalar_check_raises(self, monkeypatch):
         monkeypatch.setattr(smm, "v2_rus_factor", lambda *args: 1.7)
         with pytest.raises(ValueError, match="octave-averaged v2 factor"):
@@ -734,3 +762,23 @@ class TestPinnedValues:
         assert mc.p_l_hat == 3.7320716607960225e-10
         assert mc.clocks_hat == 4.490983883105016
         assert mc.p_switch_hat == 1.6666611111296295e-05
+
+
+@pytest.mark.parametrize(
+    "call,args,message",
+    [
+        (smm.monte_carlo, (_config(0.02), 0, 1), "shots must be >= 1"),
+        (smm.v2_rus_factor, (0.0, 7, 1e-3, 0.04), "theta_l and p_ph must be positive"),
+        (smm.v2_rus_factor, (1e-5, 7, 0.0, 0.04), "theta_l and p_ph must be positive"),
+        (smm.v2_rus_factor, (1e-5, 7, 1e-3, -1.0), "c1 non-negative"),
+        (smm.calibrate_c1, (7, 0.0), r"need 1e-05 \* p_ph > 0, got p_ph = 0.0"),
+        (smm.calibrate_c1, (7, -1e-3), r"got p_ph = -0.001"),
+        # theta_l * p_ph underflows to 0 in the v2 factor; no ZeroDivisionError leaks
+        (smm.calibrate_c1, (7, 1e-320), r"got p_ph = 1e-320"),
+    ],
+    ids=["mc-shots", "v2-theta_l", "v2-p_ph", "v2-c1", "calibrate-zero", "calibrate-negative",
+         "calibrate-subnormal"],
+)
+def test_validation_names_the_argument(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)

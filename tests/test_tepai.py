@@ -211,3 +211,29 @@ class TestEstimate:
             _fes_instance(q=0.0)
         with pytest.raises(ValueError):
             _fes_instance(lam=0.0)
+
+
+@pytest.mark.parametrize(
+    "call,kwargs,message",
+    [
+        (tepai.select_angle, dict(lambda_t=0.0, q=1.0), r"lambda\*T and Q must be positive"),
+        (tepai.select_angle, dict(lambda_t=1.0, q=0.0), r"lambda\*T and Q must be positive"),
+        (tepai.gate_count, dict(lambda_t=0.0, delta=0.1), r"lambda\*T must be positive"),
+        (tepai.sampling_overhead, dict(lambda_t=0.0, delta=0.1, epsilon=0.05),
+         r"need lambda\*T > 0"),
+        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.0, epsilon=0.05),
+         r"delta in \(0, pi/2\)"),
+        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.1, epsilon=1.0),
+         r"epsilon must lie in \(0, 1\)"),
+        (tepai.logical_error_per_cycle, dict(p_ph=0.0, d=3), r"p_ph must lie in .*, got 0.0"),
+        (tepai.logical_error_per_cycle, dict(p_ph=0.01, d=3), r"p_ph must lie in .*, got 0.01"),
+        (_fes_instance, dict(n_l=0), "N_L must be >= 1"),
+        (_fes_instance, dict(c_smm=0.0), "c_smm must be positive"),
+    ],
+    ids=["angle-lambda_t", "angle-q", "gates-lambda_t", "overhead-lambda_t", "overhead-delta",
+         "overhead-epsilon", "cycle-p_ph-zero", "cycle-p_ph-threshold", "instance-n_l",
+         "instance-c_smm"],
+)
+def test_validation_names_the_argument(call, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        call(**kwargs)

@@ -273,12 +273,20 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             tmr.TmrParams(k=1, p_ph=1e-3)
+        with pytest.raises(ValueError, match=r"k must lie in \[2, 1024\], got 1025"):
+            tmr.TmrParams(k=tmr.MAX_K + 1, p_ph=1e-3)
         with pytest.raises(ValueError):
             tmr.TmrParams(k=5, p_ph=0.2)
         with pytest.raises(ValueError):
             tmr.TmrParams(k=5, p_ph=1e-3, pass_coeffs=(-1.0,))
         with pytest.raises(ValueError):
             tmr.TmrParams(k=5, p_ph=1e-3, j_max=6)
+
+    def test_largest_k_evaluates(self):
+        # p_ideal >= 2^(1-k) and C(k, k/2) stays a float, so every weight is finite
+        model = tmr.output_model_for_logical(tmr.TmrParams(k=tmr.MAX_K, p_ph=0.1), 0.196)
+        assert model.p_ideal >= 2.0 ** (1 - tmr.MAX_K)
+        assert all(math.isfinite(q) for q in model.branch_qbars)
 
 
 class TestBranchTable:
@@ -305,3 +313,24 @@ class TestBranchTable:
     def test_rejects_angles_outside_domain(self, bad):
         with pytest.raises(ValueError):
             tmr.branch_table(tmr.TmrParams(k=5, p_ph=1e-3), np.array([1e-3, bad]))
+
+
+@pytest.mark.parametrize(
+    "call,args,message",
+    [
+        (tmr.p_ideal, (math.inf, 5), "theta must be finite"),
+        (tmr.p_ideal, (0.1, 0), "k must be >= 1"),
+        (tmr.logical_angle, (0.1, 0), "k must be >= 1"),
+        (tmr.physical_angle_for, (-0.1, 5), r"theta_l must lie in \[0, pi/4\]"),
+        (tmr.physical_angle_for, (1.0, 5), r"theta_l must lie in \[0, pi/4\]"),
+        (tmr.branch_angles, (0.1, 5, 6), r"j must lie in \[0, k\]"),
+        (tmr.branch_angles, (0.0, 5, 1), r"theta must lie in \(0, pi/4\]"),
+        (tmr.branch_weights, (tmr.TmrParams(k=5, p_ph=1e-3), 0.0), r"theta must lie in \(0"),
+        (tmr.branch_weights, (tmr.TmrParams(k=5, p_ph=1e-3), 1.0), r"theta must lie in \(0"),
+    ],
+    ids=["p_ideal-theta", "p_ideal-k", "logical-k", "physical-negative", "physical-large",
+         "angles-j", "angles-theta", "weights-zero", "weights-large"],
+)
+def test_validation_names_the_argument(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
