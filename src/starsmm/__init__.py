@@ -12,6 +12,14 @@ Submodules:
 * :mod:`starsmm.cli` -- command-line sweeps and the verification suite.
 """
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # numpy's OpenBLAS worker threads spin for about 0.1 s of CPU after import,
+    # and starsmm's only BLAS calls are 2x2.  A value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import hamcat, mitigation, pcec, smm, tepai, tmr, zchan
 
 __all__ = ["cli", "hamcat", "mitigation", "pcec", "smm", "tepai", "tmr", "zchan"]

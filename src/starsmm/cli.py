@@ -350,7 +350,7 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
             curve = mitigation.feasible_boundary(
                 arch, theta_star, grid, p_ph=p_ph, p_m=p_m, alpha_model=alpha_model
             )
-        except ValueError as exc:  # e.g. a rotation cost rate that underflows to 0
+        except ValueError as exc:  # e.g. from an alpha model outside its domain
             raise ValueError(
                 f"[{section}] theta_star = {theta_star!r}, architecture {arch}: {exc}"
             ) from exc

@@ -146,7 +146,8 @@ def feasible_boundary(
     """The P_total = 1 frontier: for each N_T, the admissible N_R.
 
     Both per-gate costs are N-independent, so the frontier is the exact
-    solution of a linear equation; returns 0 once N_T alone is infeasible.
+    solution of a linear equation; returns 0 once N_T alone is infeasible,
+    and ``inf`` before that when the rotation cost rate underflows to 0.
     """
 
     def cost(n_t: int, rotations: tuple[tuple[float, int], ...]) -> float:
@@ -155,12 +156,16 @@ def feasible_boundary(
 
     a_t = cost(1, ())
     a_r = cost(0, ((theta_star, 1),))
-    if a_r <= 0.0:
-        raise ValueError("rotation cost rate must be positive")
     curve = []
     for n_t in n_t_grid:
         if n_t < 0:
             raise ValueError("N_T must be non-negative")
-        n_r = max((1.0 - a_t * n_t) / a_r, 0.0)
+        slack = 1.0 - a_t * n_t
+        if slack <= 0.0:
+            n_r = 0.0
+        elif a_r == 0.0:  # rotations that cost nothing fit without bound
+            n_r = math.inf
+        else:
+            n_r = slack / a_r
         curve.append((float(n_t), n_r))
     return curve

@@ -32,6 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,6 +372,8 @@ class McReport:
 
 
 _MC_CHUNK = 1 << 17
+#: Trajectories per sub-block of a streamed trial: the words a chunk holds at once.
+_MC_BLOCK = 1 << 14
 #: A chunk with at most this many live trajectories computes their draws with
 #: :func:`_philox_words` instead of streaming the whole trial: the measured
 #: cross-over of the two on a 2-core Xeon VM.
@@ -417,6 +421,101 @@ def _branch_floor(edge: float) -> int:
     return math.ceil(edge * 2.0 ** 53) << 11
 
 
+def _section(key: tuple[int, int], pos: int) -> np.random.Philox:
+    """The Philox stream keyed by ``key``, positioned to read from word ``pos`` on.
+
+    numpy's stream starts at counter 1, so a generator built at counter
+    [pos // 4, 0, 0, 0] first yields the block holding word ``pos``, at lane
+    pos % 4; the words of the lanes before it are read and dropped.
+    """
+    stream = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[pos // 4, 0, 0, 0])
+    stream.random_raw(pos % 4)
+    return stream
+
+
+def _signed_steps(table, coin: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Deviation steps of trajectories whose (gate, canceller) raw ``draws`` may fire a branch.
+
+    Only the draws that reach the table's identity floor are turned into
+    uniforms and looked up in its branch edges; ``coin`` (success) picks the
+    sign of the step.
+    """
+    edges, deltas, floor = table
+    hit = draws >= floor
+    branch = np.zeros(draws.shape, dtype=np.intp)
+    branch[hit] = np.searchsorted(edges, (draws[hit] >> _DOUBLE_SHIFT) * 2.0 ** -53, side="right")
+    step = deltas[branch[0]] - deltas[branch[1]]
+    return np.where(coin, step, -step)
+
+
+def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int, int], size: int,
+              buffers: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """(sum x, sum x^2, sum t, sum t^2, digital count) over one chunk's trajectories.
+
+    x is a trajectory's error sin^2 (with the digital flip folded in) and t
+    its clocks; ``key`` is (seed, chunk index).  ``buffers`` are a float,
+    an intp and a bool array of at least ``size``, overwritten: reused from
+    chunk to chunk, they spare the page faults of fresh arrays.
+    """
+    err, stop, alive = (buffer[:size] for buffer in buffers)
+    err.fill(0.0)
+    stop.fill(0)  # trials survived: the stopping trial, or n_rus
+    # a live mask over the whole chunk while streaming, then live indices
+    alive.fill(True)
+    live = None if size > _KERNEL_LIVE else np.arange(size)
+    for i, table in enumerate(tables):
+        floor = table[2]
+        if live is None:
+            coins, gates, cancels = (_section(key, (3 * i + s) * size) for s in range(3))
+            for lo in range(0, size, _MC_BLOCK):
+                block = slice(lo, min(lo + _MC_BLOCK, size))
+                n = block.stop - lo
+                alive_b, stop_b = alive[block], stop[block]  # views
+                coin = coins.random_raw(n) < _HALF
+                gate, cancel = gates.random_raw(n), cancels.random_raw(n)
+                moved = np.flatnonzero(((gate >= floor) | (cancel >= floor)) & alive_b)
+                if moved.size:
+                    draws = np.stack((gate[moved], cancel[moved]))
+                    err[lo + moved] += _signed_steps(table, coin[moved], draws)
+                alive_b &= ~coin
+                stop_b += alive_b
+            if np.count_nonzero(alive) <= _KERNEL_LIVE:
+                live = np.flatnonzero(alive)
+        else:
+            words = _philox_words(key, (3 * i + np.arange(3)[:, None]) * size + live)
+            coin = words[0] < _HALF
+            moved = np.flatnonzero((words[1] >= floor) | (words[2] >= floor))
+            if moved.size:
+                err[live[moved]] += _signed_steps(table, coin[moved], words[1:, moved])
+            live = live[~coin]
+            stop[live] += 1
+        if live is not None and live.size == 0:
+            break
+    if live is None:
+        live = np.flatnonzero(alive)
+    # the four sums come from one buffer, squared in place
+    x = np.sin(err, out=err)
+    x *= x
+    # digital branch: Z-flip with rate p_dig on top of the analog deviation
+    s2 = x[live]
+    x[live] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
+    sum_x = float(x.sum())
+    x *= x
+    sum_x2 = float(x.sum())
+    clocks = np.take(stop_clocks, stop, out=x, mode="clip")  # "clip" writes out unbuffered
+    sum_t = float(clocks.sum())
+    clocks *= clocks
+    return sum_x, sum_x2, sum_t, float(clocks.sum()), s2.size
+
+
+def _mc_workers() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     """Sample SMM trajectories and estimate P_L, clocks and p_switch.
 
@@ -432,15 +531,22 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     The RNG is counter-based: chunks of ``_MC_CHUNK`` trajectories, each read
     from the Philox4x64-10 stream keyed by (seed, chunk index).  Trajectory t
     of a chunk of ``size`` reads its coin, gate and canceller uniforms of
-    trial i at stream positions 3 i size + {0, size, 2 size} + t, as
-    ``Generator.random`` would draw three arrays of ``size`` per trial, so
-    (seed, trajectory index) fixes a trajectory however chunks are scheduled.
-    Trial i reaches only the live trajectories, those that have not stopped,
-    about 2^-i of the chunk.  While more than ``_KERNEL_LIVE`` are live, a
-    trial streams its 3 size raw words and tests them under a live mask over
-    the whole chunk; from then on (live only shrinks) :func:`_philox_words`
-    computes just the live ones' words at their positions and the stream is
-    left.  A chunk stops once none is live.
+    trial i at stream positions (3 i + s) size + t for the sections
+    s = 0, 1, 2, as ``Generator.random`` would draw three arrays of ``size``
+    per trial, so (seed, trajectory index) fixes a trajectory however chunks
+    are scheduled.  Trial i reaches only the live trajectories, those that
+    have not stopped, about 2^-i of the chunk.  While more than
+    ``_KERNEL_LIVE`` are live, a trial reads each section from a generator
+    positioned at its start by counter (:func:`_section`), in sub-blocks of
+    ``_MC_BLOCK`` trajectories, and tests the words under a live mask; from
+    then on (live only shrinks) :func:`_philox_words` computes just the live
+    ones' words at their positions.  A chunk stops once none is live.
+
+    The chunks are independent, so they run on one thread per core the
+    process may use (a one-chunk call starts no thread): the Philox reads
+    and the numpy ufuncs release the GIL, and every chunk owns its
+    generators.  Each chunk returns its five sums, and they are added in
+    chunk order, so the report does not depend on the number of cores.
 
     The bits are those of a sampler that draws every uniform with
     ``Generator.random`` and advances every trajectory: a uniform is
@@ -468,60 +574,40 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     t_digital = _digital_clocks(config.timing_mode, report.n_syn)
     stop_clocks = np.array(elapsed[1:] + [elapsed[-1] + t_digital])
 
+    sizes = [min(_MC_CHUNK, shots - done) for done in range(0, shots, _MC_CHUNK)]
+    parts = [None] * len(sizes)
+    workers = min(_mc_workers(), len(sizes))
+    failures = []
+
+    def work(first: int) -> None:
+        # worker ``first`` takes chunks first, first + workers, ...
+        try:
+            buffers = np.empty(sizes[0]), np.empty(sizes[0], dtype=np.intp), np.empty(sizes[0], dtype=bool)
+            for index in range(first, len(sizes), workers):
+                key = (seed & 0xFFFFFFFFFFFFFFFF, index)
+                parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, key, sizes[index], buffers)
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
     n_digital = 0
-    done = 0
-    chunk_index = 0
-    while done < shots:
-        size = min(_MC_CHUNK, shots - done)
-        key = (seed & 0xFFFFFFFFFFFFFFFF, chunk_index)
-        stream = np.random.Philox(key=np.array(key, dtype=np.uint64))
-        err = np.zeros(size)
-        stop = np.zeros(size, dtype=np.intp)  # trials survived: the stopping trial, or n_rus
-        # a live mask over the whole chunk while streaming, then live indices
-        alive = np.ones(size, dtype=bool)
-        live = None if size > _KERNEL_LIVE else np.arange(size)
-        for i, (edges, deltas, floor) in enumerate(tables):
-            if live is None:
-                coin = stream.random_raw(size) < _HALF
-                draws = stream.random_raw(2 * size).reshape(2, size)  # gate, canceller
-                hit = (draws >= floor) & alive
-            else:
-                words = _philox_words(key, (3 * i + np.arange(3)[:, None]) * size + live)
-                coin, draws = words[0] < _HALF, words[1:]
-                hit = draws >= floor
-            moved = np.flatnonzero(hit[0] | hit[1])
-            if moved.size:
-                branch = np.zeros((2, moved.size), dtype=np.intp)
-                hit = hit[:, moved]
-                uniforms = (draws[:, moved][hit] >> _DOUBLE_SHIFT) * 2.0 ** -53
-                branch[hit] = np.searchsorted(edges, uniforms, side="right")
-                step = deltas[branch[0]] - deltas[branch[1]]
-                err[moved if live is None else live[moved]] += np.where(coin[moved], step, -step)
-            if live is None:
-                alive &= ~coin
-                stop += alive
-                if np.count_nonzero(alive) <= _KERNEL_LIVE:
-                    live = np.flatnonzero(alive)
-            else:
-                live = live[~coin]
-                stop[live] += 1
-            if live is not None and live.size == 0:
-                break
-        if live is None:
-            live = np.flatnonzero(alive)
-        x = np.sin(err) ** 2
-        # digital branch: Z-flip with rate p_dig on top of the analog deviation
-        s2 = x[live]
-        x[live] = (1.0 - report.p_digital) * s2 + report.p_digital * (1.0 - s2)
-        clocks = stop_clocks[stop]
-        sum_x += float(x.sum())
-        sum_x2 += float((x * x).sum())
-        sum_t += float(clocks.sum())
-        sum_t2 += float((clocks * clocks).sum())
-        n_digital += s2.size
-        done += size
-        chunk_index += 1
+    for part_x, part_x2, part_t, part_t2, part_digital in parts:
+        sum_x += part_x
+        sum_x2 += part_x2
+        sum_t += part_t
+        sum_t2 += part_t2
+        n_digital += part_digital
 
     mean_x = sum_x / shots
     var_x = max(sum_x2 / shots - mean_x ** 2, 0.0)

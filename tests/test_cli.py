@@ -455,17 +455,21 @@ class TestTradeoff:
 
 
 class TestBound:
-    def test_model_error_names_theta_star_and_architecture(self, tmp_path, capsys):
-        # P_L underflows to 0 at so small an angle, and so does the rotation cost rate
+    @pytest.mark.parametrize("alpha", ["0.1", "smm"])
+    def test_underflowing_rotation_cost_is_unbounded(self, tmp_path, alpha):
+        # the rotation cost rate alpha * theta_star * p_ph underflows to 0 for v2 and v3,
+        # so their frontier is unbounded until N_T alone spends the budget
         cfg = BOUND_CFG.replace("theta_star = 1e-5", "theta_star = 1e-320").replace(
-            "alpha_v3 = 0.1", "alpha_v3 = smm"
+            "alpha_v3 = 0.1", f"alpha_v3 = {alpha}"
         )
-        assert _run(tmp_path, "bound", cfg) == 4
-        assert capsys.readouterr().err == (
-            "model error: [bound] theta_star = 1e-320, architecture v3: "
-            "rotation cost rate must be positive\n"
-        )
-        assert not (tmp_path / "bound.csv").exists()
+        assert _run(tmp_path, "bound", cfg) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "bound.csv").read_text().strip().split("\n")[1:]]
+        n_r = {(arch, float(n_t)): n_r for arch, n_t, n_r in rows}
+        assert n_r[("v2", 1.0)] == n_r[("v3", 1.0)] == n_r[("v3", 1e8)] == "inf"
+        # v3 spends 2e-9 per T-gate, so 1e9 of them exhaust the budget
+        assert n_r[("v3", 1e9)] == "0.0000000000000000e+00"
+        assert all(math.isfinite(float(n_r[(arch, 1.0)])) for arch in ("v1", "ftqc-cultivation"))
 
     def test_four_architectures(self, tmp_path):
         assert _run(tmp_path, "bound", BOUND_CFG) == 0

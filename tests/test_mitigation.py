@@ -166,6 +166,11 @@ class TestFeasibleBoundary:
         got = mitigation.feasible_boundary("v3", 1e-5, [0.0], alpha_model=1e50)[0][1]
         assert got == pytest.approx(1e-42, rel=1e-12)
 
+    def test_free_rotations_are_unbounded(self):
+        # alpha * theta_star * p_ph = 1e-324 underflows to 0: unbounded until N_T spends the budget
+        curve = mitigation.feasible_boundary("v3", 1e-320, [0.0, 4.9e8, 5e8, 1e9], alpha_model=0.1)
+        assert curve == [(0.0, math.inf), (4.9e8, math.inf), (5e8, 0.0), (1e9, 0.0)]
+
     def test_t_axis_intercepts(self):
         # N_R hits zero once N_T alone saturates the budget
         for arch, n_t_star in (("ftqc-cultivation", 5e8), ("v3", 5e8)):

@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _blas_threads(code: str, **env_vars: str) -> str:
+    """OPENBLAS_NUM_THREADS as a fresh interpreter sees it after running ``code``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         code + "; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "code,env_vars,expected",
+    [
+        ("import starsmm.cli", {}, "1"),
+        ("import starsmm", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ("import numpy, starsmm", {}, "None"),
+    ],
+    ids=["default", "user-set", "numpy-first"],
+)
+def test_import_limits_the_blas_pool_unless_numpy_came_first(code, env_vars, expected):
+    assert _blas_threads(code, **env_vars) == expected

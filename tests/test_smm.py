@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -637,6 +639,78 @@ class TestMonteCarlo:
         # the uniforms the sampler's integer tests stand for
         uniforms = np.random.Generator(np.random.Philox(key=key)).random(8)
         assert np.array_equal(uniforms, (raw[:8] >> np.uint64(11)) * 2.0 ** -53)
+
+    # the last chunk of 300001 shots holds 37857 trajectories, so its sections start at
+    # every offset from a 4-word Philox block
+    @pytest.mark.parametrize(
+        "pos", [0, 37857, 2 * 37857, 3 * 37857, 4 * 37857, 3 * 17 * 2 ** 17 + 1])
+    @pytest.mark.parametrize("key", [(0, 0), (2 ** 64 - 1, 2)])
+    def test_section_reads_the_stream_from_its_position(self, key, pos):
+        assert [pos % 4 for pos in (37857, 2 * 37857, 3 * 37857)] == [1, 2, 3]
+        raw = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(pos + 9)
+        assert np.array_equal(smm._section(key, pos).random_raw(9), raw[pos:])
+
+    @pytest.mark.parametrize("shots", [1, 2049, 16385, 131073, 200_000, 300_001])
+    @pytest.mark.parametrize("timing_mode", ["pipelined", "latency"])
+    @pytest.mark.parametrize("p_m", [0.0, 2e-9])
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch, shots, timing_mode, p_m):
+        cfg = _config(0.75 * (math.pi / 8) / 2 ** 17, k=7, c1=0.04, threshold_ratio=2.0 ** 17,
+                      timing_mode=timing_mode, p_m=p_m)
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(smm, "_mc_workers", lambda: workers)
+            reports.append(smm.monte_carlo(cfg, shots, 2 ** 64 - 5))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        cfg = _config(0.02, k=5)
+        shots = 5 * smm._MC_CHUNK + 3
+        monkeypatch.setattr(smm, "_mc_workers", lambda: 1)
+        serial = smm.monte_carlo(cfg, shots, 9)
+        monkeypatch.setattr(smm, "_mc_workers", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = smm.monte_carlo(cfg, shots, 9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_failure_in_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        chunk = smm._mc_chunk
+
+        def failing(tables, stop_clocks, p_digital, key, size, buffers):
+            if key[1] == 1:
+                raise MemoryError("chunk 1")
+            return chunk(tables, stop_clocks, p_digital, key, size, buffers)
+
+        monkeypatch.setattr(smm, "_mc_chunk", failing)
+        monkeypatch.setattr(smm, "_mc_workers", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk 1"):
+            smm.monte_carlo(_config(0.02, k=5), 2 * smm._MC_CHUNK, 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("shots,threads", [(smm._MC_CHUNK, 1), (3 * smm._MC_CHUNK, 3)])
+    def test_chunks_run_on_worker_threads(self, monkeypatch, shots, threads):
+        # one chunk runs in the calling thread; three chunks on three workers use three
+        seen, counts = [], []
+        chunk = smm._mc_chunk
+
+        def recorded(*args):
+            seen.append(threading.current_thread())
+            counts.append(threading.active_count())
+            return chunk(*args)
+
+        monkeypatch.setattr(smm, "_mc_chunk", recorded)
+        monkeypatch.setattr(smm, "_mc_workers", lambda: 3)
+        before = threading.active_count()
+        smm.monte_carlo(_config(0.02, k=5), shots, 1)
+        assert len({id(thread) for thread in seen}) == threads
+        assert threading.current_thread() in seen
+        if threads == 1:
+            assert counts == [before]
+        assert threading.active_count() == before
 
     @settings(max_examples=200, deadline=None)
     @given(
