@@ -9,7 +9,8 @@ Submodules:
 * :mod:`starsmm.mitigation` -- PEC cost budgets and feasibility bounds.
 * :mod:`starsmm.tepai` -- TE-PAI gate counts and resource estimation.
 * :mod:`starsmm.hamcat` -- target-system catalog and Hubbard terms.
-* :mod:`starsmm.cli` -- command-line sweeps and the verification suite.
+* :mod:`starsmm.verify` -- the oracle checks that ``starsmm verify`` runs.
+* :mod:`starsmm.cli` -- command-line sweeps, resource tables and ``verify``.
 """
 
 import os
@@ -22,5 +23,5 @@ if "numpy" not in sys.modules:
 
 from . import hamcat, mitigation, pcec, smm, tepai, tmr, zchan
 
-__all__ = ["cli", "hamcat", "mitigation", "pcec", "smm", "tepai", "tmr", "zchan"]
+__all__ = ["cli", "hamcat", "mitigation", "pcec", "smm", "tepai", "tmr", "verify", "zchan"]
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ Subcommands (all read a sectioned key = value config):
   with pure-synthesis comparator rows.
 * ``bound``: feasible-circuit-size frontiers (P_total = 1) per architecture.
 * ``tepai``: TE-PAI spacetime resource tables plus a JSON summary.
-* ``verify``: run the internal oracle suite; exit 0 iff every check passes.
+* ``verify``: run the oracle suite of :mod:`starsmm.verify`; exit 0 iff every check passes.
 
 Flags: ``--config <path>``, ``--seed <u64>``, ``--out <dir>``.  Each
 command writes its rows in grid order; ``alpha-sweep`` and ``tradeoff``
@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import hamcat, mitigation, pcec, smm, tepai, tmr, zchan
+from . import hamcat, mitigation, smm, tepai, tmr, verify
 
 
 class ConfigError(ValueError):
@@ -468,169 +468,13 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_tepai_identities() -> tuple[bool, str]:
-    worst = 0.0
-    for lam_t in (1.0, 13.78, 1378.0, 9.9e4):
-        for q in (0.1, 1.0, 5.0):
-            delta = tepai.select_angle(lam_t, q)
-            n_gate = tepai.gate_count(lam_t, delta)
-            closed = 2.0 * lam_t ** 2 / q + q
-            worst = max(worst, abs(n_gate - closed) / closed)
-            gamma_sq, _ = tepai.sampling_overhead(lam_t, delta, 0.05)
-            worst = max(worst, abs(gamma_sq - math.exp(q)) / math.exp(q))
-    return worst < 1e-10, f"worst relative error {worst:.2e}"
-
-
-def _check_gate_count_minimum() -> tuple[bool, str]:
-    lam_t = 37.0
-    floor = tepai.MIN_GATE_FACTOR * lam_t
-    grid_ok = all(
-        tepai.gate_count(lam_t, d) >= floor - 1e-9
-        for d in np.linspace(1e-3, math.pi / 2 - 1e-3, 2001)
-    )
-    at_min = tepai.gate_count(lam_t, math.atan(1.0 / math.sqrt(2.0)))
-    return grid_ok and abs(at_min - floor) < 1e-9, f"min {at_min:.12f} vs {floor:.12f}"
-
-
-def _check_channel_algebra() -> tuple[bool, str]:
-    worst = 0.0
-    for q in (0.01, 0.05, 0.1):
-        for dl in (0.1, 0.4, math.pi / 4):
-            mix = zchan.mixture([(1 - 2 * q, 0.0), (q, dl), (q, -dl)])
-            analytic = 2 * q * math.sin(dl) ** 2
-            worst = max(worst, abs(zchan.twirled_z_error(mix, 0.0) - analytic))
-            dev = zchan.worst_case_vs_pauli_model(mix, 0.0)
-            if dev > 8 * q * q:
-                return False, f"symmetric deviation {dev:.2e} exceeds 8q^2"
-    return worst < 1e-15, f"worst twirl mismatch {worst:.2e}"
-
-
-def _check_pcec_oracle() -> tuple[bool, str]:
-    worst_ratio = 0.0
-    for k in (3, 5, 7):
-        for theta in (0.02, 0.1, 0.3, 0.6):
-            for p_ph in (1e-4, 1e-3, 1e-2):
-                model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=p_ph), theta)
-                exact = zchan.twirled_z_error(
-                    pcec.composed_error_channel(model), 0.0
-                )
-                analytic = pcec.residual_rate(model)
-                bound = 10.0 * model.error_weight() ** 2
-                if abs(exact - analytic) > max(bound, 1e-16):
-                    return False, f"gap {abs(exact - analytic):.2e} > bound {bound:.2e}"
-                worst_ratio = max(worst_ratio, abs(exact - analytic) / max(bound, 1e-300))
-    return True, f"worst gap/bound ratio {worst_ratio:.3f}"
-
-
-def _smm_gate(c1: float, k: int, theta_l: float, ratio: float) -> smm.SmmConfig:
-    """The p_ph = 1e-3 gate at theta_th = ratio * theta_l that the SMM checks run."""
-    params = tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,))
-    return smm.SmmConfig(theta_l=theta_l, tmr_params=params, threshold_ratio=ratio)
-
-
-def _check_smm_enumeration(c1: float) -> tuple[bool, str]:
-    for k in (3, 5, 7):
-        for theta_l in (0.005, 0.02):
-            for ratio in (2.0, 8.0):
-                config = _smm_gate(c1, k, theta_l, ratio)
-                rep = smm.effective_error_rate(config)
-                # the array path behind alpha_sweep.csv and tradeoff.csv
-                swept = smm.error_rates(config.tmr_params, theta_l, ratio * theta_l).p_l.item()
-                exact = smm.enumerate_error_rate(config)
-                bound = 10.0 * max(row.model.error_weight() for row in rep.trials) ** 2
-                for route, p_l in (("analytic", rep.p_l), ("error_rates", swept)):
-                    if abs(p_l - exact) > bound:
-                        return False, (
-                            f"k={k} theta_l={theta_l} ratio={ratio}: "
-                            f"{route} gap {abs(p_l - exact):.2e} > {bound:.2e}"
-                        )
-    return True, "analytic matches exact enumeration within 10 (sum qbar)^2"
-
-
-def _check_smm_monte_carlo(c1: float, seed: int) -> tuple[bool, str]:
-    config = _smm_gate(c1, 5, 0.02, 8.0)
-    shots = 200_000  # draws the over-rotation branches (weight ~1.7e-4 per shot) ~33 times
-    rep = smm.effective_error_rate(config)
-    mc1 = smm.monte_carlo(config, shots, seed)
-    mc2 = smm.monte_carlo(config, shots, seed)
-    if mc1 != mc2:
-        return False, "Monte Carlo is not reproducible for a fixed seed"
-    pulls = abs(mc1.p_l_hat - rep.p_l) / mc1.p_l_se if mc1.p_l_se else 0.0
-    return pulls <= 5.0, f"P_L pull {pulls:.2f} sigma over {shots} shots"
-
-
-def _check_switch_probability() -> tuple[bool, str]:
-    for theta_l, theta_th in ((1e-3, 1e-3), (1e-3, 0.128), (1e-5, 0.05), (3e-4, 0.01)):
-        p = 2.0 ** -smm.n_rus(theta_l, theta_th)
-        if not (theta_l / (2 * theta_th) < p <= theta_l / theta_th + 1e-15):
-            return False, f"p_switch {p} outside bounds for ratio {theta_th / theta_l}"
-    return True, "2^-ceil(log2 r) within (theta_l/2theta_th, theta_l/theta_th]"
-
-
-def _check_hubbard() -> tuple[bool, str]:
-    for length in range(3, 9):
-        for t_hop, u_int in ((1.0, 4.0), (0.5, 2.0)):
-            terms = hamcat.hubbard_terms(length, t_hop, u_int)
-            lam = hamcat.l1_norm(terms)
-            target = (4 * t_hop + u_int / 4) * length ** 2
-            if len(terms) != 9 * length ** 2 or abs(lam - target) > 1e-12:
-                return False, f"L={length}: lambda {lam} vs {target}, {len(terms)} terms"
-    return True, "term count 9L^2 and L1 norm (4t + U/4) L^2 for L in 3..8"
-
-
-def _check_bound_intercepts() -> tuple[bool, str]:
-    grid = [0.0]
-    v1 = mitigation.feasible_boundary("v1", 1e-5, grid)[0][1]
-    v2 = mitigation.feasible_boundary("v2", 1e-5, grid)[0][1]
-    cul = mitigation.feasible_boundary("ftqc-cultivation", 1e-5, grid)[0][1]
-    n_syn = mitigation.synthesis_t_count(2e-9)
-    expected = (3750.0, 6.25e7, 1.0 / ((n_syn + 1) * 2e-9))
-    for got, want in zip((v1, v2, cul), expected):
-        if abs(got - want) > 1e-6 * want:
-            return False, f"intercept {got} vs expected {want}"
-    return True, f"v1={v1:.6g}, v2={v2:.6g}, cultivation={cul:.6g}"
-
-
-def _check_timing_anchor(c1: float) -> tuple[bool, str]:
-    clocks = []
-    for theta_l in (1e-3, 1e-4, 1e-5, 1e-6):
-        clocks.append(smm.effective_error_rate(_smm_gate(c1, 7, theta_l, 64.0)).expected_clocks)
-    ok = all(2.5 <= c <= 3.5 for c in clocks)
-    return ok, f"C_smm at ratio 64: {['%.3f' % c for c in clocks]}"
-
-
-def _check_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
-    # calibrate_c1 already raised (exit 4) unless this average is V2_RUS_FACTOR within 1e-6
-    mean = smm.v2_octave_average(7, 1e-3, c1)
-    if supplied is not None and abs(supplied - c1) > 1e-6 * c1:
-        return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
-    return True, f"c1 = {c1:.6f}, octave-averaged factor {mean:.6f}"
-
-
 def cmd_verify(cfg, out_dir: Path, seed: int) -> int:
-    supplied_c1 = _get_c1(cfg, "verify")
-    c1 = smm.calibrate_c1()
-    checks = [
-        ("tepai_identities", _check_tepai_identities),
-        ("tepai_gate_count_minimum", _check_gate_count_minimum),
-        ("channel_algebra", _check_channel_algebra),
-        ("pcec_residual_oracle", _check_pcec_oracle),
-        ("smm_enumeration_oracle", lambda: _check_smm_enumeration(c1)),
-        ("smm_monte_carlo", lambda: _check_smm_monte_carlo(c1, seed)),
-        ("switch_probability_bounds", _check_switch_probability),
-        ("hubbard_l1_norm", _check_hubbard),
-        ("bound_intercepts", _check_bound_intercepts),
-        ("timing_anchor", lambda: _check_timing_anchor(c1)),
-        ("c1_calibration", lambda: _check_calibration(c1, supplied_c1)),
-    ]
     report = {}
-    all_ok = True
-    for name, fn in checks:
-        ok, detail = fn()
+    for name, ok, detail in verify.run(seed, _get_c1(cfg, "verify")):
         report[name] = {"pass": ok, "detail": detail}
-        all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     _write_json(out_dir / "verify_report.json", report)
+    all_ok = all(entry["pass"] for entry in report.values())
     print(f"verify: {'all checks passed' if all_ok else 'FAILURES detected'}")
     return 0 if all_ok else 1
 
@@ -648,6 +492,16 @@ _COMMANDS = {
 }
 
 
+def _u64(text: str) -> int:
+    """The --seed type: an integer in [0, 2^64), so no two seeds key the same Philox stream."""
+    try:
+        if 0 <= (value := int(text)) < 2 ** 64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2^64)")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="starsmm",
@@ -655,16 +509,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="sectioned key = value config file")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    parser.add_argument("--seed", type=_u64, default=0, help="RNG seed (u64)")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = load_config(args.config)
         if args.config is None and args.command != "verify":
             raise ConfigError(f"command {args.command!r} requires --config")
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
         return _COMMANDS[args.command](cfg, out_dir, args.seed)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)

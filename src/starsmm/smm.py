@@ -600,6 +600,7 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     if failures:
         raise failures[0]
 
+    # a loop, not sum(): from Python 3.12 sum() compensates float rounding, so its bits differ
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
     n_digital = 0
     for part_x, part_x2, part_t, part_t2, part_digital in parts:

@@ -1,0 +1,173 @@
+"""The oracle suite behind ``starsmm verify``.
+
+Each check returns ``(ok, detail)`` and is named by its key in
+``verify_report.json``.  :func:`run` calibrates c1 once, then runs every
+check in report order.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator
+
+import numpy as np
+
+from . import hamcat, mitigation, pcec, smm, tepai, tmr, zchan
+
+
+def tepai_identities() -> tuple[bool, str]:
+    worst = 0.0
+    for lam_t in (1.0, 13.78, 1378.0, 9.9e4):
+        for q in (0.1, 1.0, 5.0):
+            delta = tepai.select_angle(lam_t, q)
+            n_gate = tepai.gate_count(lam_t, delta)
+            closed = 2.0 * lam_t ** 2 / q + q
+            worst = max(worst, abs(n_gate - closed) / closed)
+            gamma_sq, _ = tepai.sampling_overhead(lam_t, delta, 0.05)
+            worst = max(worst, abs(gamma_sq - math.exp(q)) / math.exp(q))
+    return worst < 1e-10, f"worst relative error {worst:.2e}"
+
+
+def tepai_gate_count_minimum() -> tuple[bool, str]:
+    lam_t = 37.0
+    floor = tepai.MIN_GATE_FACTOR * lam_t
+    grid_ok = all(
+        tepai.gate_count(lam_t, d) >= floor - 1e-9
+        for d in np.linspace(1e-3, math.pi / 2 - 1e-3, 2001)
+    )
+    at_min = tepai.gate_count(lam_t, math.atan(1.0 / math.sqrt(2.0)))
+    return grid_ok and abs(at_min - floor) < 1e-9, f"min {at_min:.12f} vs {floor:.12f}"
+
+
+def channel_algebra() -> tuple[bool, str]:
+    worst = 0.0
+    for q in (0.01, 0.05, 0.1):
+        for dl in (0.1, 0.4, math.pi / 4):
+            mix = zchan.mixture([(1 - 2 * q, 0.0), (q, dl), (q, -dl)])
+            analytic = 2 * q * math.sin(dl) ** 2
+            worst = max(worst, abs(zchan.twirled_z_error(mix, 0.0) - analytic))
+            dev = zchan.worst_case_vs_pauli_model(mix, 0.0)
+            if dev > 8 * q * q:
+                return False, f"symmetric deviation {dev:.2e} exceeds 8q^2"
+    return worst < 1e-15, f"worst twirl mismatch {worst:.2e}"
+
+
+def pcec_residual_oracle() -> tuple[bool, str]:
+    worst_ratio = 0.0
+    for k in (3, 5, 7):
+        for theta in (0.02, 0.1, 0.3, 0.6):
+            for p_ph in (1e-4, 1e-3, 1e-2):
+                model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=p_ph), theta)
+                exact = zchan.twirled_z_error(
+                    pcec.composed_error_channel(model), 0.0
+                )
+                analytic = pcec.residual_rate(model)
+                bound = 10.0 * model.error_weight() ** 2
+                if abs(exact - analytic) > max(bound, 1e-16):
+                    return False, f"gap {abs(exact - analytic):.2e} > bound {bound:.2e}"
+                worst_ratio = max(worst_ratio, abs(exact - analytic) / max(bound, 1e-300))
+    return True, f"worst gap/bound ratio {worst_ratio:.3f}"
+
+
+def _smm_gate(c1: float, k: int, theta_l: float, ratio: float) -> smm.SmmConfig:
+    """The p_ph = 1e-3 gate at theta_th = ratio * theta_l that the SMM checks run."""
+    params = tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,))
+    return smm.SmmConfig(theta_l=theta_l, tmr_params=params, threshold_ratio=ratio)
+
+
+def smm_enumeration_oracle(c1: float) -> tuple[bool, str]:
+    for k in (3, 5, 7):
+        for theta_l in (0.005, 0.02):
+            for ratio in (2.0, 8.0):
+                config = _smm_gate(c1, k, theta_l, ratio)
+                rep = smm.effective_error_rate(config)
+                # the array path behind alpha_sweep.csv and tradeoff.csv
+                swept = smm.error_rates(config.tmr_params, theta_l, ratio * theta_l).p_l.item()
+                exact = smm.enumerate_error_rate(config)
+                bound = 10.0 * max(row.model.error_weight() for row in rep.trials) ** 2
+                for route, p_l in (("analytic", rep.p_l), ("error_rates", swept)):
+                    if abs(p_l - exact) > bound:
+                        return False, (
+                            f"k={k} theta_l={theta_l} ratio={ratio}: "
+                            f"{route} gap {abs(p_l - exact):.2e} > {bound:.2e}"
+                        )
+    return True, "analytic matches exact enumeration within 10 (sum qbar)^2"
+
+
+def smm_monte_carlo(c1: float, seed: int) -> tuple[bool, str]:
+    config = _smm_gate(c1, 5, 0.02, 8.0)
+    shots = 200_000  # draws the over-rotation branches (weight ~1.7e-4 per shot) ~33 times
+    rep = smm.effective_error_rate(config)
+    mc1 = smm.monte_carlo(config, shots, seed)
+    mc2 = smm.monte_carlo(config, shots, seed)
+    if mc1 != mc2:
+        return False, "Monte Carlo is not reproducible for a fixed seed"
+    pulls = abs(mc1.p_l_hat - rep.p_l) / mc1.p_l_se if mc1.p_l_se else 0.0
+    return pulls <= 5.0, f"P_L pull {pulls:.2f} sigma over {shots} shots"
+
+
+def switch_probability_bounds() -> tuple[bool, str]:
+    for theta_l, theta_th in ((1e-3, 1e-3), (1e-3, 0.128), (1e-5, 0.05), (3e-4, 0.01)):
+        p = 2.0 ** -smm.n_rus(theta_l, theta_th)
+        if not (theta_l / (2 * theta_th) < p <= theta_l / theta_th + 1e-15):
+            return False, f"p_switch {p} outside bounds for ratio {theta_th / theta_l}"
+    return True, "2^-ceil(log2 r) within (theta_l/2theta_th, theta_l/theta_th]"
+
+
+def hubbard_l1_norm() -> tuple[bool, str]:
+    for length in range(3, 9):
+        for t_hop, u_int in ((1.0, 4.0), (0.5, 2.0)):
+            terms = hamcat.hubbard_terms(length, t_hop, u_int)
+            lam = hamcat.l1_norm(terms)
+            target = (4 * t_hop + u_int / 4) * length ** 2
+            if len(terms) != 9 * length ** 2 or abs(lam - target) > 1e-12:
+                return False, f"L={length}: lambda {lam} vs {target}, {len(terms)} terms"
+    return True, "term count 9L^2 and L1 norm (4t + U/4) L^2 for L in 3..8"
+
+
+def bound_intercepts() -> tuple[bool, str]:
+    grid = [0.0]
+    v1 = mitigation.feasible_boundary("v1", 1e-5, grid)[0][1]
+    v2 = mitigation.feasible_boundary("v2", 1e-5, grid)[0][1]
+    cul = mitigation.feasible_boundary("ftqc-cultivation", 1e-5, grid)[0][1]
+    n_syn = mitigation.synthesis_t_count(2e-9)
+    expected = (3750.0, 6.25e7, 1.0 / ((n_syn + 1) * 2e-9))
+    for got, want in zip((v1, v2, cul), expected):
+        if abs(got - want) > 1e-6 * want:
+            return False, f"intercept {got} vs expected {want}"
+    return True, f"v1={v1:.6g}, v2={v2:.6g}, cultivation={cul:.6g}"
+
+
+def timing_anchor(c1: float) -> tuple[bool, str]:
+    clocks = []
+    for theta_l in (1e-3, 1e-4, 1e-5, 1e-6):
+        clocks.append(smm.effective_error_rate(_smm_gate(c1, 7, theta_l, 64.0)).expected_clocks)
+    ok = all(2.5 <= c <= 3.5 for c in clocks)
+    return ok, f"C_smm at ratio 64: {['%.3f' % c for c in clocks]}"
+
+
+def c1_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
+    # calibrate_c1 already raised (exit 4) unless this average is V2_RUS_FACTOR within 1e-6
+    mean = smm.v2_octave_average(7, 1e-3, c1)
+    if supplied is not None and abs(supplied - c1) > 1e-6 * c1:
+        return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
+    return True, f"c1 = {c1:.6f}, octave-averaged factor {mean:.6f}"
+
+
+def run(seed: int, supplied_c1: float | None) -> Iterator[tuple[str, bool, str]]:
+    """``(name, ok, detail)`` per check; a failed c1 calibration raises before the first."""
+    c1 = smm.calibrate_c1()
+    for check, args in (
+        (tepai_identities, ()),
+        (tepai_gate_count_minimum, ()),
+        (channel_algebra, ()),
+        (pcec_residual_oracle, ()),
+        (smm_enumeration_oracle, (c1,)),
+        (smm_monte_carlo, (c1, seed)),
+        (switch_probability_bounds, ()),
+        (hubbard_l1_norm, ()),
+        (bound_intercepts, ()),
+        (timing_anchor, (c1,)),
+        (c1_calibration, (c1, supplied_c1)),
+    ):
+        yield (check.__name__, *check(*args))

@@ -861,12 +861,55 @@ class TestExitCodes:
             "calibrating c1: need 1e-05 * p_ph > 0, got p_ph = 1e-320\n"
         )
 
+    def test_file_as_out_is_a_config_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert cli.main(["verify", "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {str(afile)!r} is not a usable directory")
+        assert "Traceback" not in err
+
+    def test_missing_config_creates_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "newdir"
+        argv = ["alpha-sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: config file not found")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_are_accepted(self, tmp_path, seed):
+        assert _run(tmp_path, "verify", None, seed=seed) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, "abc"])
+    def test_seed_outside_u64_is_refused(self, tmp_path, capsys, seed):
+        # seeds that differ by 2^64 would key the same Philox stream
+        with pytest.raises(SystemExit) as exit_info:
+            _run(tmp_path, "verify", None, seed=seed)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: '{seed}' is not an integer in [0, 2^64)" in err
+        assert not (tmp_path / "verify_report.json").exists()
+
 
 class TestVerify:
     def test_passes_with_defaults(self, tmp_path):
         assert _run(tmp_path, "verify", None, seed=9) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert all(entry["pass"] for entry in report.values())
+
+    def test_runs_every_check_once_in_report_order(self, tmp_path, capsys):
+        names = [
+            "tepai_identities", "tepai_gate_count_minimum", "channel_algebra",
+            "pcec_residual_oracle", "smm_enumeration_oracle", "smm_monte_carlo",
+            "switch_probability_bounds", "hubbard_l1_norm", "bound_intercepts",
+            "timing_anchor", "c1_calibration",
+        ]
+        assert _run(tmp_path, "verify", None, seed=9) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines[:-1]] == [f"PASS  {n}" for n in names]
+        assert lines[-1] == "verify: all checks passed"
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert sorted(report) == sorted(names)
 
     def test_tampered_c1_detected(self, tmp_path):
         cfg = "[verify]\nc1 = 0.9\n"
