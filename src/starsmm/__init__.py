@@ -17,8 +17,9 @@ import os
 import sys
 
 if "numpy" not in sys.modules:
-    # numpy's OpenBLAS worker threads spin for about 0.1 s of CPU after import,
-    # and starsmm's only BLAS calls are 2x2.  A value the user set wins.
+    # numpy starts its OpenBLAS worker threads at import and they spin for
+    # about 0.1 s of CPU, though starsmm makes no BLAS or LAPACK call.  A
+    # value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import hamcat, mitigation, pcec, smm, tepai, tmr, zchan

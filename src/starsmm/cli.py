@@ -14,9 +14,10 @@ command writes its rows in grid order; ``alpha-sweep`` and ``tradeoff``
 compute them as arrays with ``smm.error_rates``.  Outputs are
 CSV with 17-significant-digit floats and are byte-identical across runs for
 a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
-2 config error, 3 solver failure, 4 model error (a library ValueError on
-input the config checks let through, or, in ``tepai``, a float overflow,
-underflow or division by zero).
+2 config error (also an ``--out`` that is not a usable directory, or an
+output file in it that cannot be written), 3 solver failure, 4 model error
+(a library ValueError on input the config checks let through, or, in
+``tepai``, a float overflow, underflow or division by zero).
 """
 
 from __future__ import annotations
@@ -47,16 +48,23 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
     # strict JSON: a NaN or infinity raises instead of writing a bare token
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Every channel manipulated by the rotation-gate error models in this package
 is a convex mixture of logical Z-rotations ``R(phi) = exp(i*phi*Z)``.  Such
 mixtures compose exactly (angles add branch-wise), which makes this module
 usable as a closed-form oracle for the analytic error rates derived
-elsewhere: any claimed stochastic-Z rate can be checked against the exact
-2x2 density-matrix action of the channel.
+elsewhere: any claimed stochastic-Z rate can be checked against the
+channel's exact coherence factor, and so can the coherent remainder that
+the rate leaves out.
 
 Conventions: ``R(phi)|+> = cos(phi)|+> + i sin(phi)|->``; as a channel,
 ``R`` has period pi (global phase drops out), so branch angles are stored
@@ -17,8 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 WEIGHT_TOL = 1e-12
 ANGLE_MERGE_TOL = 1e-14
@@ -111,73 +110,6 @@ def compose(a: RotationMixture, b: RotationMixture) -> RotationMixture:
 
 
 # ---------------------------------------------------------------------------
-# Density matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """A 2x2 density matrix: Hermitian, unit trace, PSD (tolerance 1e-12)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-12:
-            raise ValueError("density matrix has an eigenvalue below -1e-12")
-        object.__setattr__(self, "matrix", m)
-
-
-def state_from_vector(vec) -> DensityMatrix2:
-    v = np.asarray(vec, dtype=complex).reshape(2)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix2(np.outer(v, v.conj()))
-
-
-def plus_state() -> DensityMatrix2:
-    return state_from_vector([1.0, 1.0])
-
-
-def pauli_eigenstates() -> tuple[DensityMatrix2, ...]:
-    """The six single-qubit Pauli eigenstates (Z, X and Y bases)."""
-    return (
-        state_from_vector([1.0, 0.0]),
-        state_from_vector([0.0, 1.0]),
-        state_from_vector([1.0, 1.0]),
-        state_from_vector([1.0, -1.0]),
-        state_from_vector([1.0, 1.0j]),
-        state_from_vector([1.0, -1.0j]),
-    )
-
-
-def _rotate(rho: np.ndarray, phi: float) -> np.ndarray:
-    """exp(i*phi*Z) rho exp(-i*phi*Z) -- acts on off-diagonals only."""
-    out = rho.copy()
-    phase = cmath.exp(2.0j * phi)
-    out[0, 1] = rho[0, 1] * phase
-    out[1, 0] = rho[1, 0] * phase.conjugate()
-    return out
-
-
-def apply(channel: RotationMixture, rho: DensityMatrix2) -> DensityMatrix2:
-    """Apply the mixture to a state: sum_j w_j R(phi_j) rho R(phi_j)^dag."""
-    out = np.zeros((2, 2), dtype=complex)
-    for w, phi in channel.branches:
-        out += w * _rotate(rho.matrix, phi)
-    return DensityMatrix2(out)
-
-
-def trace_distance(a: DensityMatrix2, b: DensityMatrix2) -> float:
-    diff = a.matrix - b.matrix
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-# ---------------------------------------------------------------------------
 # Channel diagnostics against the stochastic-Z model
 # ---------------------------------------------------------------------------
 
@@ -208,12 +140,13 @@ def worst_case_vs_pauli_model(channel: RotationMixture, target: float) -> float:
     ``sigma = R(target) rho R(target)^dag`` and ``p = twirled_z_error``.
     The return value bounds how far the channel is from its own Pauli
     approximation, i.e. the coherent remainder the twirled rate ignores.
+
+    With ``c = coherence_factor(channel, target)`` this is ``|Im c| / 2``.
+    Both maps keep the diagonal of ``rho``.  The channel sends ``rho01`` to
+    ``rho01 e^{2i target} c`` and the model to ``rho01 e^{2i target} (1 - 2p)``,
+    with ``1 - 2p = Re c``; the difference ``rho01 e^{2i target} i Im c`` is
+    the off-diagonal of a traceless Hermitian matrix, whose trace distance is
+    its modulus.  ``|rho01| = 1/2`` on the X and Y eigenstates and 0 on the
+    Z eigenstates.
     """
-    p = twirled_z_error(channel, target)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    worst = 0.0
-    for rho in pauli_eigenstates():
-        sigma = _rotate(rho.matrix, target)
-        model = DensityMatrix2((1.0 - p) * sigma + p * (z @ sigma @ z))
-        worst = max(worst, trace_distance(apply(channel, rho), model))
-    return worst
+    return 0.5 * abs(coherence_factor(channel, target).imag)

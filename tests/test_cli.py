@@ -869,6 +869,24 @@ class TestExitCodes:
         assert err.startswith(f"config error: --out {str(afile)!r} is not a usable directory")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,cfg,name",
+        [
+            ("alpha-sweep", ALPHA_CFG, "alpha_sweep.csv"),
+            ("tradeoff", TRADEOFF_CFG, "tradeoff.csv"),
+            ("bound", BOUND_CFG, "bound.csv"),
+            ("tepai", TEPAI_CFG, "tepai.csv"),
+            ("verify", None, "verify_report.json"),
+        ],
+        ids=["alpha_sweep", "tradeoff", "bound", "tepai", "verify"],
+    )
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, command, cfg, name):
+        (tmp_path / name).mkdir()
+        assert _run(tmp_path, command, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {str(tmp_path / name)!r}: ")
+        assert "Traceback" not in err
+
     def test_missing_config_creates_no_out_directory(self, tmp_path, capsys):
         out = tmp_path / "newdir"
         argv = ["alpha-sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]
@@ -946,6 +964,11 @@ class TestVerify:
              lambda original, *args: 1.01 * original(*args)),
             ("channel_algebra", zchan, "worst_case_vs_pauli_model",
              lambda original, *args: 1.0 + original(*args)),
+            # only on the check's own mixtures, whose lowest-angle weight is q:
+            # the pcec check calls it too
+            ("channel_algebra", zchan, "twirled_z_error",
+             lambda original, channel, target: original(channel, target)
+                 + 1e-12 * (channel.branches[0][0] in (0.01, 0.05, 0.1))),
             # a new seed on every call
             ("smm_monte_carlo", smm, "monte_carlo",
              lambda original, config, shots, seed, calls=itertools.count():
@@ -965,8 +988,8 @@ class TestVerify:
              lambda original, *args: [(n_t, 1.001 * n_r) for n_t, n_r in original(*args)]),
         ],
         ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard", "error_rates",
-             "channel_algebra", "monte_carlo_reproducibility", "switch_probability",
-             "gate_count_minimum", "timing_anchor", "bound_intercepts"],
+             "channel_algebra", "channel_algebra_twirl", "monte_carlo_reproducibility",
+             "switch_probability", "gate_count_minimum", "timing_anchor", "bound_intercepts"],
     )
     def test_broken_library_fails_its_check(
         self, tmp_path, capsys, monkeypatch, check, module, name, broken

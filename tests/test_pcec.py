@@ -26,15 +26,15 @@ class TestNoisyChannel:
         assert weights[round(-0.1, 6)] == pytest.approx(model.branch_qbars[1])
 
     def test_density_matrix_action_on_plus(self):
-        # hand-computed 2x2 result: off-diagonal picks up sum_j q_j e^{2i theta_j}
+        # hand-computed 2x2 result: the off-diagonal 1/2 of |+><+| picks up
+        # sum_j q_j e^{2i theta_j}, the coherence factor at target 0
         model = _model()
-        out = zchan.apply(pcec.build_noisy_channel(model), zchan.plus_state())
+        out_01 = 0.5 * zchan.coherence_factor(pcec.build_noisy_channel(model), 0.0)
         expected_01 = 0.5 * sum(
             q * complex(math.cos(2 * t), math.sin(2 * t))
             for q, t in zip(model.branch_qbars, model.branch_thetas)
         )
-        assert out.matrix[0, 1] == pytest.approx(expected_01, abs=1e-15)
-        assert out.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert out_01 == pytest.approx(expected_01, abs=1e-15)
 
 
 class TestCanceller:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsmm import zchan
 
@@ -84,25 +86,45 @@ def test_mixture_rejects_bad_weights():
         zchan.RotationMixture(((1.2, 0.0), (-0.2, 0.1)))
 
 
+PAULI_EIGENVECTORS = ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
+
+
+def _state(vec):
+    v = np.asarray(vec, complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _act(branches, rho):
+    """sum_j w_j u_j rho u_j^dag with u_j = exp(i phi_j Z), matrix by matrix."""
+    out = np.zeros((2, 2), complex)
+    for w, phi in branches:
+        u = np.diag([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
+        out += w * (u @ rho @ u.conj().T)
+    return out
+
+
+def _trace_distance(a, b):
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)))
+
+
 def test_apply_z_flips_plus():
-    out = zchan.apply(zchan.pure_rotation(math.pi / 2), zchan.plus_state())
-    minus = zchan.state_from_vector([1.0, -1.0])
-    assert zchan.trace_distance(out, minus) < 1e-14
+    out = _act(zchan.pure_rotation(math.pi / 2).branches, _state([1, 1]))
+    assert _trace_distance(out, _state([1, -1])) < 1e-14
 
 
 def test_apply_fixes_maximally_mixed():
     mix = zchan.mixture([(0.3, 0.7), (0.7, -0.2)])
-    mixed = zchan.DensityMatrix2(0.5 * np.eye(2))
-    out = zchan.apply(mix, mixed)
-    assert zchan.trace_distance(out, mixed) < 1e-14
+    mixed = 0.5 * np.eye(2)
+    assert _trace_distance(_act(mix.branches, mixed), mixed) < 1e-14
 
 
 def test_apply_stochastic_z_definition():
     q = 0.125
     chan = zchan.mixture([(1 - q, 0.0), (q, math.pi / 2)])
-    out = zchan.apply(chan, zchan.plus_state())
-    plus = zchan.plus_state().matrix
-    assert np.trace(plus @ out.matrix).real == pytest.approx(1 - q, abs=1e-14)
+    plus = _state([1, 1])
+    out = _act(chan.branches, plus)
+    assert np.trace(plus @ out).real == pytest.approx(1 - q, abs=1e-14)
 
 
 def test_apply_trace_and_positivity_preserving():
@@ -112,10 +134,11 @@ def test_apply_trace_and_positivity_preserving():
         w = rng.random(n)
         w /= w.sum()
         chan = zchan.mixture(list(zip(w, rng.uniform(-1.5, 1.5, n))))
-        for rho in zchan.pauli_eigenstates():
-            out = zchan.apply(chan, rho)  # __post_init__ enforces invariants
-            assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
-            assert np.min(np.linalg.eigvalsh(out.matrix)) > -1e-12
+        for vec in PAULI_EIGENVECTORS:
+            out = _act(chan.branches, _state(vec))
+            assert np.max(np.abs(out - out.conj().T)) < 1e-12
+            assert abs(np.trace(out).real - 1.0) < 1e-12
+            assert np.min(np.linalg.eigvalsh(out)) > -1e-12
 
 
 def test_twirled_z_error_exact_gate():
@@ -139,19 +162,12 @@ def test_twirled_z_error_symmetric_pair():
 
 def _manual_trace_distance_to_model(chan, target, rho_vec):
     """Independent 2x2 computation of the deviation, matrix-by-matrix."""
-    v = np.asarray(rho_vec, complex)
-    v = v / np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    exact = np.zeros((2, 2), complex)
-    for w, phi in chan.branches:
-        u = np.diag([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
-        exact += w * (u @ rho @ u.conj().T)
+    rho = _state(rho_vec)
     p = sum(w * math.sin(phi - target) ** 2 for w, phi in chan.branches)
-    ut = np.diag([cmath.exp(1j * target), cmath.exp(-1j * target)])
-    sigma = ut @ rho @ ut.conj().T
+    sigma = _act([(1.0, target)], rho)
     z = np.diag([1.0, -1.0])
     model = (1 - p) * sigma + p * (z @ sigma @ z)
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(exact - model)))
+    return _trace_distance(_act(chan.branches, rho), model)
 
 
 def test_worst_case_pure_rotation_is_zero():
@@ -175,11 +191,22 @@ def test_worst_case_asymmetric_mixture():
     dev = zchan.worst_case_vs_pauli_model(chan, 0.0)
     expected = q * abs(math.sin(dl) * math.cos(dl))
     assert dev == pytest.approx(expected, rel=1e-10)
-    manual = max(
-        _manual_trace_distance_to_model(chan, 0.0, v)
-        for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
-    )
+    manual = max(_manual_trace_distance_to_model(chan, 0.0, v) for v in PAULI_EIGENVECTORS)
     assert dev == pytest.approx(manual, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    branches=st.lists(
+        st.tuples(st.floats(1e-6, 1.0), st.floats(-1.5, 1.5)), min_size=1, max_size=5
+    ),
+    target=st.floats(-1.5, 1.5),
+)
+def test_worst_case_matches_the_matrix_route(branches, target):
+    total = sum(w for w, _ in branches)
+    chan = zchan.mixture([(w / total, phi) for w, phi in branches])
+    manual = max(_manual_trace_distance_to_model(chan, target, v) for v in PAULI_EIGENVECTORS)
+    assert zchan.worst_case_vs_pauli_model(chan, target) == pytest.approx(manual, abs=1e-15)
 
 
 def test_coherence_factor_multiplies_under_composition():
@@ -218,18 +245,3 @@ def test_rotation_mixture_rejects_bad_branches(branches, message):
 def test_mixture_rejects_all_zero_weights():
     with pytest.raises(ValueError, match="no branches with non-zero weight"):
         zchan.mixture([(0.0, 0.1), (0.0, -0.2)])
-
-
-@pytest.mark.parametrize(
-    "matrix,message",
-    [
-        (np.eye(3) / 3, "2x2"),
-        ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
-        (np.eye(2), "trace"),
-        ([[1.5, 0.0], [0.0, -0.5]], "eigenvalue"),
-    ],
-    ids=["shape", "hermitian", "trace", "psd"],
-)
-def test_density_matrix_rejects_non_states(matrix, message):
-    with pytest.raises(ValueError, match=message):
-        zchan.DensityMatrix2(np.asarray(matrix))
