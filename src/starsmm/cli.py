@@ -40,14 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.16e}"
-
-
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -56,9 +48,16 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
+    formats = {}  # one % format per row type signature: %s str, %d bool and int, %.16e float
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join(
+                "%s" if issubclass(kind, str) else
+                "%d" if issubclass(kind, (int, np.integer, np.bool_)) else "%.16e"
+                for kind in kinds)
+        lines.append(formats[kinds] % row)
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -269,7 +268,8 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
         rates = _error_rates(section, k, params, grid_in, thresholds, **setup)
         for theta_l, threshold, alpha, p_l, flag in zip(
-            grid_in, thresholds, rates.alpha_rus, rates.p_l, rates.out_of_regime
+            grid_in, thresholds.tolist(), rates.alpha_rus.tolist(), rates.p_l.tolist(),
+            rates.out_of_regime.tolist(),
         ):
             if not math.isfinite(alpha):
                 print(f"alpha-sweep: [{section}] row theta_L = {theta_l!r}, k = {k}: "
@@ -315,7 +315,7 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     row_theta, row_n = np.nonzero(keep)  # row-major: each theta_L's rows in order of n
     rates = _error_rates(section, k, params, np.array(theta_ls)[row_theta], ladder[keep],
                          p_m=p_m, timing_mode="latency")
-    smm_rows = zip(row_n.tolist(), rates.p_l, rates.expected_clocks)
+    smm_rows = zip(row_n.tolist(), rates.p_l.tolist(), rates.expected_clocks.tolist())
 
     synthesis = [smm.synthesis_only_gate(delta=delta, p_m=p_m) for delta in deltas]
     rows = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -433,11 +434,11 @@ def _section(key: tuple[int, int], pos: int) -> np.random.Philox:
     return stream
 
 
-def _signed_steps(table, coin: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _signed_steps(table, fail: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Deviation steps of trajectories whose (gate, canceller) raw ``draws`` may fire a branch.
 
     Only the draws that reach the table's identity floor are turned into
-    uniforms and looked up in its branch edges; ``coin`` (success) picks the
+    uniforms and looked up in its branch edges; ``fail`` (the coin) flips the
     sign of the step.
     """
     edges, deltas, floor = table
@@ -445,67 +446,72 @@ def _signed_steps(table, coin: np.ndarray, draws: np.ndarray) -> np.ndarray:
     branch = np.zeros(draws.shape, dtype=np.intp)
     branch[hit] = np.searchsorted(edges, (draws[hit] >> _DOUBLE_SHIFT) * 2.0 ** -53, side="right")
     step = deltas[branch[0]] - deltas[branch[1]]
-    return np.where(coin, step, -step)
+    return np.where(fail, -step, step)
+
+
+def _stream_trial(table, key: tuple[int, int], i: int, err: np.ndarray, stop: np.ndarray) -> None:
+    """Trial i of a chunk's live trajectories (stop == i), reading its whole stream sections in
+    sub-blocks of ``_MC_BLOCK`` trajectories, whose words are freed when the call returns."""
+    coins, gates, cancels = (_section(key, (3 * i + s) * err.size) for s in range(3))
+    for lo in range(0, err.size, _MC_BLOCK):
+        stop_b = stop[lo:lo + _MC_BLOCK]  # a view
+        n, alive_b = stop_b.size, stop_b == i
+        fail = coins.random_raw(n) >= _HALF
+        gate, cancel = gates.random_raw(n), cancels.random_raw(n)
+        hits = np.flatnonzero(np.maximum(gate, cancel) >= table[2])  # branch hits: rare
+        moved = hits[alive_b[hits]]
+        if moved.size:
+            draws = np.stack((gate[moved], cancel[moved]))
+            err[lo + moved] += _signed_steps(table, fail[moved], draws)
+        alive_b &= fail
+        stop_b += alive_b
 
 
 def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int, int], size: int,
-              buffers: tuple[np.ndarray, np.ndarray, np.ndarray]):
+              buffers: tuple[np.ndarray, np.ndarray]):
     """(sum x, sum x^2, sum t, sum t^2, digital count) over one chunk's trajectories.
 
     x is a trajectory's error sin^2 (with the digital flip folded in) and t
-    its clocks; ``key`` is (seed, chunk index).  ``buffers`` are a float,
-    an intp and a bool array of at least ``size``, overwritten: reused from
-    chunk to chunk, they spare the page faults of fresh arrays.
+    its clocks; ``key`` is (seed, chunk index).  ``buffers`` (float64, uint16,
+    at least ``size``) are overwritten with the deviations and trials survived:
+    reused from chunk to chunk, they spare the page faults of fresh arrays.
     """
-    err, stop, alive = (buffer[:size] for buffer in buffers)
+    err, stop = (buffer[:size] for buffer in buffers)
     err.fill(0.0)
-    stop.fill(0)  # trials survived: the stopping trial, or n_rus
-    # a live mask over the whole chunk while streaming, then live indices
-    alive.fill(True)
-    live = None if size > _KERNEL_LIVE else np.arange(size)
+    stop.fill(0)  # trials survived (the stopping trial, or n_rus): live at trial i iff == i
+    live = None if size > _KERNEL_LIVE else np.arange(size)  # live indices, once few are left
     for i, table in enumerate(tables):
-        floor = table[2]
         if live is None:
-            coins, gates, cancels = (_section(key, (3 * i + s) * size) for s in range(3))
-            for lo in range(0, size, _MC_BLOCK):
-                block = slice(lo, min(lo + _MC_BLOCK, size))
-                n = block.stop - lo
-                alive_b, stop_b = alive[block], stop[block]  # views
-                coin = coins.random_raw(n) < _HALF
-                gate, cancel = gates.random_raw(n), cancels.random_raw(n)
-                moved = np.flatnonzero(((gate >= floor) | (cancel >= floor)) & alive_b)
-                if moved.size:
-                    draws = np.stack((gate[moved], cancel[moved]))
-                    err[lo + moved] += _signed_steps(table, coin[moved], draws)
-                alive_b &= ~coin
-                stop_b += alive_b
-            if np.count_nonzero(alive) <= _KERNEL_LIVE:
-                live = np.flatnonzero(alive)
+            _stream_trial(table, key, i, err, stop)
+            survived = stop == i + 1
+            if np.count_nonzero(survived) <= _KERNEL_LIVE:
+                live = np.flatnonzero(survived)
         else:
             words = _philox_words(key, (3 * i + np.arange(3)[:, None]) * size + live)
-            coin = words[0] < _HALF
-            moved = np.flatnonzero((words[1] >= floor) | (words[2] >= floor))
+            fail = words[0] >= _HALF
+            moved = np.flatnonzero(np.maximum(words[1], words[2]) >= table[2])
             if moved.size:
-                err[live[moved]] += _signed_steps(table, coin[moved], words[1:, moved])
-            live = live[~coin]
+                err[live[moved]] += _signed_steps(table, fail[moved], words[1:, moved])
+            live = live[fail]
             stop[live] += 1
         if live is not None and live.size == 0:
             break
-    if live is None:
-        live = np.flatnonzero(alive)
+    digital = np.flatnonzero(stop == len(tables))
     # the four sums come from one buffer, squared in place
     x = np.sin(err, out=err)
     x *= x
     # digital branch: Z-flip with rate p_dig on top of the analog deviation
-    s2 = x[live]
-    x[live] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
+    s2 = x[digital]
+    x[digital] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
     sum_x = float(x.sum())
     x *= x
     sum_x2 = float(x.sum())
-    clocks = np.take(stop_clocks, stop, out=x, mode="clip")  # "clip" writes out unbuffered
-    sum_t = float(clocks.sum())
-    clocks *= clocks
-    return sum_x, sum_x2, sum_t, float(clocks.sum()), s2.size
+    # by sub-block: a whole-chunk take would copy the index to intp ("clip" writes out unbuffered)
+    for lo in range(0, size, _MC_BLOCK):
+        np.take(stop_clocks, stop[lo:lo + _MC_BLOCK], out=x[lo:lo + _MC_BLOCK], mode="clip")
+    sum_t = float(x.sum())
+    x *= x
+    return sum_x, sum_x2, sum_t, float(x.sum()), s2.size
 
 
 def _mc_workers() -> int:
@@ -534,13 +540,13 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     trial i at stream positions (3 i + s) size + t for the sections
     s = 0, 1, 2, as ``Generator.random`` would draw three arrays of ``size``
     per trial, so (seed, trajectory index) fixes a trajectory however chunks
-    are scheduled.  Trial i reaches only the live trajectories, those that
-    have not stopped, about 2^-i of the chunk.  While more than
+    are scheduled.  A chunk keeps a float64 deviation and a uint16 count of
+    trials survived per trajectory, and trial i reaches only the live ones,
+    whose count is i: about 2^-i of the chunk.  While more than
     ``_KERNEL_LIVE`` are live, a trial reads each section from a generator
     positioned at its start by counter (:func:`_section`), in sub-blocks of
-    ``_MC_BLOCK`` trajectories, and tests the words under a live mask; from
-    then on (live only shrinks) :func:`_philox_words` computes just the live
-    ones' words at their positions.  A chunk stops once none is live.
+    ``_MC_BLOCK`` trajectories; from then on :func:`_philox_words` computes
+    just the live ones' words.  A chunk stops once none is live.
 
     The chunks are independent, so they run on one thread per core the
     process may use (a one-chunk call starts no thread): the Philox reads
@@ -582,7 +588,7 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     def work(first: int) -> None:
         # worker ``first`` takes chunks first, first + workers, ...
         try:
-            buffers = np.empty(sizes[0]), np.empty(sizes[0], dtype=np.intp), np.empty(sizes[0], dtype=bool)
+            buffers = np.empty(sizes[0]), np.empty(sizes[0], dtype=np.uint16)  # n_rus <= 1073
             for index in range(first, len(sizes), workers):
                 key = (seed & 0xFFFFFFFFFFFFFFFF, index)
                 parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, key, sizes[index], buffers)
@@ -600,15 +606,9 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     if failures:
         raise failures[0]
 
-    # a loop, not sum(): from Python 3.12 sum() compensates float rounding, so its bits differ
-    sum_x = sum_x2 = sum_t = sum_t2 = 0.0
-    n_digital = 0
-    for part_x, part_x2, part_t, part_t2, part_digital in parts:
-        sum_x += part_x
-        sum_x2 += part_x2
-        sum_t += part_t
-        sum_t2 += part_t2
-        n_digital += part_digital
+    # added left to right, not by sum(): from Python 3.12 sum() compensates float rounding
+    sum_x, sum_x2, sum_t, sum_t2, n_digital = (
+        functools.reduce(operator.add, column) for column in zip(*parts))
 
     mean_x = sum_x / shots
     var_x = max(sum_x2 / shots - mean_x ** 2, 0.0)

@@ -270,7 +270,7 @@ class TestAlphaSweep:
         self, fixed_ratio, log2_ratio, theta_th, log_lo, below_th, decades, ppd, ks, p_ph,
         p_m, c1, higher,
     ):
-        # _fmt writes .16e, which round-trips a float, so every cell compares with ==
+        # _write_csv writes floats with %.16e, which round-trips them, so every cell compares with ==
         ratio = 2.0 ** log2_ratio
         lo = 10.0 ** log_lo if fixed_ratio else theta_th * 10.0 ** -below_th
         setup = (

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -661,6 +662,49 @@ class TestMonteCarlo:
             monkeypatch.setattr(smm, "_mc_workers", lambda: workers)
             reports.append(smm.monte_carlo(cfg, shots, 2 ** 64 - 5))
         assert reports[0] == reports[1] == reports[2]
+
+    def test_matches_full_width_sampler_past_255_trials(self):
+        cfg = smm.SmmConfig(theta_l=1e-90, theta_th=0.01,
+                            tmr_params=tmr.TmrParams(k=7, p_ph=1e-3, pass_coeffs=(0.04,)))
+        assert smm.effective_error_rate(cfg).n_rus == 293
+        seed = 2 ** 64 - 7
+        assert smm.monte_carlo(cfg, 3000, seed) == _reference_monte_carlo(cfg, 3000, seed)
+
+    @pytest.mark.parametrize("theta_l,n_rus", [(1e-90, 293), (5e-324, 1068)])
+    def test_trial_counter_reaches_the_digital_branch_past_255_trials(
+        self, monkeypatch, theta_l, n_rus
+    ):
+        # no sampled trajectory survives 256 trials, so every coin is made to fail:
+        # each trajectory must count all n_rus trials and go digital
+        cfg = smm.SmmConfig(theta_l=theta_l, theta_th=0.01,
+                            tmr_params=tmr.TmrParams(k=7, p_ph=1e-3, pass_coeffs=(0.04,)))
+        report = smm.effective_error_rate(cfg)
+        assert report.n_rus == n_rus
+        monkeypatch.setattr(smm, "_HALF", np.uint64(0))
+        mc = smm.monte_carlo(cfg, 3000, 1)
+        clocks = 0.0
+        for row in report.trials:
+            clocks += row.clocks
+        clocks += smm._digital_clocks(cfg.timing_mode, report.n_syn)
+        assert mc.p_switch_hat == 1.0
+        assert mc.clocks_hat == pytest.approx(clocks, rel=1e-12)
+        assert mc.clocks_se == pytest.approx(0.0, abs=1e-9 * clocks)
+
+    def test_chunk_state_is_ten_bytes_per_trajectory(self, monkeypatch):
+        # a float64 deviation and a uint16 trial counter per trajectory, and each sub-block's
+        # words freed with its trial: traced peak 2.4 MiB for one full chunk at seed 1, where an
+        # intp counter and a bool live mask besides, and the last sub-block kept, gave 3.4
+        cfg = _config(0.75 * (math.pi / 8) / 2 ** 17, k=7, c1=0.04, threshold_ratio=2.0 ** 17)
+        assert smm.effective_error_rate(cfg).n_rus == 17
+        monkeypatch.setattr(smm, "_mc_workers", lambda: 1)
+        smm.monte_carlo(cfg, smm._MC_CHUNK, 1)  # leaves out one-time first-call allocations
+        tracemalloc.start()
+        try:
+            smm.monte_carlo(cfg, smm._MC_CHUNK, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2 ** 20
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         cfg = _config(0.02, k=5)
