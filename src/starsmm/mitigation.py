@@ -15,7 +15,9 @@ rotation).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,7 +131,7 @@ def total_budget(
     else:  # ftqc-cultivation: each rotation synthesized from T-gates
         parts = [p_m * (profile.n_t + synthesis_t_count(p_m) * profile.n_r)]
         parts += [p_m * c for _, c in profile.rotations]
-    p_total = sum(parts)
+    p_total = functools.reduce(operator.add, parts)
     return MitigationBudget(
         p_total=p_total, gamma_total_sq=sampling_price(p_total), feasible=p_total <= 1.0
     )

@@ -7,8 +7,9 @@ synthesis from cultivated magic states once the angle reaches the
 threshold.  This module provides:
 
 * the analytic expectation calculator for the effective error rate, the
-  RUS factor ``alpha = P_L / (theta_l * p_ph)`` and the expected clocks,
-  per gate (the reference path) and as arrays over a sweep;
+  RUS factor ``alpha = P_L / (theta_l * p_ph)`` and the expected clocks:
+  one evaluator over :func:`tmr.branch_table` rows, run per gate (with its
+  trial table) and as arrays over a sweep, with the same bits either way;
 * a vectorized Monte-Carlo trajectory sampler cross-checking the analytics;
 * an exact trajectory enumerator built on the channel-algebra oracle;
 * the previous-generation ("fixed inverse-injection") RUS model used to
@@ -80,8 +81,8 @@ def in_domain(theta_l, theta_th) -> np.ndarray:
 def _check_domain(theta_l, theta_th, p_m: float, timing_mode: str) -> None:
     """Raise ValueError unless every gate (theta_l, theta_th) is :func:`in_domain`.
 
-    ``SmmConfig`` and :func:`error_rates` both call this, so the scalar and
-    the array path accept the same gates.
+    ``SmmConfig`` and :func:`error_rates` both call this, so one gate and a
+    sweep accept the same gates.
     """
     outside = ~in_domain(theta_l, theta_th)
     if outside.any():
@@ -132,11 +133,16 @@ class SmmConfig:
 
 @dataclass(frozen=True)
 class TrialRow:
-    """Per-trial breakdown: i-th analog trial at angle 2^i * theta_l."""
+    """Per-trial breakdown: i-th analog trial at angle 2^i * theta_l.
+
+    ``thetas``/``qbars`` are the trial's :func:`tmr.branch_table` row,
+    theta_j and qbar_j for j = 0..j_max.
+    """
 
     index: int
     theta_rus: float
-    model: tmr.TmrOutputModel
+    thetas: tuple[float, ...]
+    qbars: tuple[float, ...]
     residual: float
     clocks: float
 
@@ -178,9 +184,9 @@ def _t_count(mag: float, n: int, delta: float) -> int:
 
 
 def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, timing_mode: str):
-    """The closed-form finish of an SMM gate, shared by the scalar and the array path.
+    """The closed-form finish of the SMM gates the evaluator's trials fed.
 
-    Elementwise over floats or arrays: gates at |theta_l| = ``mag`` that run
+    Elementwise over arrays: gates at |theta_l| = ``mag`` that run
     ``n`` analog trials with expected residual ``p_analog`` and expected analog
     clocks ``analog_clocks``.  The digital stage, reached with probability
     p_switch = 2^-n, synthesizes at delta = max(p_m, 0.1 * 2^n * p_analog), so
@@ -189,9 +195,9 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     p_analog = 0), and flips the output at rate p_digital = delta + p_m N_syn.
     Gates are taken in order, so when the synthesis refuses a delta of 1 or
     more, the ValueError names the first such gate's |theta_l| and n.
-    Returns the :class:`SmmReport` fields it owns as numpy values.  Powers of
-    two are exact (``ldexp``) and p_ph^(k/2) is Python's ``pow``, so a scalar
-    gate gets the bits its row of the array path would get from equal inputs.
+    Returns the :class:`SmmReport` fields it owns as numpy arrays.  Each
+    gate's values depend on its own inputs only, so a gate has the same bits
+    alone and inside a sweep.
     """
     mag = np.asarray(mag)
     p_switch = np.ldexp(1.0, -n)
@@ -216,43 +222,63 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     )
 
 
+#: (gate, trial) pairs per evaluator call in a sweep, give or take one gate's trials: bounds
+#: the tables held at once, which a block of gates would not where each runs ~1000 trials.
+_SWEEP_PAIRS = 4096
+
+
+def _evaluate(params: tmr.TmrParams, mag: np.ndarray, n: np.ndarray, p_m: float,
+              include_higher_orders: bool, timing_mode: str):
+    """The SMM evaluator behind :func:`effective_error_rate` and :func:`error_rates`.
+
+    Gates at |theta_l| = ``mag`` > 0 run ``n`` analog trials each; trial i of
+    a gate runs at 2^i |theta_l|.  Every (gate, trial) pair goes through one
+    :func:`tmr.branch_table` and one :func:`pcec.residual_rates` call, and
+    each gate's terms 2^-i r_i and 2^-i clocks_i are added to 0.0 in trial
+    order, the order P_L's sum is written in (``np.add.at`` adds in index
+    order).
+    Returns the :func:`_finish` fields plus ``p_analog``, and the trial table
+    ``(trial, theta_rus, thetas, qbars, residual, clocks)`` over the pairs,
+    gate by gate.
+    """
+    gate = np.repeat(np.arange(mag.size), n)
+    trial = np.arange(gate.size) - np.repeat(np.cumsum(n) - n, n)
+    theta_rus = np.ldexp(mag[gate], trial)
+    p_ideal, thetas, qbars = tmr.branch_table(params, theta_rus)
+    residual = pcec.residual_rates(thetas, qbars, include_higher_orders)
+    clocks = np.broadcast_to(_analog_clocks(timing_mode, p_ideal), residual.shape)
+    weight = np.ldexp(1.0, -trial)
+    p_analog, analog_clocks = np.zeros(mag.size), np.zeros(mag.size)
+    np.add.at(p_analog, gate, weight * residual)
+    np.add.at(analog_clocks, gate, weight * clocks)
+    finish = _finish(params, mag, n, p_analog, analog_clocks, p_m, timing_mode)
+    return dict(finish, p_analog=p_analog), (trial, theta_rus, thetas, qbars, residual, clocks)
+
+
 def effective_error_rate(config: SmmConfig) -> SmmReport:
-    """Analytic effective error rate, RUS factor and expected clocks.
+    """Analytic effective error rate, RUS factor and expected clocks of one gate.
 
     P_L = sum_i 2^-i r(2^i theta_l) + 2^-N (delta + p_m N_syn)
 
     with r the per-trial post-PCEC residual; 2^-i is the probability that
     trial i is executed at all.  theta_l = 0 yields the identity report and
-    negative theta_l is folded by mirror symmetry.
+    negative theta_l is folded by mirror symmetry.  The gate runs through the
+    evaluator :func:`error_rates` uses, so the report equals its row there
+    bit for bit; ``trials`` holds its trial table.
     """
     if config.theta_l == 0.0:
         return SmmReport(
             n_rus=0, p_switch=1.0, p_analog=0.0, p_digital=0.0, n_syn=0, p_l=0.0,
             alpha_rus=0.0, expected_clocks=0.0, trials=(), out_of_regime=False,
         )
-    theta_l = abs(config.theta_l)
-    n = n_rus(theta_l, config.resolved_threshold())
-
-    rows = []
-    for i in range(n):
-        theta_rus = math.ldexp(theta_l, i)
-        model = tmr.output_model_for_logical(config.tmr_params, theta_rus)
-        rows.append(TrialRow(
-            index=i, theta_rus=theta_rus, model=model,
-            residual=pcec.residual_rate(model, config.include_higher_orders),
-            clocks=_analog_clocks(config.timing_mode, model.p_ideal),
-        ))
-
-    # expected residual and clocks over all executed trials, digital branch included
-    p_analog = sum(2.0 ** (-row.index) * row.residual for row in rows)
-    clocks = sum(2.0 ** (-row.index) * row.clocks for row in rows)
-    finish = _finish(
-        config.tmr_params, theta_l, n, p_analog, clocks, config.p_m, config.timing_mode
-    )
-    return SmmReport(
-        n_rus=n, p_analog=p_analog, trials=tuple(rows),
-        **{name: value.item() for name, value in finish.items()},
-    )
+    mag = abs(config.theta_l)
+    n = n_rus(mag, config.resolved_threshold())
+    fields, (index, theta_rus, thetas, qbars, residual, clocks) = _evaluate(
+        config.tmr_params, np.array([mag]), np.array([n]), config.p_m,
+        config.include_higher_orders, config.timing_mode)
+    trials = map(TrialRow, index.tolist(), theta_rus.tolist(), map(tuple, thetas.tolist()),
+                 map(tuple, qbars.tolist()), residual.tolist(), clocks.tolist())
+    return SmmReport(n_rus=n, trials=tuple(trials), **{key: x.item() for key, x in fields.items()})
 
 
 @dataclass(frozen=True)
@@ -278,12 +304,11 @@ def error_rates(
 
     Row r is the gate ``SmmConfig(theta_l[r], params, theta_th=theta_th[r],
     ...)``; ``theta_th`` broadcasts against ``theta_l``, and the domain is
-    checked by the helper ``SmmConfig`` uses.  Trial i runs at 2^i |theta_l| for
-    the rows with i < n_rus, weighted by 2^-i: one numpy pass over those rows
-    per trial index, accumulated in the scalar path's order.  Each row's
-    T-count comes from ``mitigation.synthesis_t_count``.  Values agree with
-    :func:`effective_error_rate`, whose per-trial tables the enumerator, the
-    sampler and ``verify`` read, to a few ulp (see :func:`tmr.branch_table`).
+    checked by the helper ``SmmConfig`` uses.  The rows pass through the
+    evaluator :func:`effective_error_rate` uses, in order, about
+    ``_SWEEP_PAIRS`` trials per call, so each row equals that gate's report
+    bit for bit.  Each row's T-count comes from
+    ``mitigation.synthesis_t_count``.
     """
     _check_domain(theta_l, theta_th, p_m, timing_mode)
     theta_l, theta_th = np.broadcast_arrays(
@@ -293,23 +318,18 @@ def error_rates(
     mag, th = np.abs(theta_l[live]), theta_th[live]
 
     n = np.array([n_rus(x, t) for x, t in zip(mag.tolist(), th.tolist())], dtype=int)
-    p_analog = np.zeros(mag.shape)
-    clocks = np.zeros(mag.shape)
-    for i in range(int(n.max(initial=0))):
-        running = n > i  # the rows that reach trial i
-        p_ideal, thetas, qbars = tmr.branch_table(params, np.ldexp(mag[running], i))
-        weight = 2.0 ** (-i)
-        p_analog[running] += weight * pcec.residual_rates(thetas, qbars, include_higher_orders)
-        clocks[running] += weight * _analog_clocks(timing_mode, p_ideal)
+    cuts = np.flatnonzero(np.diff((np.cumsum(n) - n) // _SWEEP_PAIRS)) + 1
+    blocks = [
+        _evaluate(params, block_mag, block_n, p_m, include_higher_orders, timing_mode)[0]
+        for block_mag, block_n in zip(np.split(mag, cuts), np.split(n, cuts))
+    ]
 
-    finish = _finish(params, mag, n, p_analog, clocks, p_m, timing_mode)
-
-    def per_row(values: np.ndarray) -> np.ndarray:
-        full = np.zeros(theta_l.shape, dtype=values.dtype)  # identity rows stay zero
-        full[live] = values
+    def per_row(name: str) -> np.ndarray:
+        full = np.zeros(theta_l.shape, dtype=blocks[0][name].dtype)  # identity rows stay zero
+        full[live] = np.concatenate([block[name] for block in blocks])
         return full
 
-    return SweepRates(**{name: per_row(finish[name]) for name in SweepRates.__dataclass_fields__})
+    return SweepRates(**{name: per_row(name) for name in SweepRates.__dataclass_fields__})
 
 
 def synthesis_only_gate(delta: float, p_m: float = 2e-9) -> tuple[float, float]:
@@ -344,9 +364,8 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     total = 0.0
     acc = 1.0 + 0.0j
     for row in report.trials:
-        net = zchan.compose(
-            pcec.build_canceller(row.model), pcec.build_noisy_channel(row.model)
-        )
+        row_table = row.thetas, row.qbars
+        net = zchan.compose(pcec.build_canceller(*row_table), pcec.build_noisy_channel(*row_table))
         acc *= zchan.coherence_factor(net, row.theta_rus)
         total += 2.0 ** (-(row.index + 1)) * 0.5 * (1.0 - acc.real)
     # digital branch: all n analog trials plus the synthesis/magic flip
@@ -389,12 +408,22 @@ _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * b, built from 32-bit halves."""
+    """High and low words of the 128-bit products a * b, built from 32-bit halves.
+
+    In place: four arrays of b's shape, the two returned among them.
+    """
     a_lo, a_hi = a & _LO32, a >> _S32
     b_lo, b_hi = b & _LO32, b >> _S32
-    t = a_hi * b_lo + ((a_lo * b_lo) >> _S32)
-    u = a_lo * b_hi + (t & _LO32)
-    return a_hi * b_hi + (t >> _S32) + (u >> _S32), a * b
+    t = a_lo * b_lo
+    t >>= _S32
+    t += np.multiply(a_hi, b_lo, out=b_lo)
+    u = np.multiply(a_lo, b_hi, out=b_lo)
+    lo = np.bitwise_and(t, _LO32)  # scratch until it takes a * b
+    u += lo
+    hi = np.multiply(a_hi, b_hi, out=b_hi)
+    hi += np.right_shift(t, _S32, out=t)
+    hi += np.right_shift(u, _S32, out=u)
+    return hi, np.multiply(a, b, out=lo)
 
 
 def _philox_words(key: tuple[int, int], pos) -> np.ndarray:
@@ -571,9 +600,9 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     # per-trial sampling tables: branch edges, angle deviations, identity floor
     tables = []
     for row in report.trials:
-        edges = np.cumsum(row.model.branch_qbars)
+        edges = np.cumsum(row.qbars)
         edges[-1] = 1.0
-        deltas = np.array(row.model.branch_thetas) - row.theta_rus  # Delta_0 = 0
+        deltas = np.array(row.thetas) - row.theta_rus  # Delta_0 = 0
         tables.append((edges, deltas, _branch_floor(float(edges[0]))))
     # clocks of a trajectory that stops at trial i (index i), or goes digital (index n_rus)
     elapsed = list(itertools.accumulate((row.clocks for row in report.trials), initial=0.0))
@@ -677,7 +706,7 @@ def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
 def v2_octave_average(k: int, p_ph: float, c1: float) -> float:
     """:func:`v2_rus_factor` averaged over the 16 angles CALIBRATION_ANCHOR * 2^(j/16), j < 16."""
     vals = [v2_rus_factor(theta_l, k, p_ph, c1) for theta_l in _OCTAVE]
-    return sum(vals) / len(vals)
+    return functools.reduce(operator.add, vals) / len(vals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -699,7 +728,7 @@ def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
 
     def averaged_alpha(c1: float) -> float:
         vals = [_v2_alpha(theta_l, rows, p_ph, c1) for theta_l, rows in zip(_OCTAVE, trials)]
-        return sum(vals) / len(vals)
+        return functools.reduce(operator.add, vals) / len(vals)
 
     lo, hi = math.log(1e-4), math.log(10.0)
     if averaged_alpha(math.exp(lo)) > mitigation.V2_RUS_FACTOR:

@@ -12,7 +12,9 @@ as ``c_j * p_ph**j`` with user-supplied coefficients ``c_j`` (default 1).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +77,8 @@ class TmrOutputModel:
     branch_qbars: tuple[float, ...]
 
     def error_weight(self) -> float:
-        """Total weight on the non-target branches, sum_{j>=1} qbar_j."""
-        return float(sum(self.branch_qbars[1:]))
+        """Total weight on the non-target branches, sum_{j>=1} qbar_j, added left to right."""
+        return functools.reduce(operator.add, self.branch_qbars[1:])
 
 
 def p_ideal(theta: float, k: int) -> float:
@@ -156,7 +158,7 @@ def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
     for j in range(1, params.j_max + 1):
         q.append(pair_weight(theta, k, j) * params.pass_coeffs[j - 1] * params.p_ph ** j)
         thetas.append(branch_angles(theta, k, j))
-    total = sum(q)
+    total = functools.reduce(operator.add, q)
     if total <= 0.0:
         raise ValueError("all branch weights vanish; model is degenerate")
     return TmrOutputModel(
@@ -174,13 +176,14 @@ def branch_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Branch tables for an array of logical angles in (0, pi/4], in one numpy pass.
 
-    Array form of :func:`output_model_for_logical`, with
-    theta_phys = arctan(tan(theta_l)^(1/k)).  Returns ``(p_ideal, thetas,
-    qbars)``: ``p_ideal`` has the shape of ``theta_l``, and ``thetas``/
-    ``qbars`` hold theta_j and qbar_j for j = 0..j_max on a new last axis.
-    numpy's vectorized tan, arctan and pow differ from libm in the last bit,
-    so values agree with the scalar functions, which stay the reference, to
-    a few ulp.
+    Array form of :func:`output_model_for_logical` at the physical angle
+    arctan(tan(theta_l)^(1/k)), which is not returned.  Returns ``(p_ideal,
+    thetas, qbars)``: ``p_ideal`` has the shape of ``theta_l``, and
+    ``thetas``/``qbars`` hold theta_j and qbar_j for j = 0..j_max on a new
+    last axis.  Every SMM gate reads its trial tables from here.  Each row
+    depends on its own angle only, so it has the same bits in any call.  The
+    scalar functions above evaluate the same closed forms through libm,
+    whose last bits can differ from numpy's tan, arctan and pow.
     """
     theta_l = np.asarray(theta_l, dtype=float)
     if not np.all((theta_l > 0.0) & (theta_l <= MAX_THETA)):

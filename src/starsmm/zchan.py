@@ -16,7 +16,9 @@ reduced into ``(-pi/2, pi/2]``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 WEIGHT_TOL = 1e-12
@@ -120,7 +122,8 @@ def coherence_factor(channel: RotationMixture, target: float) -> complex:
     surviving coherent error; the factor multiplies under composition,
     which is what makes exact trajectory enumeration cheap.
     """
-    return sum(w * cmath.exp(2.0j * (phi - target)) for w, phi in channel.branches)
+    return functools.reduce(
+        operator.add, (w * cmath.exp(2.0j * (phi - target)) for w, phi in channel.branches))
 
 
 def twirled_z_error(channel: RotationMixture, target: float) -> float:
@@ -129,7 +132,8 @@ def twirled_z_error(channel: RotationMixture, target: float) -> float:
     Equals ``sum_j w_j sin^2(phi_j - target)``, the stochastic-Z coefficient
     of the Pauli twirl of ``compose(channel, R(-target))``.
     """
-    p = sum(w * math.sin(phi - target) ** 2 for w, phi in channel.branches)
+    p = functools.reduce(
+        operator.add, (w * math.sin(phi - target) ** 2 for w, phi in channel.branches))
     return min(max(p, 0.0), 1.0)
 
 

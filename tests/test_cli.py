@@ -950,7 +950,7 @@ class TestVerify:
              lambda original, config: 2.0 * original(config)),
             # the noisy channel without its canceller
             ("pcec_residual_oracle", pcec, "composed_error_channel",
-             lambda original, model: pcec.build_noisy_channel(model)),
+             lambda original, *row: pcec.build_noisy_channel(*row)),
             # a bias of ten standard errors
             ("smm_monte_carlo", smm, "monte_carlo",
              lambda original, *args: dataclasses.replace(

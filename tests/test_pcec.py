@@ -10,16 +10,21 @@ def _model(k=3, p_ph=1e-3, theta=0.1, c1=1.0):
     return tmr.branch_weights(tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,)), theta)
 
 
+def _row(model):
+    """The (thetas, qbars) row the channel builders take."""
+    return model.branch_thetas, model.branch_qbars
+
+
 class TestNoisyChannel:
     def test_noiseless_model_is_pure_rotation(self):
         model = _model(p_ph=0.0)
-        chan = pcec.build_noisy_channel(model)
+        chan = pcec.build_noisy_channel(*_row(model))
         assert len(chan.branches) == 1
         assert chan.branches[0][1] == pytest.approx(model.theta_l)
 
     def test_k3_two_branch_structure(self):
         model = _model()
-        chan = pcec.build_noisy_channel(model)
+        chan = pcec.build_noisy_channel(*_row(model))
         assert len(chan.branches) == 2
         weights = dict((round(phi, 6), w) for w, phi in chan.branches)
         assert weights[round(model.theta_l, 6)] == pytest.approx(1 - model.branch_qbars[1])
@@ -29,7 +34,7 @@ class TestNoisyChannel:
         # hand-computed 2x2 result: the off-diagonal 1/2 of |+><+| picks up
         # sum_j q_j e^{2i theta_j}, the coherence factor at target 0
         model = _model()
-        out_01 = 0.5 * zchan.coherence_factor(pcec.build_noisy_channel(model), 0.0)
+        out_01 = 0.5 * zchan.coherence_factor(pcec.build_noisy_channel(*_row(model)), 0.0)
         expected_01 = 0.5 * sum(
             q * complex(math.cos(2 * t), math.sin(2 * t))
             for q, t in zip(model.branch_qbars, model.branch_thetas)
@@ -39,12 +44,12 @@ class TestNoisyChannel:
 
 class TestCanceller:
     def test_noiseless_model_gives_identity(self):
-        chan = pcec.build_canceller(_model(p_ph=0.0))
+        chan = pcec.build_canceller(*_row(_model(p_ph=0.0)))
         assert chan.branches == ((1.0, 0.0),)
 
     def test_single_error_model_structure(self):
         model = _model()
-        chan = pcec.build_canceller(model)
+        chan = pcec.build_canceller(*_row(model))
         qbar1 = model.branch_qbars[1]
         delta1 = model.branch_thetas[1] - model.theta_l
         assert len(chan.branches) == 2
@@ -58,7 +63,7 @@ class TestCanceller:
         model = tmr.branch_weights(params, 0.7)
         assert model.error_weight() >= 0.5
         with pytest.raises(pcec.ModelRegimeError):
-            pcec.build_canceller(model)
+            pcec.build_canceller(*_row(model))
 
 
 class TestResidualRate:
@@ -89,7 +94,7 @@ class TestResidualRate:
         for theta in (0.02, 0.1, 0.3, 0.6):
             for p_ph in (1e-4, 1e-3, 1e-2):
                 model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=p_ph), theta)
-                exact = zchan.twirled_z_error(pcec.composed_error_channel(model), 0.0)
+                exact = zchan.twirled_z_error(pcec.composed_error_channel(*_row(model)), 0.0)
                 bound = 10.0 * model.error_weight() ** 2
                 assert abs(pcec.residual_rate(model) - exact) <= max(bound, 1e-16)
 
@@ -120,7 +125,7 @@ class TestChannelSet:
         for k in (3, 5, 7):
             for theta in (0.05, 0.2, 0.5):
                 model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=1e-3), theta)
-                composed = pcec.composed_error_channel(model)
+                composed = pcec.composed_error_channel(*_row(model))
                 dev = zchan.worst_case_vs_pauli_model(composed, 0.0)
                 assert dev <= 10.0 * model.error_weight() ** 2
 

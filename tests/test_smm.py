@@ -32,10 +32,10 @@ def _reference_monte_carlo(config, shots, seed):
     p_digital_flip = report.p_digital
     cums, deltas = [], []
     for row in report.trials:
-        edges = np.cumsum(row.model.branch_qbars)
+        edges = np.cumsum(row.qbars)
         edges[-1] = 1.0
         cums.append(edges)
-        deltas.append(np.array(row.model.branch_thetas) - row.theta_rus)
+        deltas.append(np.array(row.thetas) - row.theta_rus)
     t_digital = smm._digital_clocks(config.timing_mode, report.n_syn)
 
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
@@ -216,12 +216,13 @@ class TestEffectiveErrorRate:
         expected_analog = sum(2.0 ** -r.index * r.residual for r in rep.trials)
         assert rep.p_analog == pytest.approx(expected_analog, rel=1e-13)
 
-    def test_trial_rows_carry_their_tmr_model(self):
+    def test_trial_rows_are_their_branch_table_rows(self):
         cfg = _config(1e-3, k=5, threshold_ratio=16.0, timing_mode="latency")
         rep = smm.effective_error_rate(cfg)
         for row in rep.trials:
-            assert row.model == tmr.output_model_for_logical(cfg.tmr_params, row.theta_rus)
-            assert row.clocks == 1 / tmr.p_ideal(row.model.theta_phys, cfg.tmr_params.k) + 1.0
+            p_ideal, thetas, qbars = tmr.branch_table(cfg.tmr_params, [row.theta_rus])
+            assert (row.thetas, row.qbars) == (tuple(thetas[0].tolist()), tuple(qbars[0].tolist()))
+            assert row.clocks == 1 / p_ideal[0] + 1.0
 
     def test_leading_order_mode(self):
         cfg_full = _config(1e-3, k=7, threshold_ratio=16.0)
@@ -289,8 +290,32 @@ class TestDomain:
         ]
 
 
+def _libm_gate(params, theta_l, theta_th, p_m=2e-9, include_higher_orders=True,
+               timing_mode="pipelined"):
+    """(p_l, alpha_rus, expected_clocks, out_of_regime) of one gate by the libm route.
+
+    An independent reference for the SMM evaluator, which reads
+    ``tmr.branch_table``: each trial's table comes from the scalar
+    ``tmr.output_model_for_logical`` and its residual from
+    ``pcec.residual_rate``, the 2^-i-weighted terms are added left to right,
+    and ``smm._finish`` closes the gate.
+    """
+    if theta_l == 0.0:
+        return 0.0, 0.0, 0.0, False
+    mag = abs(theta_l)
+    n = smm.n_rus(mag, theta_th)
+    p_analog = clocks = 0.0
+    for i in range(n):
+        model = tmr.output_model_for_logical(params, math.ldexp(mag, i))
+        p_analog += 2.0 ** -i * pcec.residual_rate(model, include_higher_orders)
+        clocks += 2.0 ** -i * smm._analog_clocks(timing_mode, model.p_ideal)
+    finish = smm._finish(params, mag, n, p_analog, clocks, p_m, timing_mode)
+    return tuple(finish[name].item()
+                 for name in ("p_l", "alpha_rus", "expected_clocks", "out_of_regime"))
+
+
 class TestErrorRates:
-    """The array form against a loop over the scalar reference path."""
+    """Both public forms of the SMM evaluator against the libm route of :func:`_libm_gate`."""
 
     # numpy's tan/arctan/pow differ from libm in the last bit; the rows
     # checked so far differ by at most ~28 eps
@@ -300,17 +325,18 @@ class TestErrorRates:
         rates = smm.error_rates(params, theta_l, theta_th, **kwargs)
         theta_th = np.broadcast_to(theta_th, np.shape(theta_l))
         for r, (x, th) in enumerate(zip(theta_l, theta_th)):
+            *want, flag = _libm_gate(params, float(x), float(th), **kwargs)
             config = smm.SmmConfig(
                 theta_l=float(x), tmr_params=params, theta_th=float(th), **kwargs
             )
             rep = smm.effective_error_rate(config)
-            got = (rates.p_l[r], rates.alpha_rus[r], rates.expected_clocks[r])
-            want = (rep.p_l, rep.alpha_rus, rep.expected_clocks)
-            if exact:
-                assert got == want
-            else:
-                assert got == pytest.approx(want, rel=self.REL, abs=0.0)
-            assert rates.out_of_regime[r] == rep.out_of_regime
+            for got in ((rates.p_l[r], rates.alpha_rus[r], rates.expected_clocks[r]),
+                        (rep.p_l, rep.alpha_rus, rep.expected_clocks)):
+                if exact:
+                    assert got == tuple(want)
+                else:
+                    assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+            assert rates.out_of_regime[r] == rep.out_of_regime == flag
         return rates
 
     @settings(max_examples=60, deadline=None)
@@ -332,6 +358,49 @@ class TestErrorRates:
             tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,)), theta_l, theta_th,
             p_m=p_m, include_higher_orders=higher, timing_mode=timing_mode,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 15),
+        c1=st.floats(0.01, 1.0),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-6]),
+        higher=st.booleans(),
+        timing_mode=st.sampled_from(["pipelined", "latency"]),
+        rows=st.lists(
+            st.tuples(
+                st.just(0.0) | st.sampled_from([5e-324, 3e-321, 1e-310])
+                | st.floats(-12.0, math.log10(smm.MAX_THRESHOLD)).map(lambda e: 10.0 ** e),
+                st.booleans(),
+                st.floats(0.0, 40.0),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_report_equals_its_row_bit_for_bit(self, k, c1, p_m, higher, timing_mode, rows):
+        # theta_L = 0, negative and subnormal gates; subnormal ones run up to 1073 trials
+        params = tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,))
+        theta_th = [smm.MAX_THRESHOLD * 2.0 ** -s for *_, s in rows]
+        theta_l = [(-1.0 if negative else 1.0) * min(x, th)
+                   for (x, negative, _), th in zip(rows, theta_th)]
+        setup = dict(p_m=p_m, include_higher_orders=higher, timing_mode=timing_mode)
+        rates = smm.error_rates(params, theta_l, theta_th, **setup)
+        for r, (x, th) in enumerate(zip(theta_l, theta_th)):
+            rep = smm.effective_error_rate(
+                smm.SmmConfig(theta_l=x, tmr_params=params, theta_th=th, **setup))
+            # ==, with NaN equal to NaN: alpha_rus = 0 / 0 where theta_L * p_ph underflows
+            np.testing.assert_array_equal(
+                [getattr(rep, name) for name in smm.SweepRates.__dataclass_fields__],
+                [getattr(rates, name)[r] for name in smm.SweepRates.__dataclass_fields__],
+            )
+
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch):
+        params = tmr.TmrParams(k=7, p_ph=1e-3, pass_coeffs=(0.04,))
+        theta_l = np.geomspace(1e-9, 1e-3, 11) * np.resize([1.0, -1.0, 0.0], 11)
+        whole = smm.error_rates(params, theta_l, 0.01, timing_mode="latency")
+        monkeypatch.setattr(smm, "_SWEEP_PAIRS", 40)  # blocks of 2, 2 and 4 gates
+        blocked = smm.error_rates(params, theta_l, 0.01, timing_mode="latency")
+        for name in smm.SweepRates.__dataclass_fields__:
+            assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
     def test_subnormal_angles(self):
         # up to 1073 trials, with thresholds past 2^1024 |theta_L|
@@ -538,7 +607,7 @@ class TestEnumerationOracle:
         lead = smm.SmmConfig(include_higher_orders=False, **setup)
         rep = smm.effective_error_rate(lead)
         assert rep.p_l == smm.effective_error_rate(smm.SmmConfig(**setup)).p_l
-        q_sum = sum(row.model.error_weight() for row in rep.trials)
+        q_sum = sum(sum(row.qbars[1:]) for row in rep.trials)
         assert abs(rep.p_l - smm.enumerate_error_rate(lead)) <= 10.0 * q_sum ** 2
 
     @pytest.mark.parametrize("timing_mode", ["pipelined", "latency"])
@@ -858,7 +927,7 @@ class TestPinnedValues:
         return _config(0.02, k=5, c1=smm.calibrate_c1(7, 1e-3))
 
     def test_enumerated_error_rate(self):
-        assert smm.enumerate_error_rate(self._fixed_ratio()) == 6.899648545242998e-06
+        assert smm.enumerate_error_rate(self._fixed_ratio()) == 6.8996485452707534e-06
 
     def test_monte_carlo_error_rate(self):
         assert smm.monte_carlo(self._fixed_ratio(), 200_000, 11).p_l_hat == 7.177645778433653e-06
@@ -877,7 +946,7 @@ class TestPinnedValues:
             threshold_ratio=2.0 ** 17, timing_mode="latency", p_m=2e-9,
         )
         mc = smm.monte_carlo(cfg, 300_001, 17)
-        assert mc.p_l_hat == 3.7320716607960225e-10
+        assert mc.p_l_hat == 3.732071660796024e-10
         assert mc.clocks_hat == 4.490983883105016
         assert mc.p_switch_hat == 1.6666611111296295e-05
 
