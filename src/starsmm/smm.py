@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mitigation, pcec, tmr, zchan
+from ._philox import section as _section, words as _philox_words
 
 MAX_THRESHOLD = math.pi / 8.0
 MAX_P_M = 1e-3  # largest magic-state error rate the cost model covers
@@ -392,75 +393,21 @@ class McReport:
 
 
 _MC_CHUNK = 1 << 17
-#: Trajectories per sub-block of a streamed trial: the words a chunk holds at once.
+#: Trajectories per sub-block of a streamed trial (the words a chunk holds at once)
+#: and per leaf of a chunk's sums.
 _MC_BLOCK = 1 << 14
 #: A chunk with at most this many live trajectories computes their draws with
-#: :func:`_philox_words` instead of streaming the whole trial: the measured
-#: cross-over of the two on a 2-core Xeon VM.
+#: :func:`_philox_words` instead of streaming the whole trial.  On a 2-core Xeon VM
+#: a streamed full-chunk trial takes 2.5 ms, the kernel 1.0 ms at 2048 live and
+#: 2.0 at 4096; a larger value would also raise the peak its (2, 3 * live) temporaries set.
 _KERNEL_LIVE = 2048
 _HALF = np.uint64(1 << 63)  # a uniform is < 0.5 exactly when its raw word is < 2^63
 _DOUBLE_SHIFT = np.uint64(11)
-
-#: Philox4x64-10 round multipliers and Weyl key increments (Random123).
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-
-def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * b, built from 32-bit halves.
-
-    In place: four arrays of b's shape, the two returned among them.
-    """
-    a_lo, a_hi = a & _LO32, a >> _S32
-    b_lo, b_hi = b & _LO32, b >> _S32
-    t = a_lo * b_lo
-    t >>= _S32
-    t += np.multiply(a_hi, b_lo, out=b_lo)
-    u = np.multiply(a_lo, b_hi, out=b_lo)
-    lo = np.bitwise_and(t, _LO32)  # scratch until it takes a * b
-    u += lo
-    hi = np.multiply(a_hi, b_hi, out=b_hi)
-    hi += np.right_shift(t, _S32, out=t)
-    hi += np.right_shift(u, _S32, out=u)
-    return hi, np.multiply(a, b, out=lo)
-
-
-def _philox_words(key: tuple[int, int], pos) -> np.ndarray:
-    """``np.random.Philox(key=key).random_raw(n)[pos]``, computed at the positions alone.
-
-    Philox4x64-10 maps a counter (c0, c1, c2, c3) to a block of four words,
-    and numpy's stream starts at counter 1, so position p is lane p % 4 of the
-    block at counter [p // 4 + 1, 0, 0, 0].  Both multiplies of a round run as
-    one (2, n) product of the even counter words (c0, c2).
-    """
-    pos = np.asarray(pos, dtype=np.uint64)
-    flat = pos.ravel()
-    even = np.stack((flat // np.uint64(4) + np.uint64(1), np.zeros_like(flat)))
-    odd = np.zeros_like(even)  # (c1, c3)
-    for r in range(10):
-        round_key = np.array([[(k + r * w) % 2 ** 64] for k, w in zip(key, _PHILOX_W)], np.uint64)
-        hi, lo = _mulhilo(_PHILOX_M, even)
-        even, odd = hi[::-1] ^ odd ^ round_key, lo[::-1]
-    lane = (flat % np.uint64(4)).astype(np.intp)
-    return np.choose(lane, (even[0], odd[0], even[1], odd[1])).reshape(pos.shape)
 
 
 def _branch_floor(edge: float) -> int:
     """The least raw word whose uniform (word >> 11) * 2^-53 is >= ``edge``; 2^64 if none is."""
     return math.ceil(edge * 2.0 ** 53) << 11
-
-
-def _section(key: tuple[int, int], pos: int) -> np.random.Philox:
-    """The Philox stream keyed by ``key``, positioned to read from word ``pos`` on.
-
-    numpy's stream starts at counter 1, so a generator built at counter
-    [pos // 4, 0, 0, 0] first yields the block holding word ``pos``, at lane
-    pos % 4; the words of the lanes before it are read and dropped.
-    """
-    stream = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[pos // 4, 0, 0, 0])
-    stream.random_raw(pos % 4)
-    return stream
 
 
 def _signed_steps(table, fail: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -478,11 +425,12 @@ def _signed_steps(table, fail: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.where(fail, -step, step)
 
 
-def _stream_trial(table, key: tuple[int, int], i: int, err: np.ndarray, stop: np.ndarray) -> None:
+def _stream_trial(table, key: tuple[int, int], i: int, stop: np.ndarray, events: list) -> None:
     """Trial i of a chunk's live trajectories (stop == i), reading its whole stream sections in
-    sub-blocks of ``_MC_BLOCK`` trajectories, whose words are freed when the call returns."""
-    coins, gates, cancels = (_section(key, (3 * i + s) * err.size) for s in range(3))
-    for lo in range(0, err.size, _MC_BLOCK):
+    sub-blocks of ``_MC_BLOCK`` trajectories, whose words are freed when the call returns.
+    Its branch hits go to ``events`` as (trajectory index, signed step) arrays."""
+    coins, gates, cancels = (_section(key, (3 * i + s) * stop.size) for s in range(3))
+    for lo in range(0, stop.size, _MC_BLOCK):
         stop_b = stop[lo:lo + _MC_BLOCK]  # a view
         n, alive_b = stop_b.size, stop_b == i
         fail = coins.random_raw(n) >= _HALF
@@ -491,27 +439,39 @@ def _stream_trial(table, key: tuple[int, int], i: int, err: np.ndarray, stop: np
         moved = hits[alive_b[hits]]
         if moved.size:
             draws = np.stack((gate[moved], cancel[moved]))
-            err[lo + moved] += _signed_steps(table, fail[moved], draws)
+            events.append((lo + moved, _signed_steps(table, fail[moved], draws)))
         alive_b &= fail
         stop_b += alive_b
 
 
+def _pairwise(leaf, lo: int, n: int) -> tuple:
+    """``leaf(lo, n)``'s sums over [lo, lo + n), split as numpy's float64 pairwise sum splits an
+    array (halve n, the first half rounded down to a multiple of 8) into leaves of at most
+    ``_MC_BLOCK`` and added up the same tree: so leaves' ``x.sum()`` give the whole array's bits."""
+    if n <= _MC_BLOCK:
+        return leaf(lo, n)
+    half = n // 2
+    half -= half % 8
+    return tuple(map(operator.add, _pairwise(leaf, lo, half), _pairwise(leaf, lo + half, n - half)))
+
+
 def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int, int], size: int,
-              buffers: tuple[np.ndarray, np.ndarray]):
+              buffer: np.ndarray):
     """(sum x, sum x^2, sum t, sum t^2, digital count) over one chunk's trajectories.
 
     x is a trajectory's error sin^2 (with the digital flip folded in) and t
-    its clocks; ``key`` is (seed, chunk index).  ``buffers`` (float64, uint16,
-    at least ``size``) are overwritten with the deviations and trials survived:
-    reused from chunk to chunk, they spare the page faults of fresh arrays.
+    its clocks; ``key`` is (seed, chunk index).  ``buffer`` (uint16, at least
+    ``size``) is overwritten with the trials survived: reused from chunk to
+    chunk, it spares the page faults of a fresh array.  Each leaf of the sums
+    rebuilds its deviations from the trial-ordered branch hits.
     """
-    err, stop = (buffer[:size] for buffer in buffers)
-    err.fill(0.0)
+    stop = buffer[:size]
     stop.fill(0)  # trials survived (the stopping trial, or n_rus): live at trial i iff == i
+    events = [(np.empty(0, dtype=np.intp), np.empty(0))]  # branch hits, trial by trial
     live = None if size > _KERNEL_LIVE else np.arange(size)  # live indices, once few are left
     for i, table in enumerate(tables):
         if live is None:
-            _stream_trial(table, key, i, err, stop)
+            _stream_trial(table, key, i, stop, events)
             survived = stop == i + 1
             if np.count_nonzero(survived) <= _KERNEL_LIVE:
                 live = np.flatnonzero(survived)
@@ -520,27 +480,34 @@ def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int,
             fail = words[0] >= _HALF
             moved = np.flatnonzero(np.maximum(words[1], words[2]) >= table[2])
             if moved.size:
-                err[live[moved]] += _signed_steps(table, fail[moved], words[1:, moved])
+                events.append((live[moved], _signed_steps(table, fail[moved], words[1:, moved])))
             live = live[fail]
             stop[live] += 1
         if live is not None and live.size == 0:
             break
-    digital = np.flatnonzero(stop == len(tables))
-    # the four sums come from one buffer, squared in place
-    x = np.sin(err, out=err)
-    x *= x
-    # digital branch: Z-flip with rate p_dig on top of the analog deviation
-    s2 = x[digital]
-    x[digital] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
-    sum_x = float(x.sum())
-    x *= x
-    sum_x2 = float(x.sum())
-    # by sub-block: a whole-chunk take would copy the index to intp ("clip" writes out unbuffered)
-    for lo in range(0, size, _MC_BLOCK):
-        np.take(stop_clocks, stop[lo:lo + _MC_BLOCK], out=x[lo:lo + _MC_BLOCK], mode="clip")
-    sum_t = float(x.sum())
-    x *= x
-    return sum_x, sum_x2, sum_t, float(x.sum()), s2.size
+    where, steps = map(np.concatenate, zip(*events))
+
+    def leaf(lo: int, n: int) -> tuple:
+        stop_l = stop[lo:lo + n]
+        mine = (where >= lo) & (where < lo + n)
+        err = np.zeros(n)
+        np.add.at(err, where[mine] - lo, steps[mine])  # in trial order, as err[idx] += step
+        # the four sums come from one buffer, squared in place
+        x = np.sin(err, out=err)
+        x *= x
+        # digital branch: Z-flip with rate p_dig on top of the analog deviation
+        digital = np.flatnonzero(stop_l == len(tables))
+        s2 = x[digital]
+        x[digital] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
+        sum_x = float(x.sum())
+        x *= x
+        sum_x2 = float(x.sum())
+        np.take(stop_clocks, stop_l, out=x, mode="clip")  # "clip" writes out unbuffered
+        sum_t = float(x.sum())
+        x *= x
+        return sum_x, sum_x2, sum_t, float(x.sum()), digital.size
+
+    return _pairwise(leaf, 0, size)
 
 
 def _mc_workers() -> int:
@@ -569,9 +536,10 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     trial i at stream positions (3 i + s) size + t for the sections
     s = 0, 1, 2, as ``Generator.random`` would draw three arrays of ``size``
     per trial, so (seed, trajectory index) fixes a trajectory however chunks
-    are scheduled.  A chunk keeps a float64 deviation and a uint16 count of
-    trials survived per trajectory, and trial i reaches only the live ones,
-    whose count is i: about 2^-i of the chunk.  While more than
+    are scheduled.  A chunk keeps a uint16 count of trials survived per
+    trajectory, and trial i reaches only the live ones, whose count is i:
+    about 2^-i of the chunk.  Branch hits are rare, so they are kept as a
+    list of (trajectory index, signed step) arrays.  While more than
     ``_KERNEL_LIVE`` are live, a trial reads each section from a generator
     positioned at its start by counter (:func:`_section`), in sub-blocks of
     ``_MC_BLOCK`` trajectories; from then on :func:`_philox_words` computes
@@ -589,10 +557,17 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     picks a non-identity branch exactly when its word reaches
     :func:`_branch_floor` of the identity edge.  Only those draws are turned
     into uniforms and looked up; every other draw moves the deviation by
-    exactly 0.  A trajectory's clocks are the trial clocks summed in trial
-    order, and sin^2, the digital fold and the four sums run over the whole
-    chunk as such a sampler's would.
+    exactly 0.  A trajectory's steps and clocks are added in trial order,
+    and the four sums, taken in :func:`_pairwise` leaves, are a whole-chunk
+    sum's bits.
     """
+    def integer(name: str, value) -> int:
+        try:
+            return operator.index(value)  # numpy integers too
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+    shots, seed = integer("shots", shots), integer("seed", seed)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     report = effective_error_rate(config)
@@ -617,10 +592,10 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     def work(first: int) -> None:
         # worker ``first`` takes chunks first, first + workers, ...
         try:
-            buffers = np.empty(sizes[0]), np.empty(sizes[0], dtype=np.uint16)  # n_rus <= 1073
+            buffer = np.empty(sizes[0], dtype=np.uint16)  # n_rus <= 1073
             for index in range(first, len(sizes), workers):
                 key = (seed & 0xFFFFFFFFFFFFFFFF, index)
-                parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, key, sizes[index], buffers)
+                parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, key, sizes[index], buffer)
         except BaseException as exc:  # re-raised by the calling thread
             failures.append(exc)
 

@@ -759,10 +759,10 @@ class TestMonteCarlo:
         assert mc.clocks_hat == pytest.approx(clocks, rel=1e-12)
         assert mc.clocks_se == pytest.approx(0.0, abs=1e-9 * clocks)
 
-    def test_chunk_state_is_ten_bytes_per_trajectory(self, monkeypatch):
-        # a float64 deviation and a uint16 trial counter per trajectory, and each sub-block's
-        # words freed with its trial: traced peak 2.4 MiB for one full chunk at seed 1, where an
-        # intp counter and a bool live mask besides, and the last sub-block kept, gave 3.4
+    def test_chunk_state_is_the_trial_counter(self, monkeypatch):
+        # a uint16 trial counter per trajectory, the branch hits as an event list, and each
+        # sub-block's words freed with its trial: traced peak 0.92-1.10 MiB for one full chunk
+        # over seeds 1-8, where a float64 deviation per trajectory besides gave 1.92-2.10
         cfg = _config(0.75 * (math.pi / 8) / 2 ** 17, k=7, c1=0.04, threshold_ratio=2.0 ** 17)
         assert smm.effective_error_rate(cfg).n_rus == 17
         monkeypatch.setattr(smm, "_mc_workers", lambda: 1)
@@ -773,7 +773,38 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * 2 ** 20
+        assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("shots,seed,name", [(1e6, 1, "shots"), (10, 1.5, "seed"),
+                                                  ("10", 1, "shots"), (10, None, "seed")])
+    def test_non_integer_shots_or_seed_is_named(self, shots, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            smm.monte_carlo(_config(0.02, k=5), shots, seed)
+
+    def test_numpy_integer_shots_and_seed_report_python_ints(self):
+        mc = smm.monte_carlo(_config(0.02, k=5), np.int64(5), np.uint64(2 ** 64 - 1))
+        assert (mc.shots, mc.seed) == (5, 2 ** 64 - 1)
+        assert type(mc.shots) is int and type(mc.seed) is int
+        assert mc == smm.monte_carlo(_config(0.02, k=5), 5, 2 ** 64 - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3 * 2 ** 17), sparse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_leaf_sums_split_as_numpy_pairwise_sum(self, n, sparse, seed):
+        # the sampler's leaves are nodes of numpy's float64 pairwise sum; a split of n that
+        # does not round its first half down to a multiple of 8 misses it on about 1 in 5 lengths
+        rng = np.random.default_rng(seed)
+        x = rng.random(n) * 10.0 ** rng.integers(-20, 5, n)
+        if sparse:
+            x[rng.random(n) < 0.999] = 0.0
+        leaves = []
+
+        def leaf(lo, size):
+            leaves.append(size)
+            return float(x[lo:lo + size].sum()), 1
+
+        total, count = smm._pairwise(leaf, 0, n)
+        assert total == x.sum()
+        assert count == len(leaves) and max(leaves) <= smm._MC_BLOCK and sum(leaves) == n
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         cfg = _config(0.02, k=5)
