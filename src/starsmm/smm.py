@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mitigation, pcec, tmr, zchan
-from ._philox import section as _section, words as _philox_words
 
 MAX_THRESHOLD = math.pi / 8.0
 MAX_P_M = 1e-3  # largest magic-state error rate the cost model covers
@@ -393,14 +392,8 @@ class McReport:
 
 
 _MC_CHUNK = 1 << 17
-#: Trajectories per sub-block of a streamed trial (the words a chunk holds at once)
-#: and per leaf of a chunk's sums.
-_MC_BLOCK = 1 << 14
-#: A chunk with at most this many live trajectories computes their draws with
-#: :func:`_philox_words` instead of streaming the whole trial.  On a 2-core Xeon VM
-#: a streamed full-chunk trial takes 2.5 ms, the kernel 1.0 ms at 2048 live and
-#: 2.0 at 4096; a larger value would also raise the peak its (2, 3 * live) temporaries set.
-_KERNEL_LIVE = 2048
+#: Live trajectories per draw block: a chunk holds at most 3 * _MC_BLOCK raw words at once.
+_MC_BLOCK = 1 << 12
 _HALF = np.uint64(1 << 63)  # a uniform is < 0.5 exactly when its raw word is < 2^63
 _DOUBLE_SHIFT = np.uint64(11)
 
@@ -425,89 +418,65 @@ def _signed_steps(table, fail: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.where(fail, -step, step)
 
 
-def _stream_trial(table, key: tuple[int, int], i: int, stop: np.ndarray, events: list) -> None:
-    """Trial i of a chunk's live trajectories (stop == i), reading its whole stream sections in
-    sub-blocks of ``_MC_BLOCK`` trajectories, whose words are freed when the call returns.
-    Its branch hits go to ``events`` as (trajectory index, signed step) arrays."""
-    coins, gates, cancels = (_section(key, (3 * i + s) * stop.size) for s in range(3))
-    for lo in range(0, stop.size, _MC_BLOCK):
-        stop_b = stop[lo:lo + _MC_BLOCK]  # a view
-        n, alive_b = stop_b.size, stop_b == i
-        fail = coins.random_raw(n) >= _HALF
-        gate, cancel = gates.random_raw(n), cancels.random_raw(n)
-        hits = np.flatnonzero(np.maximum(gate, cancel) >= table[2])  # branch hits: rare
-        moved = hits[alive_b[hits]]
-        if moved.size:
-            draws = np.stack((gate[moved], cancel[moved]))
-            events.append((lo + moved, _signed_steps(table, fail[moved], draws)))
-        alive_b &= fail
-        stop_b += alive_b
+def _advance(stream: np.random.Philox, table, block: np.ndarray, events: list) -> np.ndarray:
+    """One trial of the live trajectories ``block``: the survivors, in index order.
+
+    Each trajectory draws three consecutive raw words (coin, gate,
+    canceller), freed when the call returns; the branch hits go to
+    ``events`` as (trajectory index, signed step) arrays.
+    """
+    coin, gate, cancel = words = stream.random_raw(3 * block.size).reshape(-1, 3).T
+    fail = coin >= _HALF
+    moved = np.flatnonzero(np.maximum(gate, cancel) >= table[2])  # branch hits: rare
+    if moved.size:
+        events.append((block[moved], _signed_steps(table, fail[moved], words[1:, moved])))
+    return block[fail]
 
 
-def _pairwise(leaf, lo: int, n: int) -> tuple:
-    """``leaf(lo, n)``'s sums over [lo, lo + n), split as numpy's float64 pairwise sum splits an
-    array (halve n, the first half rounded down to a multiple of 8) into leaves of at most
-    ``_MC_BLOCK`` and added up the same tree: so leaves' ``x.sum()`` give the whole array's bits."""
-    if n <= _MC_BLOCK:
-        return leaf(lo, n)
-    half = n // 2
-    half -= half % 8
-    return tuple(map(operator.add, _pairwise(leaf, lo, half), _pairwise(leaf, lo + half, n - half)))
-
-
-def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int, int], size: int,
-              buffer: np.ndarray):
+def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int, int], size: int):
     """(sum x, sum x^2, sum t, sum t^2, digital count) over one chunk's trajectories.
 
     x is a trajectory's error sin^2 (with the digital flip folded in) and t
-    its clocks; ``key`` is (seed, chunk index).  ``buffer`` (uint16, at least
-    ``size``) is overwritten with the trials survived: reused from chunk to
-    chunk, it spares the page faults of a fresh array.  Each leaf of the sums
-    rebuilds its deviations from the trial-ordered branch hits.
+    its clocks; ``key`` is (seed, chunk index).  The state is the live
+    trajectories' indices, compacted in place as they stop, the number
+    stopping at each trial, and the branch hits in trial order.
     """
-    stop = buffer[:size]
-    stop.fill(0)  # trials survived (the stopping trial, or n_rus): live at trial i iff == i
-    events = [(np.empty(0, dtype=np.intp), np.empty(0))]  # branch hits, trial by trial
-    live = None if size > _KERNEL_LIVE else np.arange(size)  # live indices, once few are left
+    stream = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    live = np.arange(size, dtype=np.int32)
+    stops = np.zeros(len(tables) + 1, dtype=np.intp)  # stopping at trial i; the digital ones last
+    events = [(np.empty(0, dtype=np.int32), np.empty(0))]  # (trajectory index, signed step) arrays
     for i, table in enumerate(tables):
-        if live is None:
-            _stream_trial(table, key, i, stop, events)
-            survived = stop == i + 1
-            if np.count_nonzero(survived) <= _KERNEL_LIVE:
-                live = np.flatnonzero(survived)
-        else:
-            words = _philox_words(key, (3 * i + np.arange(3)[:, None]) * size + live)
-            fail = words[0] >= _HALF
-            moved = np.flatnonzero(np.maximum(words[1], words[2]) >= table[2])
-            if moved.size:
-                events.append((live[moved], _signed_steps(table, fail[moved], words[1:, moved])))
-            live = live[fail]
-            stop[live] += 1
-        if live is not None and live.size == 0:
+        kept = 0
+        for lo in range(0, live.size, _MC_BLOCK):
+            survivors = _advance(stream, table, live[lo:lo + _MC_BLOCK], events)
+            live[kept:kept + survivors.size] = survivors
+            kept += survivors.size
+        stops[i] = live.size - kept
+        live = live[:kept]
+        if not kept:
             break
+    stops[-1] = live.size
     where, steps = map(np.concatenate, zip(*events))
 
-    def leaf(lo: int, n: int) -> tuple:
-        stop_l = stop[lo:lo + n]
-        mine = (where >= lo) & (where < lo + n)
-        err = np.zeros(n)
-        np.add.at(err, where[mine] - lo, steps[mine])  # in trial order, as err[idx] += step
-        # the four sums come from one buffer, squared in place
-        x = np.sin(err, out=err)
-        x *= x
-        # digital branch: Z-flip with rate p_dig on top of the analog deviation
-        digital = np.flatnonzero(stop_l == len(tables))
-        s2 = x[digital]
-        x[digital] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
-        sum_x = float(x.sum())
-        x *= x
-        sum_x2 = float(x.sum())
-        np.take(stop_clocks, stop_l, out=x, mode="clip")  # "clip" writes out unbuffered
-        sum_t = float(x.sum())
-        x *= x
-        return sum_x, sum_x2, sum_t, float(x.sum()), digital.size
-
-    return _pairwise(leaf, 0, size)
+    flags = np.zeros(size, dtype=bool)
+    flags[where] = True
+    hit = np.flatnonzero(flags)  # the only trajectories that can deviate
+    x = np.zeros(hit.size)
+    np.add.at(x, np.searchsorted(hit, where), steps)  # adds in trial order
+    np.sin(x, out=x)
+    x *= x
+    # digital branch: Z-flip with rate p_dig on top of the analog deviation (none without a hit)
+    flags.fill(False)
+    flags[live] = True
+    digital = flags[hit]
+    s2 = x[digital]
+    x[digital] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
+    clean = live.size - int(np.count_nonzero(digital))
+    sum_x = float(x.sum()) + clean * p_digital
+    x *= x
+    sum_x2 = float(x.sum()) + clean * p_digital ** 2
+    sum_t, sum_t2 = (float((stops * clocks).sum()) for clocks in (stop_clocks, stop_clocks ** 2))
+    return sum_x, sum_x2, sum_t, sum_t2, live.size
 
 
 def _mc_workers() -> int:
@@ -530,36 +499,35 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     ``j_max``, so ``include_higher_orders=False`` reaches the sample only
     through ``p_digital``: with ``j_max > 1`` it estimates neither model.
 
-    The RNG is counter-based: chunks of ``_MC_CHUNK`` trajectories, each read
-    from the Philox4x64-10 stream keyed by (seed, chunk index).  Trajectory t
-    of a chunk of ``size`` reads its coin, gate and canceller uniforms of
-    trial i at stream positions (3 i + s) size + t for the sections
-    s = 0, 1, 2, as ``Generator.random`` would draw three arrays of ``size``
-    per trial, so (seed, trajectory index) fixes a trajectory however chunks
-    are scheduled.  A chunk keeps a uint16 count of trials survived per
-    trajectory, and trial i reaches only the live ones, whose count is i:
-    about 2^-i of the chunk.  Branch hits are rare, so they are kept as a
-    list of (trajectory index, signed step) arrays.  While more than
-    ``_KERNEL_LIVE`` are live, a trial reads each section from a generator
-    positioned at its start by counter (:func:`_section`), in sub-blocks of
-    ``_MC_BLOCK`` trajectories; from then on :func:`_philox_words` computes
-    just the live ones' words.  A chunk stops once none is live.
+    The RNG is counter-based: chunks of ``_MC_CHUNK`` trajectories, each with
+    its own Philox4x64-10 stream keyed by (seed, chunk index), so a chunk's
+    draws do not depend on how chunks are scheduled.  At trial i, each
+    trajectory of the chunk that is still live draws three raw words (coin,
+    gate, canceller), in index order: ``Generator.random((live, 3))``'s words.
+    So a trajectory's draws depend on how many lower-index trajectories of
+    its chunk are still live, and trial i reaches only the live ones, about
+    2^-i of the chunk.  The words are drawn in blocks of at most
+    ``_MC_BLOCK`` live trajectories; as they are per-trajectory triples, the
+    block size does not change them.  A chunk stops once none is live.
 
     The chunks are independent, so they run on one thread per core the
-    process may use (a one-chunk call starts no thread): the Philox reads
-    and the numpy ufuncs release the GIL, and every chunk owns its
-    generators.  Each chunk returns its five sums, and they are added in
-    chunk order, so the report does not depend on the number of cores.
+    process may use (a one-chunk call starts no thread): the Philox draws
+    and the numpy ufuncs release the GIL, and every chunk owns its stream.
+    Each chunk returns its five sums, and they are added in chunk order, so
+    the report does not depend on the number of cores.
 
-    The bits are those of a sampler that draws every uniform with
-    ``Generator.random`` and advances every trajectory: a uniform is
-    (word >> 11) * 2^-53, so the coin test u < 1/2 is word < 2^63, and a draw
-    picks a non-identity branch exactly when its word reaches
-    :func:`_branch_floor` of the identity edge.  Only those draws are turned
-    into uniforms and looked up; every other draw moves the deviation by
-    exactly 0.  A trajectory's steps and clocks are added in trial order,
-    and the four sums, taken in :func:`_pairwise` leaves, are a whole-chunk
-    sum's bits.
+    A uniform is (word >> 11) * 2^-53, so the coin test u < 1/2 is
+    word < 2^63, and a draw picks a non-identity branch exactly when its word
+    reaches :func:`_branch_floor` of the identity edge.  Only those draws are
+    turned into uniforms and looked up; every other draw moves the deviation
+    by exactly 0.  The sums follow one rule.  A trajectory's steps are added
+    in trial order.  sum x and sum x^2 are the numpy sums of the scores of
+    the trajectories with a branch hit, in index order, plus the number of
+    digital trajectories without one times p_digital and p_digital^2 (the
+    others score 0).  sum t and sum t^2 are the numpy sums of the per-trial
+    stopping counts times the stopping clocks and their squares.
+
+    ``seed`` must lie in [0, 2^64), the Philox key word's range.
     """
     def integer(name: str, value) -> int:
         try:
@@ -570,6 +538,8 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     shots, seed = integer("shots", shots), integer("seed", seed)
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     report = effective_error_rate(config)
 
     # per-trial sampling tables: branch edges, angle deviations, identity floor
@@ -592,10 +562,9 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     def work(first: int) -> None:
         # worker ``first`` takes chunks first, first + workers, ...
         try:
-            buffer = np.empty(sizes[0], dtype=np.uint16)  # n_rus <= 1073
             for index in range(first, len(sizes), workers):
-                key = (seed & 0xFFFFFFFFFFFFFFFF, index)
-                parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, key, sizes[index], buffer)
+                parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, (seed, index),
+                                         sizes[index])
         except BaseException as exc:  # re-raised by the calling thread
             failures.append(exc)
 

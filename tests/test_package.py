@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,11 @@ def _blas_threads(code: str, **env_vars: str) -> str:
 )
 def test_import_limits_the_blas_pool_unless_numpy_came_first(code, env_vars, expected):
     assert _blas_threads(code, **env_vars) == expected
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `starsmm\.(\w+)` \|", layout, flags=re.MULTILINE)
+    modules = [path.stem for path in (ROOT / "src" / "starsmm").glob("*.py") if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)

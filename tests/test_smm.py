@@ -18,67 +18,61 @@ def _config(theta_l, k=5, p_ph=1e-3, c1=1.0, **kwargs):
 
 
 def _reference_monte_carlo(config, shots, seed):
-    """The full-width sampler: every trial advances every trajectory, masked by ``alive``.
+    """A trajectory-by-trajectory sampler with dense per-trajectory state.
 
-    Test oracle for :func:`smm.monte_carlo`.  It draws every uniform of every
-    trial with ``Generator.random`` on the (seed, chunk) Philox stream and
-    tests them as doubles.  ``monte_carlo`` reads the same stream positions
-    as raw words, tests them as integers, and computes only the live
-    trajectories' words once few are left; the two must agree bit for bit.
+    Test oracle for :func:`smm.monte_carlo`.  Each chunk of ``_MC_CHUNK``
+    trajectories draws from the Philox stream keyed by (seed, chunk index):
+    at every trial, ``Generator.random((live, 3))`` gives the coin, gate and
+    canceller uniforms of the still-live trajectories in index order, tested
+    as doubles.  Every trajectory keeps its deviation (advanced on every
+    trial it runs), whether it ever drew a non-identity branch, and its
+    stopping trial.  The sums follow ``monte_carlo``'s documented rule, so
+    the two must agree bit for bit.
     """
-    if config.theta_l == 0.0:
-        return smm.McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     report = smm.effective_error_rate(config)
-    p_digital_flip = report.p_digital
-    cums, deltas = [], []
+    n = len(report.trials)
+    p = report.p_digital
+    tables = []
     for row in report.trials:
         edges = np.cumsum(row.qbars)
         edges[-1] = 1.0
-        cums.append(edges)
-        deltas.append(np.array(row.thetas) - row.theta_rus)
-    t_digital = smm._digital_clocks(config.timing_mode, report.n_syn)
+        tables.append((edges, np.array(row.thetas) - row.theta_rus))
+    clocks = [0.0]
+    for row in report.trials:
+        clocks.append(clocks[-1] + row.clocks)
+    clocks.append(clocks[-1] + smm._digital_clocks(config.timing_mode, report.n_syn))
+    stop_clocks = np.array(clocks[1:])  # by stopping trial; n_rus for the digital branch
 
     sum_x = sum_x2 = sum_t = sum_t2 = 0.0
     n_digital = 0
-    done = 0
-    chunk_index = 0
-    while done < shots:
+    for index, done in enumerate(range(0, shots, smm._MC_CHUNK)):
         size = min(smm._MC_CHUNK, shots - done)
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
         err = np.zeros(size)
-        clocks = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        success_err = np.zeros(size)
-        succeeded = np.zeros(size, dtype=bool)
-        for row, edges, dl in zip(report.trials, cums, deltas):
-            u_coin = rng.random(size)
-            u_gate = rng.random(size)
-            u_canc = rng.random(size)
-            j_gate = np.searchsorted(edges, u_gate, side="right")
-            j_canc = np.searchsorted(edges, u_canc, side="right")
+        hit = np.zeros(size, dtype=bool)
+        stop = np.full(size, n)
+        live = np.arange(size)
+        for i, (edges, dl) in enumerate(tables):
+            u = rng.random((live.size, 3))
+            j_gate = np.searchsorted(edges, u[:, 1], side="right")
+            j_canc = np.searchsorted(edges, u[:, 2], side="right")
+            coin = u[:, 0] < 0.5
             step = dl[j_gate] - dl[j_canc]
-            coin = u_coin < 0.5
-            err = np.where(alive, err + np.where(coin, step, -step), err)
-            clocks = np.where(alive, clocks + row.clocks, clocks)
-            newly = alive & coin
-            success_err = np.where(newly, err, success_err)
-            succeeded |= newly
-            alive &= ~coin
-        clocks = np.where(alive, clocks + t_digital, clocks)
-        s2 = np.sin(np.where(succeeded, success_err, err)) ** 2
-        x = np.where(
-            succeeded,
-            s2,
-            (1.0 - p_digital_flip) * s2 + p_digital_flip * (1.0 - s2),
-        )
-        sum_x += float(x.sum())
-        sum_x2 += float((x * x).sum())
-        sum_t += float(clocks.sum())
-        sum_t2 += float((clocks * clocks).sum())
-        n_digital += int(alive.sum())
-        done += size
-        chunk_index += 1
+            err[live] += np.where(coin, step, -step)
+            hit[live] |= (j_gate > 0) | (j_canc > 0)
+            stop[live[coin]] = i
+            live = live[~coin]
+
+        digital = stop == n
+        s2 = np.sin(err[hit]) ** 2
+        x = np.where(digital[hit], (1.0 - p) * s2 + p * (1.0 - s2), s2)
+        clean = int(np.count_nonzero(digital & ~hit))
+        sum_x += float(x.sum()) + clean * p
+        sum_x2 += float((x * x).sum()) + clean * p ** 2
+        counts = np.bincount(stop, minlength=n + 1)
+        sum_t += float((counts * stop_clocks).sum())
+        sum_t2 += float((counts * stop_clocks ** 2).sum())
+        n_digital += int(np.count_nonzero(digital))
 
     mean_x = sum_x / shots
     mean_t = sum_t / shots
@@ -648,9 +642,8 @@ class TestMonteCarlo:
         )
         assert mc.p_l_hat == 0.0 and mc.p_switch_hat == 1.0
 
-    # n_rus = 17 at seed 2^64 - 1: two full chunks that switch from the stream to the
-    # counter kernel mid-chunk and a short one above _KERNEL_LIVE (2 * 2^17 + 2049),
-    # one short chunk above it (2049), and one computed by the kernel from trial 0 (2048)
+    # n_rus = 17 at seed 2^64 - 1: two full chunks and a short third one (2 * 2^17 + 2049),
+    # and one short chunk that does (2049) or does not (2048) end in a partial draw block
     @example(k=7, j_max=None, c1=0.5, p_ph=1e-2, p_m=2e-9, higher=True,
              timing_mode="pipelined", log2_ratio=17, scale=0.75, sign=1.0,
              shots=2 * 2 ** 17 + 2049, seed=2 ** 64 - 1)
@@ -697,29 +690,6 @@ class TestMonteCarlo:
         )
         assert smm.monte_carlo(config, shots, seed) == _reference_monte_carlo(config, shots, seed)
 
-    @pytest.mark.parametrize("k0", [0, 2 ** 63, 2 ** 64 - 1])
-    @pytest.mark.parametrize("k1", [0, 7, 2 ** 40])
-    def test_philox_words_match_the_stream(self, k0, k1):
-        deep = 3 * 17 * 2 ** 17  # the draws of 17 trials of a full chunk
-        pos = np.array([[0, 1, 2, 3, 5, 6, 7, 4097], [deep - 1, deep, deep + 1, deep + 2,
-                                                      deep + 3, deep + 5, deep + 6, deep + 7]])
-        key = np.array([k0, k1], dtype=np.uint64)
-        raw = np.random.Philox(key=key).random_raw(deep + 8)
-        assert np.array_equal(smm._philox_words((k0, k1), pos), raw[pos])
-        # the uniforms the sampler's integer tests stand for
-        uniforms = np.random.Generator(np.random.Philox(key=key)).random(8)
-        assert np.array_equal(uniforms, (raw[:8] >> np.uint64(11)) * 2.0 ** -53)
-
-    # the last chunk of 300001 shots holds 37857 trajectories, so its sections start at
-    # every offset from a 4-word Philox block
-    @pytest.mark.parametrize(
-        "pos", [0, 37857, 2 * 37857, 3 * 37857, 4 * 37857, 3 * 17 * 2 ** 17 + 1])
-    @pytest.mark.parametrize("key", [(0, 0), (2 ** 64 - 1, 2)])
-    def test_section_reads_the_stream_from_its_position(self, key, pos):
-        assert [pos % 4 for pos in (37857, 2 * 37857, 3 * 37857)] == [1, 2, 3]
-        raw = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(pos + 9)
-        assert np.array_equal(smm._section(key, pos).random_raw(9), raw[pos:])
-
     @pytest.mark.parametrize("shots", [1, 2049, 16385, 131073, 200_000, 300_001])
     @pytest.mark.parametrize("timing_mode", ["pipelined", "latency"])
     @pytest.mark.parametrize("p_m", [0.0, 2e-9])
@@ -730,6 +700,18 @@ class TestMonteCarlo:
         for workers in (1, 2, 3):
             monkeypatch.setattr(smm, "_mc_workers", lambda: workers)
             reports.append(smm.monte_carlo(cfg, shots, 2 ** 64 - 5))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_report_does_not_depend_on_the_block(self, monkeypatch):
+        # n_rus = 17 over a full chunk and a short one: blocks of 7 leave a partial block at
+        # most trials, 2^17 draws a full chunk's trial 0 at once
+        cfg = _config(0.75 * (math.pi / 8) / 2 ** 17, k=7, c1=0.04, threshold_ratio=2.0 ** 17,
+                      timing_mode="latency", p_m=2e-9)
+        assert smm.effective_error_rate(cfg).n_rus == 17
+        reports = []
+        for block in (7, 2 ** 12, 2 ** 17):
+            monkeypatch.setattr(smm, "_MC_BLOCK", block)
+            reports.append(smm.monte_carlo(cfg, smm._MC_CHUNK + 2049, 2 ** 64 - 3))
         assert reports[0] == reports[1] == reports[2]
 
     def test_matches_full_width_sampler_past_255_trials(self):
@@ -759,10 +741,11 @@ class TestMonteCarlo:
         assert mc.clocks_hat == pytest.approx(clocks, rel=1e-12)
         assert mc.clocks_se == pytest.approx(0.0, abs=1e-9 * clocks)
 
-    def test_chunk_state_is_the_trial_counter(self, monkeypatch):
-        # a uint16 trial counter per trajectory, the branch hits as an event list, and each
-        # sub-block's words freed with its trial: traced peak 0.92-1.10 MiB for one full chunk
-        # over seeds 1-8, where a float64 deviation per trajectory besides gave 1.92-2.10
+    def test_chunk_state_is_the_live_indices(self, monkeypatch):
+        # an int32 live index per trajectory, compacted in place, the per-trial stop counts,
+        # the branch hits as an event list and one draw block's words at a time: traced peak
+        # 0.63 MiB for one full chunk, where a uint16 trial counter and 2^14-trajectory
+        # streamed sub-blocks gave 0.92-1.10
         cfg = _config(0.75 * (math.pi / 8) / 2 ** 17, k=7, c1=0.04, threshold_ratio=2.0 ** 17)
         assert smm.effective_error_rate(cfg).n_rus == 17
         monkeypatch.setattr(smm, "_mc_workers", lambda: 1)
@@ -773,7 +756,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2 ** 20
+        assert peak < 0.8 * 2 ** 20
 
     @pytest.mark.parametrize("shots,seed,name", [(1e6, 1, "shots"), (10, 1.5, "seed"),
                                                   ("10", 1, "shots"), (10, None, "seed")])
@@ -786,25 +769,6 @@ class TestMonteCarlo:
         assert (mc.shots, mc.seed) == (5, 2 ** 64 - 1)
         assert type(mc.shots) is int and type(mc.seed) is int
         assert mc == smm.monte_carlo(_config(0.02, k=5), 5, 2 ** 64 - 1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 3 * 2 ** 17), sparse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_leaf_sums_split_as_numpy_pairwise_sum(self, n, sparse, seed):
-        # the sampler's leaves are nodes of numpy's float64 pairwise sum; a split of n that
-        # does not round its first half down to a multiple of 8 misses it on about 1 in 5 lengths
-        rng = np.random.default_rng(seed)
-        x = rng.random(n) * 10.0 ** rng.integers(-20, 5, n)
-        if sparse:
-            x[rng.random(n) < 0.999] = 0.0
-        leaves = []
-
-        def leaf(lo, size):
-            leaves.append(size)
-            return float(x[lo:lo + size].sum()), 1
-
-        total, count = smm._pairwise(leaf, 0, n)
-        assert total == x.sum()
-        assert count == len(leaves) and max(leaves) <= smm._MC_BLOCK and sum(leaves) == n
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         cfg = _config(0.02, k=5)
@@ -823,10 +787,10 @@ class TestMonteCarlo:
     def test_failure_in_a_worker_thread_reaches_the_caller(self, monkeypatch):
         chunk = smm._mc_chunk
 
-        def failing(tables, stop_clocks, p_digital, key, size, buffers):
+        def failing(tables, stop_clocks, p_digital, key, size):
             if key[1] == 1:
                 raise MemoryError("chunk 1")
-            return chunk(tables, stop_clocks, p_digital, key, size, buffers)
+            return chunk(tables, stop_clocks, p_digital, key, size)
 
         monkeypatch.setattr(smm, "_mc_chunk", failing)
         monkeypatch.setattr(smm, "_mc_workers", lambda: 2)
@@ -961,14 +925,14 @@ class TestPinnedValues:
         assert smm.enumerate_error_rate(self._fixed_ratio()) == 6.8996485452707534e-06
 
     def test_monte_carlo_error_rate(self):
-        assert smm.monte_carlo(self._fixed_ratio(), 200_000, 11).p_l_hat == 7.177645778433653e-06
+        assert smm.monte_carlo(self._fixed_ratio(), 200_000, 11).p_l_hat == 6.5481456533135576e-06
 
     def test_monte_carlo_latency_clocks(self):
         cfg = _config(
             1e-5, k=7, c1=smm.calibrate_c1(7, 1e-3), threshold_ratio=2.0 ** 10,
             timing_mode="latency", p_m=2e-9,
         )
-        assert smm.monte_carlo(cfg, 200_000, 11).clocks_hat == 5.190834508834256
+        assert smm.monte_carlo(cfg, 200_000, 11).clocks_hat == 5.238594066875106
 
     def test_monte_carlo_deep_rus(self):
         # n_rus = 17 over three chunks, the last one short: pins the draw layout
@@ -977,15 +941,19 @@ class TestPinnedValues:
             threshold_ratio=2.0 ** 17, timing_mode="latency", p_m=2e-9,
         )
         mc = smm.monte_carlo(cfg, 300_001, 17)
-        assert mc.p_l_hat == 3.732071660796024e-10
-        assert mc.clocks_hat == 4.490983883105016
-        assert mc.p_switch_hat == 1.6666611111296295e-05
+        assert mc.p_l_hat == 2.2798521579887546e-10
+        assert mc.clocks_hat == 4.483117121298799
+        assert mc.p_switch_hat == 9.999966666777778e-06
 
 
 @pytest.mark.parametrize(
     "call,args,message",
     [
         (smm.monte_carlo, (_config(0.02), 0, 1), "shots must be >= 1"),
+        # a seed outside the Philox key word's range would alias one inside it
+        (smm.monte_carlo, (_config(0.02), 10, 2 ** 64),
+         r"^seed must lie in \[0, 2\^64\), got 18446744073709551616$"),
+        (smm.monte_carlo, (_config(0.02), 10, -1), r"^seed must lie in \[0, 2\^64\), got -1$"),
         (smm.v2_rus_factor, (0.0, 7, 1e-3, 0.04), "theta_l and p_ph must be positive"),
         (smm.v2_rus_factor, (1e-5, 7, 0.0, 0.04), "theta_l and p_ph must be positive"),
         (smm.v2_rus_factor, (1e-5, 7, 1e-3, -1.0), "c1 non-negative"),
@@ -994,8 +962,8 @@ class TestPinnedValues:
         # theta_l * p_ph underflows to 0 in the v2 factor; no ZeroDivisionError leaks
         (smm.calibrate_c1, (7, 1e-320), r"got p_ph = 1e-320"),
     ],
-    ids=["mc-shots", "v2-theta_l", "v2-p_ph", "v2-c1", "calibrate-zero", "calibrate-negative",
-         "calibrate-subnormal"],
+    ids=["mc-shots", "mc-seed-2^64", "mc-seed-negative", "v2-theta_l", "v2-p_ph", "v2-c1",
+         "calibrate-zero", "calibrate-negative", "calibrate-subnormal"],
 )
 def test_validation_names_the_argument(call, args, message):
     with pytest.raises(ValueError, match=message):
