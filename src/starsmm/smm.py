@@ -10,7 +10,8 @@ threshold.  This module provides:
   RUS factor ``alpha = P_L / (theta_l * p_ph)`` and the expected clocks:
   one evaluator over :func:`tmr.branch_table` rows, run per gate (with its
   trial table) and as arrays over a sweep, with the same bits either way;
-* a vectorized Monte-Carlo trajectory sampler cross-checking the analytics;
+* a Monte-Carlo sampler cross-checking the analytics, which draws stop and
+  branch-hit counts and simulates only the trajectories that draw a branch;
 * an exact trajectory enumerator built on the channel-algebra oracle;
 * the previous-generation ("fixed inverse-injection") RUS model used to
   calibrate the pass-rate coefficient c_1 against its published RUS factor;
@@ -34,8 +35,6 @@ import functools
 import itertools
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,100 +390,85 @@ class McReport:
     p_switch_se: float
 
 
-_MC_CHUNK = 1 << 17
-#: Live trajectories per draw block: a chunk holds at most 3 * _MC_BLOCK raw words at once.
+#: Hit trajectories scored at once: bounds the sampler's memory for any ``shots``.
 _MC_BLOCK = 1 << 12
-_HALF = np.uint64(1 << 63)  # a uniform is < 0.5 exactly when its raw word is < 2^63
-_DOUBLE_SHIFT = np.uint64(11)
 
 
-def _branch_floor(edge: float) -> int:
-    """The least raw word whose uniform (word >> 11) * 2^-53 is >= ``edge``; 2^64 if none is."""
-    return math.ceil(edge * 2.0 ** 53) << 11
+def _mc_tables(report: SmmReport):
+    """(edges, rest, zero, first, deltas): a gate's sampling tables, one row per trial.
 
-
-def _signed_steps(table, fail: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Deviation steps of trajectories whose (gate, canceller) raw ``draws`` may fire a branch.
-
-    Only the draws that reach the table's identity floor are turned into
-    uniforms and looked up in its branch edges; ``fail`` (the coin) flips the
-    sign of the step.
+    ``edges`` are the cumulative branch weights with the last set to 1;
+    ``rest`` the cumulative weights of the branches j >= 1 alone, whose last
+    entry is the trial's hit weight S; ``zero`` the chance q_0 / (1 + q_0),
+    q_0 = 1 - S, that a hit pair's gate is the identity; ``first`` the
+    chance 1 - prod_{i<=j} (1 - S_i)^2 that one of trials 0..j draws a
+    branch (through log1p); ``deltas`` the branch angles less theta_rus.
     """
-    edges, deltas, floor = table
-    hit = draws >= floor
-    branch = np.zeros(draws.shape, dtype=np.intp)
-    branch[hit] = np.searchsorted(edges, (draws[hit] >> _DOUBLE_SHIFT) * 2.0 ** -53, side="right")
-    step = deltas[branch[0]] - deltas[branch[1]]
-    return np.where(fail, -step, step)
+    qbars = np.array([row.qbars for row in report.trials])
+    edges = np.cumsum(qbars, axis=1)
+    edges[:, -1] = 1.0
+    rest = np.cumsum(qbars[:, 1:], axis=1)
+    hit = rest[:, -1]
+    first = -np.expm1(np.cumsum(2.0 * np.log1p(-hit)))
+    deltas = np.array([np.subtract(row.thetas, row.theta_rus) for row in report.trials])
+    return edges, rest, (1.0 - hit) / (2.0 - hit), first, deltas
 
 
-def _advance(stream: np.random.Philox, table, block: np.ndarray, events: list) -> np.ndarray:
-    """One trial of the live trajectories ``block``: the survivors, in index order.
+def _branch(table: np.ndarray, trial: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(table[t], u_t, side="right")`` for each trial t of ``trial``."""
+    index = np.zeros(u.size, dtype=np.intp)
+    for edge in table.T:
+        index += edge[trial] <= u
+    return index
 
-    Each trajectory draws three consecutive raw words (coin, gate,
-    canceller), freed when the call returns; the branch hits go to
-    ``events`` as (trajectory index, signed step) arrays.
+
+def _first_hits(tables, last: np.ndarray, u: np.ndarray):
+    """(trial, gate, canceller) of the first branch drawn by trajectories that draw one.
+
+    ``last`` is each trajectory's last trial and ``u`` its four uniforms:
+    the trial J, looked up in ``first`` scaled by ``first[last]``; whether
+    the gate is the identity; the gate's branch among j >= 1; the
+    canceller's branch, among j >= 1 after an identity gate.
     """
-    coin, gate, cancel = words = stream.random_raw(3 * block.size).reshape(-1, 3).T
-    fail = coin >= _HALF
-    moved = np.flatnonzero(np.maximum(gate, cancel) >= table[2])  # branch hits: rare
-    if moved.size:
-        events.append((block[moved], _signed_steps(table, fail[moved], words[1:, moved])))
-    return block[fail]
+    edges, rest, zero, first, _ = tables
+    trial = np.searchsorted(first, u[:, 0] * first[last], side="right")
+    hit = rest[trial, -1]
+    idle = u[:, 1] < zero[trial]
+    gate = np.where(idle, 0, 1 + _branch(rest, trial, u[:, 2] * hit))
+    canceller = np.where(idle, 1 + _branch(rest, trial, u[:, 3] * hit),
+                         _branch(edges, trial, u[:, 3]))
+    return trial, gate, canceller
 
 
-def _mc_chunk(tables, stop_clocks: np.ndarray, p_digital: float, key: tuple[int, int], size: int):
-    """(sum x, sum x^2, sum t, sum t^2, digital count) over one chunk's trajectories.
+def _signed_steps(deltas: np.ndarray, stratum, trial, gate, canceller) -> np.ndarray:
+    """Delta_gate - Delta_canceller, negated on the failed trials (those before ``stratum``)."""
+    step = deltas[trial, gate] - deltas[trial, canceller]
+    return np.where(trial < stratum, -step, step)
 
-    x is a trajectory's error sin^2 (with the digital flip folded in) and t
-    its clocks; ``key`` is (seed, chunk index).  The state is the live
-    trajectories' indices, compacted in place as they stop, the number
-    stopping at each trial, and the branch hits in trial order.
-    """
-    stream = np.random.Philox(key=np.array(key, dtype=np.uint64))
-    live = np.arange(size, dtype=np.int32)
-    stops = np.zeros(len(tables) + 1, dtype=np.intp)  # stopping at trial i; the digital ones last
-    events = [(np.empty(0, dtype=np.int32), np.empty(0))]  # (trajectory index, signed step) arrays
-    for i, table in enumerate(tables):
-        kept = 0
-        for lo in range(0, live.size, _MC_BLOCK):
-            survivors = _advance(stream, table, live[lo:lo + _MC_BLOCK], events)
-            live[kept:kept + survivors.size] = survivors
-            kept += survivors.size
-        stops[i] = live.size - kept
-        live = live[:kept]
-        if not kept:
-            break
-    stops[-1] = live.size
-    where, steps = map(np.concatenate, zip(*events))
 
-    flags = np.zeros(size, dtype=bool)
-    flags[where] = True
-    hit = np.flatnonzero(flags)  # the only trajectories that can deviate
-    x = np.zeros(hit.size)
-    np.add.at(x, np.searchsorted(hit, where), steps)  # adds in trial order
+def _hit_scores(rng: np.random.Generator, tables, stratum: np.ndarray, p_digital: float):
+    """The scores x of hit trajectories, given their strata (stop trial, or n_rus if digital)."""
+    edges, deltas = tables[0], tables[-1]
+    n = len(deltas)
+    last = np.minimum(stratum, n - 1)
+    trial, gate, canceller = _first_hits(tables, last, rng.random((stratum.size, 4)))
+    span = last - trial  # the unconditional trials after the first hit
+    owner = np.repeat(np.arange(stratum.size), span)
+    later = np.repeat(trial + 1 - (np.cumsum(span) - span), span) + np.arange(owner.size)
+    draws = rng.random((owner.size, 2))
+    # an identity pair moves the deviation by exactly 0: only the rare others are looked up
+    moved = np.flatnonzero(np.maximum(draws[:, 0], draws[:, 1]) >= edges[later, 0])
+    owner, later, draws = owner[moved], later[moved], draws[moved]
+    x = _signed_steps(deltas, stratum, trial, gate, canceller)
+    steps = _signed_steps(deltas, stratum[owner], later, _branch(edges, later, draws[:, 0]),
+                          _branch(edges, later, draws[:, 1]))
+    np.add.at(x, owner, steps)  # in trial order
     np.sin(x, out=x)
     x *= x
-    # digital branch: Z-flip with rate p_dig on top of the analog deviation (none without a hit)
-    flags.fill(False)
-    flags[live] = True
-    digital = flags[hit]
-    s2 = x[digital]
-    x[digital] = (1.0 - p_digital) * s2 + p_digital * (1.0 - s2)
-    clean = live.size - int(np.count_nonzero(digital))
-    sum_x = float(x.sum()) + clean * p_digital
-    x *= x
-    sum_x2 = float(x.sum()) + clean * p_digital ** 2
-    sum_t, sum_t2 = (float((stops * clocks).sum()) for clocks in (stop_clocks, stop_clocks ** 2))
-    return sum_x, sum_x2, sum_t, sum_t2, live.size
-
-
-def _mc_workers() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    # digital branch: Z-flip with rate p_dig on top of the analog deviation
+    digital = stratum == n
+    x[digital] = (1.0 - p_digital) * x[digital] + p_digital * (1.0 - x[digital])
+    return x
 
 
 def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
@@ -499,35 +483,39 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     ``j_max``, so ``include_higher_orders=False`` reaches the sample only
     through ``p_digital``: with ``j_max > 1`` it estimates neither model.
 
-    The RNG is counter-based: chunks of ``_MC_CHUNK`` trajectories, each with
-    its own Philox4x64-10 stream keyed by (seed, chunk index), so a chunk's
-    draws do not depend on how chunks are scheduled.  At trial i, each
-    trajectory of the chunk that is still live draws three raw words (coin,
-    gate, canceller), in index order: ``Generator.random((live, 3))``'s words.
-    So a trajectory's draws depend on how many lower-index trajectories of
-    its chunk are still live, and trial i reaches only the live ones, about
-    2^-i of the chunk.  The words are drawn in blocks of at most
-    ``_MC_BLOCK`` live trajectories; as they are per-trajectory triples, the
-    block size does not change them.  A chunk stops once none is live.
+    It draws counts, not trajectories, so a call costs O(n_rus + hit
+    trajectories).  The draws come, in this order, from one
+    ``np.random.Generator(np.random.Philox(key=seed))``:
 
-    The chunks are independent, so they run on one thread per core the
-    process may use (a one-chunk call starts no thread): the Philox draws
-    and the numpy ufuncs release the GIL, and every chunk owns its stream.
-    Each chunk returns its five sums, and they are added in chunk order, so
-    the report does not depend on the number of cores.
+    1. Stop counts: with L_0 = shots, trial i stops s_i ~ Bin(L_i, 1/2) and
+       L_{i+1} = L_i - s_i, one ``binomial`` call per trial until L = 0; L_n
+       go digital.  A stratum (stop trial m, or digital) runs trials 0..t,
+       t = m or n - 1.
+    2. Hit counts: trial i draws no branch with chance a_i = (1 - S_i)^2, S_i
+       the weight of its branches j >= 1.  One ``binomial`` call draws each
+       nonempty stratum's Bin(count, 1 - prod_{i<=t} a_i), digital last.
+    3. Hit trajectories, in stratum order, in blocks of at most
+       ``_MC_BLOCK``: ``random((size, 4))`` gives each its first hit trial J,
+       P(J = j) proportional to prod_{i<j} a_i (1 - a_j), and its pair at J
+       from qbar x qbar without (0, 0) (:func:`_first_hits`); then
+       ``random((later, 2))`` its gate and canceller from qbar at each trial
+       J < i <= t, trajectory by trajectory, in trial order.  Uniforms are
+       looked up as ``searchsorted(side="right")`` in cumulative tables.
 
-    A uniform is (word >> 11) * 2^-53, so the coin test u < 1/2 is
-    word < 2^63, and a draw picks a non-identity branch exactly when its word
-    reaches :func:`_branch_floor` of the identity edge.  Only those draws are
-    turned into uniforms and looked up; every other draw moves the deviation
-    by exactly 0.  The sums follow one rule.  A trajectory's steps are added
-    in trial order.  sum x and sum x^2 are the numpy sums of the scores of
-    the trajectories with a branch hit, in index order, plus the number of
-    digital trajectories without one times p_digital and p_digital^2 (the
-    others score 0).  sum t and sum t^2 are the numpy sums of the per-trial
-    stopping counts times the stopping clocks and their squares.
+    A step Delta_gate - Delta_canceller is negated on failed trials (before
+    m; every digital one).  A hit trajectory's steps are added in trial
+    order and scored as sin^2, digital flip folded in; a digital trajectory
+    without a hit scores p_digital, any other 0.  So sum x is each block's
+    numpy sum of scores, added in block order, plus the clean digital count
+    times p_digital; sum x^2 likewise with squares.  sum t and sum t^2 are
+    the numpy sums of the stop counts times the stopping clocks and their
+    squares.
 
-    ``seed`` must lie in [0, 2^64), the Philox key word's range.
+    The bits depend on ``Generator.binomial`` as well as on the Philox
+    stream, and numpy may change the algorithms behind ``Generator``'s
+    distributions between releases (NEP 19): a report is reproducible
+    under one numpy version.  ``seed`` must lie in [0, 2^64), the Philox
+    key's range, and ``shots`` in [1, 2^63), ``binomial``'s int64 range.
     """
     def integer(name: str, value) -> int:
         try:
@@ -536,52 +524,46 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
     shots, seed = integer("shots", shots), integer("seed", seed)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots < 2 ** 63:
+        raise ValueError(f"shots must be >= 1 and < 2^63, got {shots}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     report = effective_error_rate(config)
+    n, p = len(report.trials), report.p_digital
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
-    # per-trial sampling tables: branch edges, angle deviations, identity floor
-    tables = []
-    for row in report.trials:
-        edges = np.cumsum(row.qbars)
-        edges[-1] = 1.0
-        deltas = np.array(row.thetas) - row.theta_rus  # Delta_0 = 0
-        tables.append((edges, deltas, _branch_floor(float(edges[0]))))
+    counts = np.zeros(n + 1, dtype=np.int64)  # stopping at trial i; the digital ones last
+    left = shots
+    for i in range(n):
+        if not left:
+            break
+        counts[i] = rng.binomial(left, 0.5)
+        left -= int(counts[i])
+    counts[n] = n_digital = clean = left
+
+    sum_x = sum_x2 = 0.0
+    if n:
+        tables = _mc_tables(report)
+        first = tables[3]
+        strata = np.flatnonzero(counts)
+        hits = rng.binomial(counts[strata], first[np.minimum(strata, n - 1)])
+        ends = np.cumsum(hits)
+        for lo in range(0, int(ends[-1]), _MC_BLOCK):
+            share = np.clip(ends, lo, lo + _MC_BLOCK) - np.clip(ends - hits, lo, lo + _MC_BLOCK)
+            x = _hit_scores(rng, tables, np.repeat(strata, share), p)
+            sum_x += float(x.sum())
+            x *= x
+            sum_x2 += float(x.sum())
+        if n_digital:
+            clean -= int(hits[-1])
+    sum_x += clean * p
+    sum_x2 += clean * p ** 2
+
     # clocks of a trajectory that stops at trial i (index i), or goes digital (index n_rus)
     elapsed = list(itertools.accumulate((row.clocks for row in report.trials), initial=0.0))
     t_digital = _digital_clocks(config.timing_mode, report.n_syn)
     stop_clocks = np.array(elapsed[1:] + [elapsed[-1] + t_digital])
-
-    sizes = [min(_MC_CHUNK, shots - done) for done in range(0, shots, _MC_CHUNK)]
-    parts = [None] * len(sizes)
-    workers = min(_mc_workers(), len(sizes))
-    failures = []
-
-    def work(first: int) -> None:
-        # worker ``first`` takes chunks first, first + workers, ...
-        try:
-            for index in range(first, len(sizes), workers):
-                parts[index] = _mc_chunk(tables, stop_clocks, report.p_digital, (seed, index),
-                                         sizes[index])
-        except BaseException as exc:  # re-raised by the calling thread
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
-
-    # added left to right, not by sum(): from Python 3.12 sum() compensates float rounding
-    sum_x, sum_x2, sum_t, sum_t2, n_digital = (
-        functools.reduce(operator.add, column) for column in zip(*parts))
+    sum_t, sum_t2 = (float((counts * clocks).sum()) for clocks in (stop_clocks, stop_clocks ** 2))
 
     mean_x = sum_x / shots
     var_x = max(sum_x2 / shots - mean_x ** 2, 0.0)
