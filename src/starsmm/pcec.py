@@ -7,7 +7,9 @@ stochastic Z-flip; this module builds that cancellation channel from one
 row ``(thetas, qbars)`` of :func:`starsmm.tmr.branch_table`, and the
 residual flip rate that serves as the per-trial error currency, per model
 and as arrays over a branch table, with every error branch cancelled or,
-for the previous architecture generation, only the leading one.
+for the previous architecture generation, only the leading one.  The
+exact flip rate of the pair has a closed form too, which the SMM
+enumerator reads; both refuse a trial outside PCEC's regime.
 """
 
 from __future__ import annotations
@@ -27,6 +29,16 @@ class ModelRegimeError(ValueError):
     """The branch model sits outside the perturbative regime PCEC assumes."""
 
 
+def _check_regime(error_weight) -> None:
+    """Raise ModelRegimeError where a trial's error weight sum_{j>=1} qbar_j reaches 1/2.
+
+    The one statement of PCEC's regime, for one weight or an array of them;
+    :func:`build_canceller` and :func:`_defects` both apply it.
+    """
+    if (worst := np.max(error_weight, initial=0.0)) >= 0.5:
+        raise ModelRegimeError(f"total error weight {worst:.3g} >= 1/2; cancellation model invalid")
+
+
 def build_noisy_channel(thetas, qbars) -> RotationMixture:
     """The teleported-gate channel of one branch-table row: branches (qbar_j, theta_j)."""
     return zchan.mixture(list(zip(qbars, thetas)))
@@ -41,10 +53,7 @@ def build_canceller(thetas, qbars) -> RotationMixture:
     digital-stage budget, not here.
     """
     err = functools.reduce(operator.add, qbars[1:])
-    if err >= 0.5:
-        raise ModelRegimeError(
-            f"total error weight {err:.3g} >= 1/2; cancellation model invalid"
-        )
+    _check_regime(err)
     pairs = [(1.0 - err, 0.0)]
     pairs += [(qbar, -(theta_j - thetas[0])) for qbar, theta_j in zip(qbars[1:], thetas[1:])]
     return zchan.mixture(pairs)
@@ -77,6 +86,26 @@ def residual_rates(
     last = None if higher_orders else 2
     deltas = thetas[..., 1:last] - thetas[..., :1]
     return 2.0 * (qbars[..., 1:last] * np.sin(deltas) ** 2).sum(axis=-1)
+
+
+def _defects(thetas: np.ndarray, qbars: np.ndarray) -> np.ndarray:
+    """Twice the exact Z-flip rate of canceller . noisy, per row of a branch table.
+
+    With Delta_j = theta_j - theta_0 and the row's weights taken to sum to 1
+    (the canceller's identity weight 1 - sum_{j>=1} qbar_j is then qbar_0),
+    the noisy channel's coherence factor is g = 1 - h,
+    h = sum_{j>=1} qbar_j (2 sin^2 Delta_j - i sin 2 Delta_j), and the
+    canceller's is conj(g), so the pair's is |g|^2 and the defect
+    1 - |g|^2 = 2 Re h - |h|^2, formed without cancellation.  Re h is the
+    residual, but it is computed here, not read from :func:`residual_rates`,
+    which this route checks.  Rows outside PCEC's regime raise
+    :class:`ModelRegimeError`.
+    """
+    deltas, qbars = thetas[..., 1:] - thetas[..., :1], qbars[..., 1:]
+    _check_regime(qbars.sum(axis=-1))
+    re_h = 2.0 * (qbars * np.sin(deltas) ** 2).sum(axis=-1)
+    im_h = (qbars * np.sin(2.0 * deltas)).sum(axis=-1)
+    return 2.0 * re_h - (re_h ** 2 + im_h ** 2)
 
 
 def composed_error_channel(thetas, qbars) -> RotationMixture:

@@ -12,7 +12,7 @@ threshold.  This module provides:
   trial table) and as arrays over a sweep, with the same bits either way;
 * a Monte-Carlo sampler cross-checking the analytics, which draws stop and
   branch-hit counts and simulates only the trajectories that draw a branch;
-* an exact trajectory enumerator built on the channel-algebra oracle;
+* an exact trajectory enumerator in closed form;
 * the previous-generation ("fixed inverse-injection") RUS model used to
   calibrate the pass-rate coefficient c_1 against its published RUS factor;
 * :func:`in_domain`, the one statement of which gates the model covers.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mitigation, pcec, tmr, zchan
+from . import mitigation, pcec, tmr
 
 MAX_THRESHOLD = math.pi / 8.0
 MAX_P_M = 1e-3  # largest magic-state error rate the cost model covers
@@ -254,6 +254,13 @@ def _evaluate(params: tmr.TmrParams, mag: np.ndarray, n: np.ndarray, p_m: float,
     return dict(finish, p_analog=p_analog), (trial, theta_rus, thetas, qbars, residual, clocks)
 
 
+def _one_gate(config: SmmConfig):
+    """n_rus and :func:`_evaluate`'s output for one gate at theta_l != 0."""
+    n = n_rus(abs(config.theta_l), config.resolved_threshold())
+    return n, *_evaluate(config.tmr_params, np.abs([config.theta_l]), np.array([n]), config.p_m,
+                         config.include_higher_orders, config.timing_mode)
+
+
 def effective_error_rate(config: SmmConfig) -> SmmReport:
     """Analytic effective error rate, RUS factor and expected clocks of one gate.
 
@@ -266,15 +273,9 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     bit for bit; ``trials`` holds its trial table.
     """
     if config.theta_l == 0.0:
-        return SmmReport(
-            n_rus=0, p_switch=1.0, p_analog=0.0, p_digital=0.0, n_syn=0, p_l=0.0,
-            alpha_rus=0.0, expected_clocks=0.0, trials=(), out_of_regime=False,
-        )
-    mag = abs(config.theta_l)
-    n = n_rus(mag, config.resolved_threshold())
-    fields, (index, theta_rus, thetas, qbars, residual, clocks) = _evaluate(
-        config.tmr_params, np.array([mag]), np.array([n]), config.p_m,
-        config.include_higher_orders, config.timing_mode)
+        return SmmReport(n_rus=0, p_switch=1.0, p_analog=0.0, p_digital=0.0, n_syn=0, p_l=0.0,
+                         alpha_rus=0.0, expected_clocks=0.0, trials=(), out_of_regime=False)
+    n, fields, (index, theta_rus, thetas, qbars, residual, clocks) = _one_gate(config)
     trials = map(TrialRow, index.tolist(), theta_rus.tolist(), map(tuple, thetas.tolist()),
                  map(tuple, qbars.tolist()), residual.tolist(), clocks.tolist())
     return SmmReport(n_rus=n, trials=tuple(trials), **{key: x.item() for key, x in fields.items()})
@@ -341,35 +342,29 @@ def synthesis_only_gate(delta: float, p_m: float = 2e-9) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Exact trajectory enumeration (channel-algebra route)
+# Exact trajectory enumeration (closed form)
 # ---------------------------------------------------------------------------
 
 def enumerate_error_rate(config: SmmConfig) -> float:
     """Exact twirled-Z error of the SMM output under the P_L convention.
 
-    Builds the exact per-trial composed channel canceller.noisy with the
-    channel algebra and multiplies coherence factors across trials, so each
-    success-at-m trajectory class is evaluated without perturbative
-    truncation.  Differs from :func:`effective_error_rate` only by the
-    O((sum qbar)^2) cross terms the analytic sum drops.
-
-    The channels keep every branch up to ``j_max``, so a config with
-    ``include_higher_orders=False`` raises ValueError unless ``j_max = 1``,
-    where the leading-order model keeps every branch too.
+    A closed form over the :func:`tmr.branch_table` rows: trial i's gate and
+    canceller flip the output at f_i / 2 (``pcec._defects``), trials 0..i at
+    D_i / 2, D_i = 1 - prod_{i'<=i} (1 - f_i').  Success at trial i scores
+    2^-(i+1) D_i / 2, the digital branch 2^-n (D + 2p (1 - D)) / 2 with
+    D = D_{n-1}, p = p_digital.  0 <= P_L - exact <= (max_i sum_{j>=1}
+    qbar_{j,i} + 2 sum_i r_i) P_L, r_i the residuals, as the tests derive.
+    Raises ``pcec.ModelRegimeError`` outside PCEC's regime; leading order
+    (``include_higher_orders=False``) raises ValueError unless j_max = 1.
     """
     if not config.include_higher_orders and config.tmr_params.j_max > 1:
         raise ValueError("the enumerator keeps every branch: leading order needs j_max = 1")
-    report = effective_error_rate(config)
-    total = 0.0
-    acc = 1.0 + 0.0j
-    for row in report.trials:
-        row_table = row.thetas, row.qbars
-        net = zchan.compose(pcec.build_canceller(*row_table), pcec.build_noisy_channel(*row_table))
-        acc *= zchan.coherence_factor(net, row.theta_rus)
-        total += 2.0 ** (-(row.index + 1)) * 0.5 * (1.0 - acc.real)
-    # digital branch: all n analog trials plus the synthesis/magic flip
-    total += report.p_switch * 0.5 * (1.0 - (acc * (1.0 - 2.0 * report.p_digital)).real)
-    return total
+    if config.theta_l == 0.0:
+        return 0.0
+    n, fields, (_, _, thetas, qbars, _, _) = _one_gate(config)
+    d = -np.expm1(np.cumsum(np.log1p(-np.append(0.0, pcec._defects(thetas, qbars)))))
+    analog = float(np.ldexp(d[1:], -np.arange(2, n + 2)).sum())  # d[0] = D_{-1} = 0
+    return analog + math.ldexp(d[-1] + 2.0 * fields["p_digital"][0] * (1.0 - d[-1]), -n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,9 @@ def smm_enumeration_oracle(c1: float) -> tuple[bool, str]:
 
 def smm_monte_carlo(c1: float, seed: int) -> tuple[bool, str]:
     config = _smm_gate(c1, 5, 0.02, 8.0)
-    shots = 200_000  # draws the over-rotation branches (weight ~1.7e-4 per shot) ~33 times
+    # draws the over-rotation branches (weight ~1.7e-4 per shot) ~17 000 times, so the
+    # standard error is ~1% of P_L; a few dozen draws leave it at 20-30%
+    shots = 10 ** 8
     rep = smm.effective_error_rate(config)
     mc1 = smm.monte_carlo(config, shots, seed)
     mc2 = smm.monte_carlo(config, shots, seed)

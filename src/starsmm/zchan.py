@@ -119,8 +119,7 @@ def coherence_factor(channel: RotationMixture, target: float) -> complex:
     """sum_j w_j exp(2i (phi_j - target)).
 
     The real part encodes the twirled Z-flip rate, the imaginary part the
-    surviving coherent error; the factor multiplies under composition,
-    which is what makes exact trajectory enumeration cheap.
+    surviving coherent error; the factor multiplies under composition.
     """
     return functools.reduce(
         operator.add, (w * cmath.exp(2.0j * (phi - target)) for w, phi in channel.branches))

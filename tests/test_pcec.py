@@ -64,6 +64,10 @@ class TestCanceller:
         assert model.error_weight() >= 0.5
         with pytest.raises(pcec.ModelRegimeError):
             pcec.build_canceller(*_row(model))
+        # the exact per-trial defects apply the same rule to every row of a table
+        table = [np.array([fine, bad]) for fine, bad in zip(_row(_model(k=2)), _row(model))]
+        with pytest.raises(pcec.ModelRegimeError):
+            pcec._defects(*table)
 
 
 class TestResidualRate:
@@ -97,6 +101,15 @@ class TestResidualRate:
                 exact = zchan.twirled_z_error(pcec.composed_error_channel(*_row(model)), 0.0)
                 bound = 10.0 * model.error_weight() ** 2
                 assert abs(pcec.residual_rate(model) - exact) <= max(bound, 1e-16)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 7])
+    def test_defects_are_twice_the_exact_channel_rate(self, k):
+        for theta in (0.02, 0.1, 0.3, 0.6):
+            for p_ph in (1e-4, 1e-3, 1e-2):
+                model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=p_ph), theta)
+                exact = zchan.twirled_z_error(pcec.composed_error_channel(*_row(model)), 0.0)
+                defect = pcec._defects(*map(np.array, _row(model)))
+                assert 0.5 * defect == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_even_in_theta_l_by_mirror(self):
         # mirrored model: negate branch angles; the rate is identical

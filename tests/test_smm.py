@@ -10,13 +10,36 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starsmm import pcec, smm, tmr
+from starsmm import pcec, smm, tmr, zchan
 
 
 def _config(theta_l, k=5, p_ph=1e-3, c1=1.0, **kwargs):
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(c1,))
     kwargs.setdefault("threshold_ratio", 8.0)
     return smm.SmmConfig(theta_l=theta_l, tmr_params=params, **kwargs)
+
+
+def _channel_enumeration(config):
+    """The trajectory enumeration composed from pcec's channels with zchan.
+
+    Independent test oracle for :func:`smm.enumerate_error_rate`'s closed
+    form: per trial it composes ``pcec.build_canceller`` after
+    ``pcec.build_noisy_channel``, multiplies the coherence factors relative
+    to theta_rus across trials and scores each trajectory class as
+    0.5 (1 - Re acc).  With acc near 1 that cancels: its absolute error is a
+    few ulps of 1 per trial, which at the figure angles is a large share of P_L.
+    """
+    report = smm.effective_error_rate(config)
+    total = 0.0
+    acc = 1.0 + 0.0j
+    for row in report.trials:
+        row_table = row.thetas, row.qbars
+        net = zchan.compose(pcec.build_canceller(*row_table), pcec.build_noisy_channel(*row_table))
+        acc *= zchan.coherence_factor(net, row.theta_rus)
+        total += 2.0 ** (-(row.index + 1)) * 0.5 * (1.0 - acc.real)
+    # digital branch: all n analog trials plus the synthesis/magic flip
+    total += report.p_switch * 0.5 * (1.0 - (acc * (1.0 - 2.0 * report.p_digital)).real)
+    return total
 
 
 def _reference_monte_carlo(config, shots, seed):
@@ -615,6 +638,96 @@ class TestEnumerationOracle:
         exact = smm.enumerate_error_rate(cfg)
         assert exact == 0.0 and math.copysign(1.0, exact) == 1.0
 
+    def test_out_of_pcec_regime_raises(self):
+        # trials 0-2 keep their error weight below 1/2 (0.348, 0.416, 0.492), trial 3 does not
+        cfg = _config(0.02, k=5, p_ph=0.1, c1=5.0, threshold_ratio=16.0)
+        with pytest.raises(pcec.ModelRegimeError, match="0.573 >= 1/2"):
+            smm.enumerate_error_rate(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(2, 15),
+        log_theta=st.floats(-9.0, math.log10(smm.MAX_THRESHOLD)),
+        log2_ratio=st.floats(0.0, 20.0),
+        fixed=st.booleans(),
+        log_p_ph=st.floats(-5.0, -1.0),
+        c1=st.floats(1e-3, 5.0),
+        p_m=st.sampled_from([0.0, 2e-9, 1e-3]),
+        timing_mode=st.sampled_from(["pipelined", "latency"]),
+        leading=st.booleans(),
+    )
+    # the pinned gate; a leading-order gate at j_max = 1; one outside PCEC's regime
+    @example(k=5, log_theta=math.log10(0.02), log2_ratio=3.0, fixed=False, log_p_ph=-3.0,
+             c1=smm.calibrate_c1(7, 1e-3), p_m=2e-9, timing_mode="pipelined", leading=False)
+    @example(k=5, log_theta=-6.0, log2_ratio=12.0, fixed=True, log_p_ph=-3.0, c1=0.04,
+             p_m=0.0, timing_mode="latency", leading=True)
+    @example(k=5, log_theta=math.log10(0.02), log2_ratio=4.0, fixed=False, log_p_ph=-1.0,
+             c1=5.0, p_m=1e-3, timing_mode="pipelined", leading=False)
+    def test_closed_form_matches_channel_composition(
+        self, k, log_theta, log2_ratio, fixed, log_p_ph, c1, p_m, timing_mode, leading
+    ):
+        theta_l = 10.0 ** log_theta
+        theta_th = theta_l * 2.0 ** log2_ratio
+        if fixed:
+            threshold = {"theta_th": min(theta_th, smm.MAX_THRESHOLD)}
+        else:
+            assume(theta_th <= smm.MAX_THRESHOLD)
+            threshold = {"threshold_ratio": 2.0 ** log2_ratio}
+        params = tmr.TmrParams(k=k, p_ph=10.0 ** log_p_ph, pass_coeffs=(c1,),
+                               j_max=1 if leading else None)
+        cfg = smm.SmmConfig(theta_l=theta_l, tmr_params=params, p_m=p_m,
+                            include_higher_orders=not leading, timing_mode=timing_mode,
+                            **threshold)
+        try:
+            want = _channel_enumeration(cfg)
+        except pcec.ModelRegimeError:
+            with pytest.raises(pcec.ModelRegimeError):
+                smm.enumerate_error_rate(cfg)
+            return
+        n = smm.n_rus(theta_l, cfg.resolved_threshold())
+        assert abs(smm.enumerate_error_rate(cfg) - want) <= 4.0 * (n + 1) * 2.0 ** -53
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_figure_scale_within_the_derived_bound(self, k):
+        """0 <= P_L - exact <= (max_i S_i + 2 sum_i r_i) P_L at the figure angles.
+
+        Trial i has error weight S_i = sum_{j>=1} qbar_j, residual r_i = Re h_i
+        (the term P_L adds), h_i = sum_{j>=1} qbar_j (1 - e^{2i Delta_j}), and
+        defect f_i = 2 r_i - |h_i|^2; D_i = 1 - prod_{i'<=i} (1 - f_i'),
+        D_{-1} = 0, D = D_{n-1}, p = p_digital.  As D_i - D_{i-1} =
+        f_i (1 - D_{i-1}), summing by parts gives
+
+            exact = sum_{i<n} 2^-(i+1) D_i / 2 + 2^-n (D + 2p (1 - D)) / 2
+                  = sum_i 2^-i (f_i / 2)(1 - D_{i-1}) + 2^-n p (1 - D),
+
+        and with P_L = sum_i 2^-i r_i + 2^-n p,
+
+            P_L - exact = sum_i 2^-i [(|h_i|^2 / 2)(1 - D_{i-1}) + r_i D_{i-1}]
+                          + 2^-n p D  >=  0.
+
+        Cauchy-Schwarz bounds |h|^2 = |sum_{j>=1} qbar_j (1 - e^{2i Delta_j})|^2
+        by S sum_{j>=1} qbar_j |1 - e^{2i Delta_j}|^2 = 2 S r, so the |h|^2
+        terms add up to at most max_i S_i sum_i 2^-i r_i <= max_i S_i P_L.
+        D_{i-1} <= D, so the other terms add up to at most D P_L, and
+        D <= sum_i f_i <= 2 sum_i r_i.  (max_i r_i alone does not bound D:
+        with one trial and P_L dominated by p, the gap is about 2 r_0 P_L.)
+
+        At theta_L = 1e-8 the relative bound is ~1e-8, so an error of 1e-3 in
+        the residuals P_L adds shows here, where the absolute 10 (sum qbar)^2
+        bounds above cannot see it.
+        """
+        params = tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(smm.calibrate_c1(k, 1e-3),))
+        for theta_l in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            for threshold in ({"threshold_ratio": 128.0}, {"theta_th": 0.01}, {"theta_th": 0.05}):
+                for p_m in (0.0, 2e-9):
+                    cfg = smm.SmmConfig(theta_l=theta_l, tmr_params=params, p_m=p_m, **threshold)
+                    rep = smm.effective_error_rate(cfg)
+                    weight = max(math.fsum(row.qbars[1:]) for row in rep.trials)
+                    residuals = math.fsum(row.residual for row in rep.trials)
+                    gap = rep.p_l - smm.enumerate_error_rate(cfg)
+                    bound = (weight + 2.0 * residuals) * rep.p_l
+                    assert abs(gap) <= bound, (theta_l, threshold, p_m)
+
 
 class TestMonteCarlo:
     def test_bit_reproducible(self):
@@ -913,7 +1026,7 @@ class TestPinnedValues:
         return _config(0.02, k=5, c1=smm.calibrate_c1(7, 1e-3))
 
     def test_enumerated_error_rate(self):
-        assert smm.enumerate_error_rate(self._fixed_ratio()) == 6.8996485452707534e-06
+        assert smm.enumerate_error_rate(self._fixed_ratio()) == 6.899648545234787e-06
 
     def test_monte_carlo_error_rate(self):
         assert smm.monte_carlo(self._fixed_ratio(), 200_000, 11).p_l_hat == 5.610296468334595e-06
