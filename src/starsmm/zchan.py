@@ -2,11 +2,12 @@
 
 Every channel manipulated by the rotation-gate error models in this package
 is a convex mixture of logical Z-rotations ``R(phi) = exp(i*phi*Z)``.  Such
-mixtures compose exactly (angles add branch-wise), which makes this module
-usable as a closed-form oracle for the analytic error rates derived
-elsewhere: any claimed stochastic-Z rate can be checked against the
-channel's exact coherence factor, and so can the coherent remainder that
-the rate leaves out.
+mixtures compose exactly (angles add branch-wise, and branches merge only
+where their reduced angles are equal, however small the angles), which
+makes this module usable as a closed-form oracle for the analytic error
+rates derived elsewhere: any claimed stochastic-Z rate can be checked
+against the channel's exact coherence factor, and so can the coherent
+remainder that the rate leaves out.
 
 Conventions: ``R(phi)|+> = cos(phi)|+> + i sin(phi)|->``; as a channel,
 ``R`` has period pi (global phase drops out), so branch angles are stored
@@ -22,7 +23,6 @@ import operator
 from dataclasses import dataclass
 
 WEIGHT_TOL = 1e-12
-ANGLE_MERGE_TOL = 1e-14
 
 _HALF_PI = 0.5 * math.pi
 
@@ -66,25 +66,19 @@ class RotationMixture:
 
 
 def _consolidate(pairs: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Merge branches whose reduced angles agree within ANGLE_MERGE_TOL."""
-    pairs = [(w, reduce_angle(phi)) for w, phi in pairs if w != 0.0]
-    if not pairs:
-        raise ValueError("mixture has no branches with non-zero weight")
-    pairs.sort(key=lambda wp: wp[1])
-    merged: list[list[float]] = []
+    """Add the weights of branches whose reduced angles are equal; sort by angle.
+
+    Weights add in input order.  ``+0.0`` and ``-0.0`` are one angle, and
+    ``-pi/2`` reduces to ``pi/2``; no other two angles merge.
+    """
+    merged: dict[float, float] = {}
     for w, phi in pairs:
-        if merged and phi - merged[-1][1] <= ANGLE_MERGE_TOL:
-            tot = merged[-1][0] + w
-            merged[-1][1] = (merged[-1][0] * merged[-1][1] + w * phi) / tot
-            merged[-1][0] = tot
-        else:
-            merged.append([w, phi])
-    # wrap-around: -pi/2+eps and +pi/2 are the same channel modulo pi
-    if len(merged) > 1 and (merged[-1][1] - merged[0][1]) >= math.pi - ANGLE_MERGE_TOL:
-        w_lo, phi_lo = merged.pop(0)
-        merged[-1][0] += w_lo
-        del phi_lo
-    return tuple((w, phi) for w, phi in merged)
+        if w != 0.0:
+            phi = reduce_angle(phi)
+            merged[phi] = merged.get(phi, 0.0) + w
+    if not merged:
+        raise ValueError("mixture has no branches with non-zero weight")
+    return tuple((merged[phi], phi) for phi in sorted(merged))
 
 
 def mixture(pairs: list[tuple[float, float]] | tuple[tuple[float, float], ...]) -> RotationMixture:
@@ -100,8 +94,10 @@ def pure_rotation(angle: float) -> RotationMixture:
 def compose(a: RotationMixture, b: RotationMixture) -> RotationMixture:
     """Channel composition: branch-wise angle convolution.
 
-    Mixtures of Z-rotations commute, so ``compose(a, b) == compose(b, a)``
-    and the result is exact up to the angle-merge tolerance.
+    Mixtures of Z-rotations commute, so ``compose(a, b)`` and
+    ``compose(b, a)`` are the same channel.
+    The result is exact up to the rounding of each angle sum: weights add
+    only where the reduced angles are equal.
     """
     pairs = [
         (wa * wb, pa + pb)

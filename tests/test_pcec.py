@@ -102,14 +102,17 @@ class TestResidualRate:
                 bound = 10.0 * model.error_weight() ** 2
                 assert abs(pcec.residual_rate(model) - exact) <= max(bound, 1e-16)
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 7])
+    @pytest.mark.parametrize("k", [3, 4, 5, 7, 9])
     def test_defects_are_twice_the_exact_channel_rate(self, k):
-        for theta in (0.02, 0.1, 0.3, 0.6):
-            for p_ph in (1e-4, 1e-3, 1e-2):
-                model = tmr.branch_weights(tmr.TmrParams(k=k, p_ph=p_ph), theta)
-                exact = zchan.twirled_z_error(pcec.composed_error_channel(*_row(model)), 0.0)
-                defect = pcec._defects(*map(np.array, _row(model)))
-                assert 0.5 * defect == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # down to figure-scale angles, whose over-rotations fall far below
+        # 1e-14, and with a calibrated c1 next to the default
+        for c1 in (1.0, 0.036746250646356234):
+            for theta in (1e-4, 1e-3, 0.02, 0.1, 0.3, 0.6):
+                for p_ph in (1e-4, 1e-3, 1e-2):
+                    model = _model(k=k, p_ph=p_ph, theta=theta, c1=c1)
+                    exact = zchan.twirled_z_error(pcec.composed_error_channel(*_row(model)), 0.0)
+                    defect = pcec._defects(*map(np.array, _row(model)))
+                    assert 0.5 * defect == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_even_in_theta_l_by_mirror(self):
         # mirrored model: negate branch angles; the rate is identical

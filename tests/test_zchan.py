@@ -223,9 +223,17 @@ def test_reduce_angle_maps_minus_half_pi_to_half_pi():
 
 
 def test_mixture_merges_branches_across_the_wrap_around():
-    # -pi/2 + 1e-15 and pi/2 are the same channel modulo pi
-    mix = zchan.mixture([(0.5, math.pi / 2), (0.5, -math.pi / 2 + 1e-15)])
+    # -pi/2 and pi/2 are the same channel modulo pi; -pi/2 + 1e-15 is another
+    mix = zchan.mixture([(0.5, math.pi / 2), (0.5, -math.pi / 2)])
     assert mix.branches == ((1.0, math.pi / 2),)
+    near = zchan.mixture([(0.5, math.pi / 2), (0.5, -math.pi / 2 + 1e-15)])
+    assert near.branches == ((0.5, -math.pi / 2 + 1e-15), (0.5, math.pi / 2))
+
+
+def test_mixture_merges_only_equal_angles():
+    # +0.0 and -0.0 are one angle; angles 1e-300 apart stay two branches
+    mix = zchan.mixture([(0.25, 0.0), (0.25, 1e-300), (0.25, -0.0), (0.25, 1e-300)])
+    assert mix.branches == ((0.5, 0.0), (0.5, 1e-300))
 
 
 @pytest.mark.parametrize(
