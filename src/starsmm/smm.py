@@ -32,7 +32,6 @@ and sampler estimate the same full-accounting quantity.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -58,13 +57,13 @@ _OCTAVE = tuple(CALIBRATION_ANCHOR * 2.0 ** (j / 16.0) for j in range(16))
 
 
 def n_rus(theta_l: float, theta_th: float) -> int:
-    """Number of analog RUS trials before the digital switch: ceil(log2 r)."""
-    if not 0.0 < theta_l <= theta_th:
+    """Number of analog RUS trials before the digital switch: ceil(log2 r), 0 at theta_l = 0."""
+    if not 0.0 <= theta_l <= theta_th > 0.0:
         raise ValueError(
-            f"need 0 < theta_l <= theta_th, got theta_l={theta_l!r}, theta_th={theta_th!r}"
+            f"need 0 <= theta_l <= theta_th > 0, got theta_l={theta_l!r}, theta_th={theta_th!r}"
         )
     # a difference of logs, which no subnormal theta_l overflows; snap exact powers of two
-    return max(0, math.ceil(math.log2(theta_th) - math.log2(theta_l) - 1e-12))
+    return max(0, math.ceil(math.log2(theta_th) - math.log2(theta_l) - 1e-12)) if theta_l else 0
 
 
 def in_domain(theta_l, theta_th) -> np.ndarray:
@@ -192,6 +191,7 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     the synthesis error stays below the other sources, with
     N_syn = mitigation.synthesis_t_count(delta) T-gates (none when p_m = 0 and
     p_analog = 0), and flips the output at rate p_digital = delta + p_m N_syn.
+    The identity gate (``mag`` = 0) synthesizes nothing: P_L = alpha = 0, no flag.
     Gates are taken in order, so when the synthesis refuses a delta of 1 or
     more, the ValueError names the first such gate's |theta_l| and n.
     Returns the :class:`SmmReport` fields it owns as numpy arrays.  Each
@@ -199,8 +199,9 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     alone and inside a sweep.
     """
     mag = np.asarray(mag)
+    live = mag > 0.0
     p_switch = np.ldexp(1.0, -n)
-    delta = np.maximum(p_m, 0.1 * np.ldexp(p_analog, n))
+    delta = np.where(live, np.maximum(p_m, 0.1 * np.ldexp(p_analog, n)), 0.0)
     gates = zip(*(np.ravel(x).tolist() for x in (mag, n, delta)))
     n_syn = np.array([_t_count(*gate) for gate in gates], dtype=int).reshape(np.shape(delta))
     p_digital = delta + p_m * n_syn
@@ -209,8 +210,8 @@ def _finish(params: tmr.TmrParams, mag, n, p_analog, analog_clocks, p_m: float, 
     if p_ph > 0.0:
         # mag * p_ph can underflow to 0, making alpha inf or nan; the CLI names such rows
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            alpha = p_l / (mag * p_ph)
-        flag = mag <= p_ph ** (params.k / 2.0)
+            alpha = np.where(live, p_l / (mag * p_ph), 0.0)
+        flag = live & (mag <= p_ph ** (params.k / 2.0))
     else:
         alpha = np.where(p_l == 0.0, 0.0, math.inf)
         flag = np.zeros(mag.shape, dtype=bool)
@@ -230,7 +231,7 @@ def _evaluate(params: tmr.TmrParams, mag: np.ndarray, n: np.ndarray, p_m: float,
               include_higher_orders: bool, timing_mode: str):
     """The SMM evaluator behind :func:`effective_error_rate` and :func:`error_rates`.
 
-    Gates at |theta_l| = ``mag`` > 0 run ``n`` analog trials each; trial i of
+    Gates at |theta_l| = ``mag`` run ``n`` analog trials each; trial i of
     a gate runs at 2^i |theta_l|.  Every (gate, trial) pair goes through one
     :func:`tmr.branch_table` and one :func:`pcec.residual_rates` call, and
     each gate's terms 2^-i r_i and 2^-i clocks_i are added to 0.0 in trial
@@ -255,7 +256,7 @@ def _evaluate(params: tmr.TmrParams, mag: np.ndarray, n: np.ndarray, p_m: float,
 
 
 def _one_gate(config: SmmConfig):
-    """n_rus and :func:`_evaluate`'s output for one gate at theta_l != 0."""
+    """n_rus and :func:`_evaluate`'s output for one gate."""
     n = n_rus(abs(config.theta_l), config.resolved_threshold())
     return n, *_evaluate(config.tmr_params, np.abs([config.theta_l]), np.array([n]), config.p_m,
                          config.include_higher_orders, config.timing_mode)
@@ -272,9 +273,6 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
     evaluator :func:`error_rates` uses, so the report equals its row there
     bit for bit; ``trials`` holds its trial table.
     """
-    if config.theta_l == 0.0:
-        return SmmReport(n_rus=0, p_switch=1.0, p_analog=0.0, p_digital=0.0, n_syn=0, p_l=0.0,
-                         alpha_rus=0.0, expected_clocks=0.0, trials=(), out_of_regime=False)
     n, fields, (index, theta_rus, thetas, qbars, residual, clocks) = _one_gate(config)
     trials = map(TrialRow, index.tolist(), theta_rus.tolist(), map(tuple, thetas.tolist()),
                  map(tuple, qbars.tolist()), residual.tolist(), clocks.tolist())
@@ -314,8 +312,7 @@ def error_rates(
     theta_l, theta_th = np.broadcast_arrays(
         np.asarray(theta_l, dtype=float), np.asarray(theta_th, dtype=float)
     )
-    live = theta_l != 0.0  # theta_l = 0 rows are the identity gate
-    mag, th = np.abs(theta_l[live]), theta_th[live]
+    mag, th = np.abs(theta_l).ravel(), theta_th.ravel()
 
     n = np.array([n_rus(x, t) for x, t in zip(mag.tolist(), th.tolist())], dtype=int)
     cuts = np.flatnonzero(np.diff((np.cumsum(n) - n) // _SWEEP_PAIRS)) + 1
@@ -323,13 +320,10 @@ def error_rates(
         _evaluate(params, block_mag, block_n, p_m, include_higher_orders, timing_mode)[0]
         for block_mag, block_n in zip(np.split(mag, cuts), np.split(n, cuts))
     ]
-
-    def per_row(name: str) -> np.ndarray:
-        full = np.zeros(theta_l.shape, dtype=blocks[0][name].dtype)  # identity rows stay zero
-        full[live] = np.concatenate([block[name] for block in blocks])
-        return full
-
-    return SweepRates(**{name: per_row(name) for name in SweepRates.__dataclass_fields__})
+    return SweepRates(**{
+        name: np.concatenate([block[name] for block in blocks]).reshape(theta_l.shape)
+        for name in SweepRates.__dataclass_fields__
+    })
 
 
 def synthesis_only_gate(delta: float, p_m: float = 2e-9) -> tuple[float, float]:
@@ -359,8 +353,6 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     """
     if not config.include_higher_orders and config.tmr_params.j_max > 1:
         raise ValueError("the enumerator keeps every branch: leading order needs j_max = 1")
-    if config.theta_l == 0.0:
-        return 0.0
     n, fields, (_, _, thetas, qbars, _, _) = _one_gate(config)
     d = -np.expm1(np.cumsum(np.log1p(-np.append(0.0, pcec._defects(thetas, qbars)))))
     analog = float(np.ldexp(d[1:], -np.arange(2, n + 2)).sum())  # d[0] = D_{-1} = 0
@@ -389,8 +381,10 @@ class McReport:
 _MC_BLOCK = 1 << 12
 
 
-def _mc_tables(report: SmmReport):
+def _mc_tables(theta_rus: np.ndarray, thetas: np.ndarray, qbars: np.ndarray):
     """(edges, rest, zero, first, deltas): a gate's sampling tables, one row per trial.
+
+    Built from the columns ``theta_rus``, ``thetas``, ``qbars`` of :func:`_evaluate`'s table.
 
     ``edges`` are the cumulative branch weights with the last set to 1;
     ``rest`` the cumulative weights of the branches j >= 1 alone, whose last
@@ -399,14 +393,12 @@ def _mc_tables(report: SmmReport):
     chance 1 - prod_{i<=j} (1 - S_i)^2 that one of trials 0..j draws a
     branch (through log1p); ``deltas`` the branch angles less theta_rus.
     """
-    qbars = np.array([row.qbars for row in report.trials])
     edges = np.cumsum(qbars, axis=1)
     edges[:, -1] = 1.0
     rest = np.cumsum(qbars[:, 1:], axis=1)
     hit = rest[:, -1]
     first = -np.expm1(np.cumsum(2.0 * np.log1p(-hit)))
-    deltas = np.array([np.subtract(row.thetas, row.theta_rus) for row in report.trials])
-    return edges, rest, (1.0 - hit) / (2.0 - hit), first, deltas
+    return edges, rest, (1.0 - hit) / (2.0 - hit), first, thetas - theta_rus[:, None]
 
 
 def _branch(table: np.ndarray, trial: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -477,6 +469,8 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     full-accounting P_L.  The branch tables keep every branch up to
     ``j_max``, so ``include_higher_orders=False`` reaches the sample only
     through ``p_digital``: with ``j_max > 1`` it estimates neither model.
+    The tables and ``p_digital`` are the evaluator's (:func:`_one_gate`);
+    theta_l = 0 runs no trial, so every shot goes digital and scores 0.
 
     It draws counts, not trajectories, so a call costs O(n_rus + hit
     trajectories).  The draws come, in this order, from one
@@ -523,8 +517,8 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         raise ValueError(f"shots must be >= 1 and < 2^63, got {shots}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    report = effective_error_rate(config)
-    n, p = len(report.trials), report.p_digital
+    n, fields, (_, theta_rus, thetas, qbars, _, clocks) = _one_gate(config)
+    p = fields["p_digital"].item()
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     counts = np.zeros(n + 1, dtype=np.int64)  # stopping at trial i; the digital ones last
@@ -538,7 +532,7 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
 
     sum_x = sum_x2 = 0.0
     if n:
-        tables = _mc_tables(report)
+        tables = _mc_tables(theta_rus, thetas, qbars)
         first = tables[3]
         strata = np.flatnonzero(counts)
         hits = rng.binomial(counts[strata], first[np.minimum(strata, n - 1)])
@@ -555,10 +549,9 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     sum_x2 += clean * p ** 2
 
     # clocks of a trajectory that stops at trial i (index i), or goes digital (index n_rus)
-    elapsed = list(itertools.accumulate((row.clocks for row in report.trials), initial=0.0))
-    t_digital = _digital_clocks(config.timing_mode, report.n_syn)
-    stop_clocks = np.array(elapsed[1:] + [elapsed[-1] + t_digital])
-    sum_t, sum_t2 = (float((counts * clocks).sum()) for clocks in (stop_clocks, stop_clocks ** 2))
+    t_digital = _digital_clocks(config.timing_mode, fields["n_syn"].item())
+    stop_clocks = np.cumsum(np.append(clocks, t_digital))
+    sum_t, sum_t2 = (float((counts * t).sum()) for t in (stop_clocks, stop_clocks ** 2))
 
     mean_x = sum_x / shots
     var_x = max(sum_x2 / shots - mean_x ** 2, 0.0)

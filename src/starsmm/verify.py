@@ -101,7 +101,10 @@ def smm_monte_carlo(c1: float, seed: int) -> tuple[bool, str]:
     mc2 = smm.monte_carlo(config, shots, seed)
     if mc1 != mc2:
         return False, "Monte Carlo is not reproducible for a fixed seed"
-    pulls = abs(mc1.p_l_hat - rep.p_l) / mc1.p_l_se if mc1.p_l_se else 0.0
+    if mc1.p_l_se:
+        pulls = abs(mc1.p_l_hat - rep.p_l) / mc1.p_l_se
+    else:  # a sample without spread must hit P_L exactly
+        pulls = 0.0 if mc1.p_l_hat == rep.p_l else math.inf
     return pulls <= 5.0, f"P_L pull {pulls:.2f} sigma over {shots} shots"
 
 

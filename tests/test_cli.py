@@ -969,6 +969,10 @@ class TestVerify:
             ("channel_algebra", zchan, "twirled_z_error",
              lambda original, channel, target: original(channel, target)
                  + 1e-12 * (channel.branches[0][0] in (0.01, 0.05, 0.1))),
+            # a sample without spread that misses P_L
+            ("smm_monte_carlo", smm, "monte_carlo",
+             lambda original, config, shots, seed:
+                 smm.McReport(shots, seed, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
             # a new seed on every call
             ("smm_monte_carlo", smm, "monte_carlo",
              lambda original, config, shots, seed, calls=itertools.count():
@@ -988,7 +992,8 @@ class TestVerify:
              lambda original, *args: [(n_t, 1.001 * n_r) for n_t, n_r in original(*args)]),
         ],
         ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard", "error_rates",
-             "channel_algebra", "channel_algebra_twirl", "monte_carlo_reproducibility",
+             "channel_algebra", "channel_algebra_twirl", "monte_carlo_zero_spread",
+             "monte_carlo_reproducibility",
              "switch_probability", "gate_count_minimum", "timing_anchor", "bound_intercepts"],
     )
     def test_broken_library_fails_its_check(

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
-import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -125,8 +124,12 @@ class TestNRus:
         assert smm.n_rus(1e-5, 0.05) == 13
 
     def test_rejects_inverted_inputs(self):
-        with pytest.raises(ValueError):
-            smm.n_rus(0.02, 0.01)
+        for theta_l, theta_th in ((0.02, 0.01), (-1e-4, 0.01), (math.nan, 0.01), (0.0, -1.0)):
+            with pytest.raises(ValueError):
+                smm.n_rus(theta_l, theta_th)
+
+    def test_zero_angle_runs_no_trial(self):
+        assert smm.n_rus(0.0, 0.01) == 0
 
     @given(theta=st.floats(5e-324, 1e3), n=st.integers(0, 1074))
     @example(theta=5e-324, n=1074)
@@ -211,8 +214,16 @@ class TestEffectiveErrorRate:
         assert rep.alpha_rus == 0.0
 
     def test_zero_angle_identity_report(self):
-        rep = smm.effective_error_rate(_config(0.0, theta_th=0.01, threshold_ratio=None))
-        assert rep.p_l == 0.0 and rep.expected_clocks == 0.0
+        identity = smm.SmmReport(
+            n_rus=0, p_switch=1.0, p_analog=0.0, p_digital=0.0, n_syn=0, p_l=0.0, alpha_rus=0.0,
+            expected_clocks=0.0, trials=(), out_of_regime=False,
+        )
+        for timing_mode, p_m, p_ph in itertools.product(
+            ["pipelined", "latency"], [0.0, 2e-9, 1e-3], [0.0, 1e-3]
+        ):
+            cfg = _config(0.0, p_ph=p_ph, theta_th=0.01, threshold_ratio=None, p_m=p_m,
+                          timing_mode=timing_mode)
+            assert smm.effective_error_rate(cfg) == identity, (timing_mode, p_m, p_ph)
 
     def test_alpha_identity(self):
         cfg = _config(2e-4, k=7)
@@ -755,10 +766,13 @@ class TestMonteCarlo:
         assert abs(mc.clocks_hat - rep.expected_clocks) <= 4 * mc.clocks_se
 
     def test_zero_angle(self):
-        mc = smm.monte_carlo(
-            _config(0.0, theta_th=0.01, threshold_ratio=None), 100, seed=1
-        )
-        assert mc.p_l_hat == 0.0 and mc.p_switch_hat == 1.0
+        for timing_mode, p_m, p_ph, shots in itertools.product(
+            ["pipelined", "latency"], [0.0, 2e-9, 1e-3], [0.0, 1e-3], [1, 100, 2 ** 17 + 5]
+        ):
+            cfg = _config(0.0, p_ph=p_ph, theta_th=0.01, threshold_ratio=None, p_m=p_m,
+                          timing_mode=timing_mode)
+            mc = smm.monte_carlo(cfg, shots, seed=1)
+            assert mc == smm.McReport(shots, 1, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0), cfg
 
     # high-hit gates: p_ph = 1e-2 and c1 = 0.03 give a few 10^3 branch hits per 10^6
     # trajectories; p_ph = 0.1 and c1 = 1 about 0.3 per trajectory, so that trajectories
@@ -793,9 +807,9 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("last", [0, 1, 2])
     def test_first_hit_and_pair_law_match_enumeration(self, last):
-        trials = [smm.TrialRow(i, 1.0, (1.0, 1.5, 0.5), qbars, 0.0, 1.0)
-                  for i, qbars in enumerate(self.HIT_TABLE)]
-        tables = smm._mc_tables(types.SimpleNamespace(trials=trials))
+        rows = len(self.HIT_TABLE)
+        tables = smm._mc_tables(np.ones(rows), np.tile([1.0, 1.5, 0.5], (rows, 1)),
+                                np.array(self.HIT_TABLE))
         w = len(self.HIT_TABLE[0])
 
         def draw(u):
