@@ -16,14 +16,15 @@ CSV with 17-significant-digit floats and are byte-identical across runs for
 a fixed config and seed.  Exit codes: 0 success, 1 verification failure,
 2 config error (also an ``--out`` that is not a usable directory, or an
 output file in it that cannot be written), 3 solver failure, 4 model error
-(a library ValueError on input the config checks let through, or, in
-``tepai``, a float overflow, underflow or division by zero).
+(a library ValueError or ArithmeticError on input the config checks let
+through, named by its config row).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import json
 import math
@@ -38,6 +39,19 @@ from . import hamcat, mitigation, smm, tepai, tmr, verify
 
 class ConfigError(ValueError):
     pass
+
+
+# a library check or a float range failing: exit 4
+_MODEL_ERRORS = (ValueError, ArithmeticError)
+
+
+@contextlib.contextmanager
+def _naming(where: str):
+    """Re-raise a model error as a ValueError prefixed by ``where``; wrap library calls only."""
+    try:
+        yield
+    except _MODEL_ERRORS as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _write(path: Path, text: str) -> None:
@@ -92,10 +106,8 @@ _KNOWN_KEYS = {
 
 def load_config(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
+    if path is not None and not parser.read(path):
+        raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -194,38 +206,20 @@ def _get_p_ph(cfg, section) -> float:
     )
 
 
-def _calibrate_c1(section, k: int, p_ph: float) -> float:
-    """``smm.calibrate_c1``; a failure becomes a ValueError naming [section] p_ph and k."""
-    try:
+def _c1(section, k: int, p_ph: float, c1: float | None = None) -> float:
+    """The configured ``c1``, or for None ``smm.calibrate_c1`` at k and p_ph."""
+    if c1 is not None:
+        return c1
+    with _naming(f"[{section}] p_ph = {p_ph!r}, k = {k}: calibrating c1"):
         return smm.calibrate_c1(k=k, p_ph=p_ph)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] p_ph = {p_ph!r}, k = {k}: calibrating c1: {exc}") from exc
-
-
-def _resolve_c1(cfg, section, k: int, p_ph: float) -> float:
-    c1 = _get_c1(cfg, section)
-    return _calibrate_c1(section, k, p_ph) if c1 is None else c1
 
 
 def _get_alpha(cfg, section, key, p_ph: float, **smm_setup) -> float | mitigation.AlphaModel:
     """A constant RUS factor, or the SMM analytics for the value 'smm'."""
     alpha = _get_value(cfg, section, key, 0.1, words={"smm": None}, above=0.0)
-    if alpha is None:
-        c1 = _calibrate_c1(section, tepai.SMM_K, p_ph)
-        return tepai.smm_alpha_provider(p_ph, c1=c1, **smm_setup)
-    return alpha
-
-
-def _error_rates(section, k: int, params, theta_l, theta_th, **setup) -> smm.SweepRates:
-    """``smm.error_rates``; a failure becomes a ValueError naming [section] and k.
-
-    Every gate ``smm.in_domain`` accepts evaluates, and ``smm.error_rates`` names
-    the first gate it cannot finish (a synthesis accuracy delta of 1 or more).
-    """
-    try:
-        return smm.error_rates(params, theta_l, theta_th, **setup)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] k = {k}: {exc}") from exc
+    if alpha is not None:
+        return alpha
+    return tepai.smm_alpha_provider(p_ph, c1=_c1(section, tepai.SMM_K, p_ph), **smm_setup)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +240,7 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     ppd = _get_value(cfg, section, "points_per_decade", 8, cast=int, minimum=1)
     ks = _get_value(cfg, section, "k", [5, 7, 9], cast=int, many=True,
                     minimum=2, maximum=tmr.MAX_K)
-    p_ph = _get_p_ph(cfg, section)
+    p_ph, c1 = _get_p_ph(cfg, section), _get_c1(cfg, section)
     p_m = _get_value(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get_value(cfg, section, "higher_orders", True, cast=_boolean)
     grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
@@ -265,8 +259,9 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     setup = dict(p_m=p_m, include_higher_orders=higher)
     rows = []
     for k in ks:
-        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
-        rates = _error_rates(section, k, params, grid_in, thresholds, **setup)
+        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_c1(section, k, p_ph, c1),))
+        with _naming(f"[{section}] k = {k}"):
+            rates = smm.error_rates(params, grid_in, thresholds, **setup)
         for theta_l, threshold, alpha, p_l, flag in zip(
             grid_in, thresholds.tolist(), rates.alpha_rus.tolist(), rates.p_l.tolist(),
             rates.out_of_regime.tolist(),
@@ -291,15 +286,22 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
 def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
     section = "tradeoff"
     theta_ls = _get_value(cfg, section, "theta_l", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7], many=True)
-    if 0.0 in theta_ls:
-        # negative angles are fine: the model is mirror-symmetric
-        raw = cfg.get(section, "theta_l")
-        raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
     n_max = _get_value(cfg, section, "n_max", 15, cast=int, minimum=0)
+    # every threshold 2^n |theta_L| in smm.in_domain evaluates; none is past n = 1074 (least float)
+    with np.errstate(over="ignore"):  # an overflowing threshold is inf, outside the domain
+        ladder = np.ldexp(np.abs(theta_ls)[:, None], np.arange(min(n_max, 1074) + 1))
+    keep = smm.in_domain(np.array(theta_ls)[:, None], ladder)
+    # theta_L = 0 or |theta_L| > pi/8 has no row; a negative theta_L mirrors |theta_L|
+    if not (has_row := keep.any(axis=1)).all():
+        raw, theta_l = cfg.get(section, "theta_l"), theta_ls[has_row.argmin()]
+        if 0.0 in theta_ls:
+            raise ConfigError(f"[{section}] theta_l = {raw!r} must be non-zero")
+        raise ConfigError(f"[{section}] theta_l = {raw!r}: theta_L = {theta_l!r} has no row "
+                          "with |theta_L| <= theta_th <= pi/8")
     k = _get_value(cfg, section, "k", 7, cast=int, minimum=2, maximum=tmr.MAX_K)
-    p_ph = _get_p_ph(cfg, section)
+    p_ph, c1 = _get_p_ph(cfg, section), _get_c1(cfg, section)
     p_m = _get_value(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
-    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_resolve_c1(cfg, section, k, p_ph),))
+    params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_c1(section, k, p_ph, c1),))
 
     deltas = _get_value(cfg, section, "delta_sweep", [], above=0.0, below=1.0, many=True)
     if not deltas:
@@ -308,13 +310,10 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
             deltas.append(d)
             d *= 4.0
 
-    # every threshold 2^n |theta_L| in smm.in_domain evaluates; none is past n = 1074 (least float)
-    with np.errstate(over="ignore"):  # an overflowing threshold is inf, outside the domain
-        ladder = np.ldexp(np.abs(theta_ls)[:, None], np.arange(min(n_max, 1074) + 1))
-    keep = smm.in_domain(np.array(theta_ls)[:, None], ladder)
     row_theta, row_n = np.nonzero(keep)  # row-major: each theta_L's rows in order of n
-    rates = _error_rates(section, k, params, np.array(theta_ls)[row_theta], ladder[keep],
-                         p_m=p_m, timing_mode="latency")
+    with _naming(f"[{section}] k = {k}"):
+        rates = smm.error_rates(params, np.array(theta_ls)[row_theta], ladder[keep],
+                                p_m=p_m, timing_mode="latency")
     smm_rows = zip(row_n.tolist(), rates.p_l.tolist(), rates.expected_clocks.tolist())
 
     synthesis = [smm.synthesis_only_gate(delta=delta, p_m=p_m) for delta in deltas]
@@ -354,14 +353,10 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     grid = _log_grid(section, "n_t_min", "n_t_max", lo, hi, ppd)
     rows = []
     for arch in architectures:
-        try:
+        with _naming(f"[{section}] theta_star = {theta_star!r}, architecture {arch}"):
             curve = mitigation.feasible_boundary(
                 arch, theta_star, grid, p_ph=p_ph, p_m=p_m, alpha_model=alpha_model
             )
-        except ValueError as exc:  # e.g. from an alpha model outside its domain
-            raise ValueError(
-                f"[{section}] theta_star = {theta_star!r}, architecture {arch}: {exc}"
-            ) from exc
         rows.extend((arch, n_t, n_r) for n_t, n_r in curve)
     _write_csv(out_dir / "bound.csv", ["architecture", "N_T", "N_R"], rows)
     print(f"bound: wrote {len(rows)} rows to {out_dir / 'bound.csv'}")
@@ -382,11 +377,16 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
             u_int = _get_value(cfg, section, "hubbard_u", 4.0, minimum=0.0)
             try:
                 length = int(token.split(":", 1)[1])
+            except ValueError:
+                length = 0  # not an integer
+            if length < 3:
+                raise ConfigError(f"[{section}] systems: {token!r} needs an integer lattice size "
+                                  "L >= 3")
+            try:
                 entry = hamcat.hubbard_entry(t_hop, u_int, length)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"[tepai] systems: {token!r} needs an integer lattice size L >= 3"
-                ) from exc
+            except ValueError as exc:  # lambda = 0
+                raise ConfigError(f"[{section}] hubbard_t = {t_hop!r}, "
+                                  f"hubbard_u = {u_int!r}: {exc}") from exc
             systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
         else:
             try:
@@ -398,14 +398,12 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     if lam_grid:
         grid_raw = cfg.get(section, "lam_grid")
         if len(lam_grid) != 3:
-            raise ConfigError(
-                f"[{section}] lam_grid = {grid_raw!r} must be 'min,max,points_per_decade'"
-            )
+            raise ConfigError(f"[{section}] lam_grid = {grid_raw!r} must be "
+                              "'min,max,points_per_decade'")
         _check_bounds(section, "lam_grid", grid_raw, lam_grid[:2], above=0.0)
         if not (lam_grid[2] >= 1 and lam_grid[2].is_integer()):
-            raise ConfigError(
-                f"[tepai] lam_grid points_per_decade = {lam_grid[2]!r} must be an integer >= 1"
-            )
+            raise ConfigError(f"[{section}] lam_grid points_per_decade = {lam_grid[2]!r} "
+                              "must be an integer >= 1")
         n_l = _get_value(cfg, section, "n_l", cast=int, required=True, minimum=1)
         lo, hi, ppd = lam_grid
         for lam in _log_grid(section, "lam_grid min", "max", lo, hi, int(ppd)):
@@ -429,21 +427,17 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     for name, lam, n_l in systems:
         for t in times:
             try:
-                est = tepai.estimate(tepai.TepaiInstance(
-                    lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
-                    c_smm=c_smm, alpha_model=alpha_model, name=name,
-                ))
+                with _naming(f"[{section}] row {name}, T = {t!r}"):
+                    est = tepai.estimate(tepai.TepaiInstance(
+                        lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
+                        c_smm=c_smm, alpha_model=alpha_model, name=name,
+                    ))
             except tepai.DistanceSolveError:
                 rows.append((name, lam, t, q, eps) + ("ERROR",) * 6)
                 continue
-            except (ValueError, ArithmeticError) as exc:  # a library check or a float range
-                raise ValueError(f"[{section}] row {name}, T = {t!r}: {exc}") from exc
             if not math.isfinite(est.total_seconds):
-                print(
-                    f"tepai: [{section}] row {name}, T = {t!r}: total_s overflows to "
-                    f"{est.total_seconds}",
-                    file=sys.stderr,
-                )
+                print(f"tepai: [{section}] row {name}, T = {t!r}: total_s overflows to "
+                      f"{est.total_seconds}", file=sys.stderr)
             estimates.append(est)
             rows.append((
                 name, lam, t, q, eps, est.d, est.n_patch, est.physical_qubits,
@@ -534,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except _MODEL_ERRORS as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 4
 

@@ -82,16 +82,13 @@ def patch_count(n_l: int) -> int:
     return math.ceil(2 * n_l + math.sqrt(8 * n_l)) + 11
 
 
-def smm_alpha_provider(
-    p_ph: float, p_m: float = 2e-9, c1: float | None = None
-) -> mitigation.AlphaModel:
+def smm_alpha_provider(p_ph: float, p_m: float = 2e-9, *, c1: float) -> mitigation.AlphaModel:
     """alpha_RUS(theta) backed by the SMM analytics at k = SMM_K, theta_th = SMM_THETA_TH.
 
+    ``c1`` is the first-order pass coefficient, e.g. ``smm.calibrate_c1(SMM_K, p_ph)``.
     |theta| >= theta_th is pure synthesis (n_rus = 0): the P_L of the gate at
     theta_th, so alpha = P_L(theta_th) / (|theta| p_ph).
     """
-    if c1 is None:
-        c1 = smm.calibrate_c1(k=SMM_K, p_ph=p_ph)
     params = tmr.TmrParams(k=SMM_K, p_ph=p_ph, pass_coeffs=(c1,))
 
     def report(theta_l: float) -> smm.SmmReport:

@@ -337,6 +337,18 @@ class TestTradeoff:
         assert down == up
         assert [int(n) for n, _, _ in down if int(n) >= 0] == list(range(9))
 
+    @pytest.mark.parametrize("theta_l", ["0.5", "1e-5,-0.4"])
+    def test_theta_l_without_smm_row_is_config_error(self, tmp_path, capsys, theta_l):
+        # |theta_L| > pi/8: no threshold 2^n |theta_L| lies in smm.in_domain
+        cfg = TRADEOFF_CFG.replace("theta_l = 1e-5", f"theta_l = {theta_l}")
+        assert _run(tmp_path, "tradeoff", cfg) == 2
+        bad = theta_l.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"config error: [tradeoff] theta_l = {theta_l!r}: theta_L = {float(bad)!r} has no "
+            "row with |theta_L| <= theta_th <= pi/8\n"
+        )
+        assert not (tmp_path / "tradeoff.csv").exists()
+
     def test_pure_digital_row_matches_comparator_scale(self, tmp_path):
         assert _run(tmp_path, "tradeoff", TRADEOFF_CFG) == 0
         lines = (tmp_path / "tradeoff.csv").read_text().strip().split("\n")[1:]
@@ -583,6 +595,17 @@ alpha = 0.1
         assert names[0] == "hubbard-4x4"
         assert len(names) == 1 + 2  # hubbard + two lambda grid points
 
+    @pytest.mark.parametrize("u_int", ["0", "5e-324"])
+    def test_zero_hubbard_couplings_are_a_config_error(self, tmp_path, capsys, u_int):
+        # lambda = (4t + U/4) L^2 = 0 (U/4 underflows for the least float): the size is fine
+        cfg = TEPAI_CFG.replace("4Fe-4S", "hubbard:3") + f"hubbard_t = 0\nhubbard_u = {u_int}\n"
+        assert _run(tmp_path, "tepai", cfg) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [tepai] hubbard_t = 0.0, hubbard_u = {float(u_int)!r}: "
+            "lambda must be positive\n"
+        )
+        assert not (tmp_path / "tepai.csv").exists()
+
     @pytest.mark.parametrize(
         "couplings,lam",
         [("hubbard_u = 8\n", 600.0), ("hubbard_t = 0.5\n", 300.0),
@@ -810,9 +833,10 @@ class TestConfigReader:
 
 
 class TestExitCodes:
-    def test_model_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, OverflowError])
+    def test_model_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch, error):
         def broken(*args, **kwargs):
-            raise ValueError("frontier out of range")
+            raise error("frontier out of range")
 
         monkeypatch.setattr(cli.mitigation, "feasible_boundary", broken)
         assert _run(tmp_path, "bound", BOUND_CFG) == 4

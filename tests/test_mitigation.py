@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from starsmm import cli, hamcat, mitigation, tepai
+from starsmm import cli, hamcat, mitigation, smm, tepai
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -119,7 +119,8 @@ class TestTotalBudget:
     def test_tepai_prices_through_mitigation(self, alpha):
         # every configs/tepai_molecules.cfg row plus one with Delta > pi/4,
         # bit for bit: one P_total and one price e^(4 P_total) for both
-        alpha_model = 0.1 if alpha == "0.1" else tepai.smm_alpha_provider(1e-3)
+        alpha_model = (0.1 if alpha == "0.1"
+                       else tepai.smm_alpha_provider(1e-3, c1=smm.calibrate_c1()))
         wide = 0
         for instance in _tepai_molecule_instances(alpha_model):
             est = tepai.estimate(instance)

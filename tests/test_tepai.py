@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starsmm import hamcat, mitigation, tepai
+from starsmm import hamcat, mitigation, smm, tepai
 
 
 class TestSelectAngle:
@@ -201,7 +201,8 @@ class TestEstimate:
         assert max(qubits) <= 2.7e5
 
     def test_smm_backed_alpha_default(self):
-        est = tepai.estimate(_fes_instance(alpha_model=tepai.smm_alpha_provider(1e-3), t=1.0))
+        alpha = tepai.smm_alpha_provider(1e-3, c1=smm.calibrate_c1())
+        est = tepai.estimate(_fes_instance(alpha_model=alpha, t=1.0))
         assert est.p_total > 0.0
 
     def test_validation(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from starsmm import tmr
@@ -30,6 +30,41 @@ def _asin_branch_angle(theta: float, k: int, j: int) -> float:
     h = math.hypot(ua, ub)
     mag = math.asin(ub / h) if ub <= ua else 0.5 * math.pi - math.asin(ua / h)
     return mag if j % 2 == 0 else -mag
+
+
+def _rotation_branch_table(params: tmr.TmrParams, theta_l: float):
+    """(p_ideal, thetas, qbars) derived from the k physical rotations, not from the closed forms.
+
+    prod_m (cos(theta) I - i sin(theta) Z_m) expands over the 2^k Z-patterns S
+    with amplitude a_S = cos^(k-|S|)(theta) (-i sin(theta))^|S|.  Z_S and its
+    complement Z_{S^c} = Z_S Z_L leave one logical operator a_S I + a_{S^c} Z_L,
+    so each pair {S, S^c} is counted once, in class j = min(|S|, k - |S|).  A
+    class's norm is the exact sum of |a_S|^2 + |a_{S^c}|^2 over its pairs; its
+    angle is atan((a_{S^c} / a_S) / (-i)^k), the ratio in branch 0's frame,
+    which is real with sign (-1)^j.  The pass factor c_j p_ph^j is the model's
+    input: it is multiplied in, then the weights are normalised.
+    """
+    k = params.k
+    theta = math.atan(math.tan(theta_l) ** (1.0 / k))
+    cos, sin = math.cos(theta), -1j * math.sin(theta)
+    norms = [[] for _ in range(k // 2 + 1)]
+    ratios = [None] * (k // 2 + 1)
+    full = 2 ** k - 1
+    for pattern in range(full + 1):
+        weight = bin(pattern).count("1")
+        if (weight, pattern) > (k - weight, full ^ pattern):
+            continue  # the pair's other side, counted already
+        a_s, a_c = cos ** (k - weight) * sin ** weight, cos ** weight * sin ** (k - weight)
+        norms[weight].append(abs(a_s) ** 2 + abs(a_c) ** 2)
+        ratios[weight] = a_c / a_s / (-1j) ** k
+    assert all(ratio.imag == 0.0 for ratio in ratios)
+    thetas = [math.atan(ratio.real) for ratio in ratios]
+    q = [math.fsum(norms[0])] + [
+        math.fsum(norms[j]) * params.pass_coeffs[j - 1] * params.p_ph ** j
+        for j in range(1, k // 2 + 1)
+    ]
+    total = math.fsum(q)
+    return q[0], thetas, [weight / total for weight in q]
 
 
 class TestPIdeal:
@@ -308,6 +343,31 @@ class TestBranchTable:
             assert pid == pytest.approx(model.p_ideal, rel=1e-13)
             assert row_thetas == pytest.approx(model.branch_thetas, rel=1e-13, abs=0.0)
             assert row_qbars == pytest.approx(model.branch_qbars, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _assert_matches_rotations(params, theta_l):
+        p_ideal, thetas, qbars = tmr.branch_table(params, np.array(theta_l))
+        want_p_ideal, want_thetas, want_qbars = _rotation_branch_table(params, theta_l)
+        assert p_ideal == pytest.approx(want_p_ideal, rel=1e-14, abs=0.0)
+        assert thetas.tolist() == pytest.approx(want_thetas, rel=1e-14, abs=0.0)
+        assert qbars.tolist() == pytest.approx(want_qbars, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", range(2, 15))
+    def test_matches_physical_rotations(self, k):
+        params = tmr.TmrParams(k=k, p_ph=1e-2, pass_coeffs=(0.04, 0.5, 2.0))
+        for theta_l in (1e-8, 1e-5, 1e-3, 0.05, 0.3, 0.7):
+            self._assert_matches_rotations(params, theta_l)
+
+    @given(
+        k=st.integers(2, 10),
+        exponent=st.floats(-8.0, math.log10(tmr.MAX_THETA)),
+        p_ph=st.sampled_from([0.0, 1e-3, 1e-2, tmr.MAX_P_PH]),
+        pass_coeffs=st.lists(st.floats(0.0, 10.0), max_size=5),
+    )
+    @example(k=10, exponent=-1.0, p_ph=0.1, pass_coeffs=[])  # even k: a self-paired middle class
+    def test_matches_physical_rotations_anywhere(self, k, exponent, p_ph, pass_coeffs):
+        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=tuple(pass_coeffs))
+        self._assert_matches_rotations(params, min(10.0 ** exponent, tmr.MAX_THETA))
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.8, math.nan])
     def test_rejects_angles_outside_domain(self, bad):
