@@ -198,11 +198,11 @@ def _get_c1(cfg, section) -> float | None:
     return _get_value(cfg, section, "c1", words={"calibrated": None}, minimum=0.0)
 
 
-def _get_p_ph(cfg, section) -> float:
-    """[section] p_ph in [0, 0.1]; calibrating c1 needs p_ph > 0."""
-    above = 0.0 if _get_c1(cfg, section) is None else None
+def _get_p_ph(cfg, section, c1: float | None) -> float:
+    """[section] p_ph in [0, 0.1]; calibrating c1 (``c1`` None) needs p_ph > 0."""
+    above = 0.0 if c1 is None else None
     return _get_value(
-        cfg, section, "p_ph", 1e-3, minimum=0.0, maximum=tmr.MAX_P_PH, above=above
+        cfg, section, "p_ph", mitigation.P_PH, minimum=0.0, maximum=tmr.MAX_P_PH, above=above
     )
 
 
@@ -240,9 +240,11 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     ppd = _get_value(cfg, section, "points_per_decade", 8, cast=int, minimum=1)
     ks = _get_value(cfg, section, "k", [5, 7, 9], cast=int, many=True,
                     minimum=2, maximum=tmr.MAX_K)
-    p_ph, c1 = _get_p_ph(cfg, section), _get_c1(cfg, section)
+    c1 = _get_c1(cfg, section)
+    p_ph = _get_p_ph(cfg, section, c1)
     p_m = _get_value(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
-    higher = _get_value(cfg, section, "higher_orders", True, cast=_boolean)
+    higher = _get_value(cfg, section, "higher_orders", smm.SmmConfig.include_higher_orders,
+                        cast=_boolean)
     grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
 
     grid_th = ratio * np.array(grid) if mode == "fixed_ratio" else np.full(len(grid), theta_th)
@@ -299,8 +301,9 @@ def cmd_tradeoff(cfg, out_dir: Path, seed: int) -> int:
         raise ConfigError(f"[{section}] theta_l = {raw!r}: theta_L = {theta_l!r} has no row "
                           "with |theta_L| <= theta_th <= pi/8")
     k = _get_value(cfg, section, "k", 7, cast=int, minimum=2, maximum=tmr.MAX_K)
-    p_ph, c1 = _get_p_ph(cfg, section), _get_c1(cfg, section)
-    p_m = _get_value(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M)
+    c1 = _get_c1(cfg, section)
+    p_ph = _get_p_ph(cfg, section, c1)
+    p_m = _get_value(cfg, section, "p_m", smm.SmmConfig.p_m, minimum=0.0, maximum=smm.MAX_P_M)
     params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(_c1(section, k, p_ph, c1),))
 
     deltas = _get_value(cfg, section, "delta_sweep", [], above=0.0, below=1.0, many=True)
@@ -341,10 +344,11 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
         cast=None, words=mitigation.ARCHITECTURES, many=True,
     )
     theta_star = _get_value(cfg, section, "theta_star", 1e-5, above=0.0, maximum=tmr.MAX_THETA)
-    p_ph = _get_value(cfg, section, "p_ph", 1e-3, above=0.0, maximum=tmr.MAX_P_PH)
+    p_ph = _get_value(cfg, section, "p_ph", mitigation.P_PH, above=0.0, maximum=tmr.MAX_P_PH)
     # the cultivation variant synthesizes its rotations at accuracy p_m
     above = 0.0 if "ftqc-cultivation" in architectures else None
-    p_m = _get_value(cfg, section, "p_m", 2e-9, minimum=0.0, maximum=smm.MAX_P_M, above=above)
+    p_m = _get_value(cfg, section, "p_m", mitigation.P_M, minimum=0.0, maximum=smm.MAX_P_M,
+                     above=above)
     lo = _get_value(cfg, section, "n_t_min", 1.0, above=0.0)
     hi = _get_value(cfg, section, "n_t_max", 1e10, above=0.0)
     ppd = _get_value(cfg, section, "points_per_decade", 4, cast=int, minimum=1)
@@ -373,8 +377,8 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     systems = []
     for token in _get_value(cfg, section, "systems", [], cast=str, many=True):
         if token.startswith("hubbard:"):
-            t_hop = _get_value(cfg, section, "hubbard_t", 1.0, minimum=0.0)
-            u_int = _get_value(cfg, section, "hubbard_u", 4.0, minimum=0.0)
+            t_hop = _get_value(cfg, section, "hubbard_t", hamcat.HUBBARD_T, minimum=0.0)
+            u_int = _get_value(cfg, section, "hubbard_u", hamcat.HUBBARD_U, minimum=0.0)
             try:
                 length = int(token.split(":", 1)[1])
             except ValueError:
@@ -416,10 +420,11 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
 def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
     section = "tepai"
     times = _get_value(cfg, section, "t", required=True, above=0.0, many=True)
-    q = _get_value(cfg, section, "q", 1.0, above=0.0)
-    eps = _get_value(cfg, section, "epsilon", 0.05, above=0.0, below=1.0)
-    p_ph = _get_value(cfg, section, "p_ph", 1e-3, above=0.0, below=tepai.P_THRESHOLD)
-    c_smm = _get_value(cfg, section, "c_smm", 3.0, above=0.0)
+    default = tepai.TepaiInstance  # its field defaults are class attributes
+    q = _get_value(cfg, section, "q", default.q, above=0.0)
+    eps = _get_value(cfg, section, "epsilon", default.epsilon, above=0.0, below=1.0)
+    p_ph = _get_value(cfg, section, "p_ph", default.p_ph, above=0.0, below=tepai.P_THRESHOLD)
+    c_smm = _get_value(cfg, section, "c_smm", default.c_smm, above=0.0)
     alpha_model = _get_alpha(cfg, section, "alpha", p_ph)
     systems = _tepai_systems(cfg)
 

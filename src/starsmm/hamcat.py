@@ -91,19 +91,18 @@ def molecule(name: str) -> SystemEntry:
     raise KeyError(f"unknown molecule {name!r}; known: {[m.name for m in MOLECULES]}")
 
 
-def catalog(
-    J: float = 1.0,
-    h: float = 1.0,
-    t: float = 1.0,
-    u: float = 4.0,
-    n_sites: int = 10,
-    length: int = 10,
-) -> tuple[SystemEntry, ...]:
-    """The seven benchmark rows; lattice formulas evaluated at the given parameters."""
+#: :func:`catalog`'s lattices; the Hubbard couplings are the CLI's defaults.
+ISING_J = ISING_H = HUBBARD_T = 1.0
+HUBBARD_U = 4.0
+N_SITES = LENGTH = 10
+
+
+def catalog() -> tuple[SystemEntry, ...]:
+    """The seven benchmark rows; lattice formulas evaluated at the reference constants."""
     return (
-        rfic_entry(J, h, n_sites),
-        tfim_entry(J, h, length),
-        hubbard_entry(t, u, length),
+        rfic_entry(ISING_J, ISING_H, N_SITES),
+        tfim_entry(ISING_J, ISING_H, LENGTH),
+        hubbard_entry(HUBBARD_T, HUBBARD_U, LENGTH),
     ) + MOLECULES
 
 

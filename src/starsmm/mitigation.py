@@ -10,7 +10,8 @@ feasible circuit size.  The STAR bounds and the TE-PAI estimates in
 Four architecture variants are compared: the original injection-based
 design (v1), the TMR-based refinement (v2), the SMM-based design (v3), and
 a cultivation-backed Clifford+T architecture (T-gate synthesis for every
-rotation).
+rotation).  Their comparison setup is stated here only: ``P_PH``, ``P_M``
+and ``V2_RUS_K``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
+from . import tmr
+
 ARCHITECTURES = ("v1", "v2", "v3", "ftqc-cultivation")
 
-V2_RUS_FACTOR = 1.6          # published k = 7 reference value, used verbatim
+P_PH, P_M = 1e-3, 2e-9       # physical and cultivated magic-state error rates
+V2_RUS_FACTOR = 1.6          # published reference value at k = V2_RUS_K, used verbatim
+V2_RUS_K = 7
 INJECTION_RATE = 2.0 / 15.0  # [[4,1,1,2]] injection error per trial / p_ph
 
 
@@ -42,15 +47,15 @@ class CircuitProfile:
     """Gate counts of a Clifford + T + rotation circuit.
 
     ``rotations`` lists (angle, count) pairs with angles in (0, pi/4].
-    Architecture constants default to the comparison setup: p_ph = 1e-3 and
-    p_m = 2e-9; the cultivation variant synthesizes at accuracy delta = p_m.
+    Architecture constants default to the comparison setup, P_PH and P_M;
+    the cultivation variant synthesizes at accuracy delta = p_m.
     """
 
     n_t: int
     rotations: tuple[tuple[float, int], ...] = ()
     architecture: str = "v3"
-    p_ph: float = 1e-3
-    p_m: float = 2e-9
+    p_ph: float = P_PH
+    p_m: float = P_M
 
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -62,7 +67,7 @@ class CircuitProfile:
         for angle, count in self.rotations:
             if count < 0:
                 raise ValueError("rotation counts must be non-negative")
-            if not 0.0 < angle <= 0.25 * math.pi:
+            if not 0.0 < angle <= tmr.MAX_THETA:
                 raise ValueError(f"rotation angle {angle!r} outside (0, pi/4]")
 
     @property
@@ -141,8 +146,8 @@ def feasible_boundary(
     architecture: str,
     theta_star: float,
     n_t_grid,
-    p_ph: float = 1e-3,
-    p_m: float = 2e-9,
+    p_ph: float = P_PH,
+    p_m: float = P_M,
     alpha_model: AlphaModel | float | None = None,
 ) -> list[tuple[float, float]]:
     """The P_total = 1 frontier: for each N_T, the admissible N_R.

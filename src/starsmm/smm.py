@@ -114,7 +114,7 @@ class SmmConfig:
     tmr_params: tmr.TmrParams
     theta_th: float | None = None
     threshold_ratio: float | None = None
-    p_m: float = 2e-9
+    p_m: float = mitigation.P_M
     include_higher_orders: bool = True
     timing_mode: str = "pipelined"
 
@@ -262,6 +262,13 @@ def _one_gate(config: SmmConfig):
                          config.include_higher_orders, config.timing_mode)
 
 
+def _every_branch(config: SmmConfig, route: str):
+    """:func:`_one_gate` for a route that keeps every branch up to j_max."""
+    if not config.include_higher_orders and config.tmr_params.j_max > 1:
+        raise ValueError(f"the {route} keeps every branch: leading order needs j_max = 1")
+    return _one_gate(config)
+
+
 def effective_error_rate(config: SmmConfig) -> SmmReport:
     """Analytic effective error rate, RUS factor and expected clocks of one gate.
 
@@ -294,9 +301,9 @@ def error_rates(
     theta_l,
     theta_th,
     *,
-    p_m: float = 2e-9,
-    include_higher_orders: bool = True,
-    timing_mode: str = "pipelined",
+    p_m: float = SmmConfig.p_m,
+    include_higher_orders: bool = SmmConfig.include_higher_orders,
+    timing_mode: str = SmmConfig.timing_mode,
 ) -> SweepRates:
     """Array form of :func:`effective_error_rate` for many gates sharing one TMR setup.
 
@@ -326,7 +333,7 @@ def error_rates(
     })
 
 
-def synthesis_only_gate(delta: float, p_m: float = 2e-9) -> tuple[float, float]:
+def synthesis_only_gate(delta: float, p_m: float = mitigation.P_M) -> tuple[float, float]:
     """Error rate and clocks of the pure T-gate-synthesis comparator.
 
     Returns (P_L, clocks) = (delta + p_m*N_syn, N_syn*T_GATE_LATENCY_CLOCKS).
@@ -351,9 +358,7 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     Raises ``pcec.ModelRegimeError`` outside PCEC's regime; leading order
     (``include_higher_orders=False``) raises ValueError unless j_max = 1.
     """
-    if not config.include_higher_orders and config.tmr_params.j_max > 1:
-        raise ValueError("the enumerator keeps every branch: leading order needs j_max = 1")
-    n, fields, (_, _, thetas, qbars, _, _) = _one_gate(config)
+    n, fields, (_, _, thetas, qbars, _, _) = _every_branch(config, "enumerator")
     d = -np.expm1(np.cumsum(np.log1p(-np.append(0.0, pcec._defects(thetas, qbars)))))
     analog = float(np.ldexp(d[1:], -np.arange(2, n + 2)).sum())  # d[0] = D_{-1} = 0
     return analog + math.ldexp(d[-1] + 2.0 * fields["p_digital"][0] * (1.0 - d[-1]), -n - 1)
@@ -467,8 +472,8 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     sin^2 at completion.  Digital-branch trajectories keep their analog
     deviation and fold in the synthesis/magic flip rate, matching the
     full-accounting P_L.  The branch tables keep every branch up to
-    ``j_max``, so ``include_higher_orders=False`` reaches the sample only
-    through ``p_digital``: with ``j_max > 1`` it estimates neither model.
+    ``j_max``, so leading order (``include_higher_orders=False``) raises
+    ValueError unless j_max = 1, as in :func:`enumerate_error_rate`.
     The tables and ``p_digital`` are the evaluator's (:func:`_one_gate`);
     theta_l = 0 runs no trial, so every shot goes digital and scores 0.
 
@@ -517,7 +522,7 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
         raise ValueError(f"shots must be >= 1 and < 2^63, got {shots}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    n, fields, (_, theta_rus, thetas, qbars, _, clocks) = _one_gate(config)
+    n, fields, (_, theta_rus, thetas, qbars, _, clocks) = _every_branch(config, "sampler")
     p = fields["p_digital"].item()
     rng = np.random.Generator(np.random.Philox(key=seed))
 
@@ -624,7 +629,7 @@ def v2_octave_average(k: int, p_ph: float, c1: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def calibrate_c1(k: int = 7, p_ph: float = 1e-3) -> float:
+def calibrate_c1(k: int = mitigation.V2_RUS_K, p_ph: float = mitigation.P_PH) -> float:
     """Fit c_1 so the previous-generation RUS factor matches V2_RUS_FACTOR.
 
     The factor oscillates with log2(theta_l) (period one octave), so the

@@ -82,7 +82,9 @@ def patch_count(n_l: int) -> int:
     return math.ceil(2 * n_l + math.sqrt(8 * n_l)) + 11
 
 
-def smm_alpha_provider(p_ph: float, p_m: float = 2e-9, *, c1: float) -> mitigation.AlphaModel:
+def smm_alpha_provider(
+    p_ph: float, p_m: float = mitigation.P_M, *, c1: float
+) -> mitigation.AlphaModel:
     """alpha_RUS(theta) backed by the SMM analytics at k = SMM_K, theta_th = SMM_THETA_TH.
 
     ``c1`` is the first-order pass coefficient, e.g. ``smm.calibrate_c1(SMM_K, p_ph)``.
@@ -119,7 +121,7 @@ class TepaiInstance:
     alpha_model: float | mitigation.AlphaModel
     epsilon: float = 0.05
     q: float = 1.0
-    p_ph: float = 1e-3
+    p_ph: float = mitigation.P_PH
     c_smm: float = 3.0
     name: str = ""
 

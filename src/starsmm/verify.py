@@ -69,8 +69,8 @@ def pcec_residual_oracle() -> tuple[bool, str]:
 
 
 def _smm_gate(c1: float, k: int, theta_l: float, ratio: float) -> smm.SmmConfig:
-    """The p_ph = 1e-3 gate at theta_th = ratio * theta_l that the SMM checks run."""
-    params = tmr.TmrParams(k=k, p_ph=1e-3, pass_coeffs=(c1,))
+    """The p_ph = P_PH gate at theta_th = ratio * theta_l that the SMM checks run."""
+    params = tmr.TmrParams(k=k, p_ph=mitigation.P_PH, pass_coeffs=(c1,))
     return smm.SmmConfig(theta_l=theta_l, tmr_params=params, threshold_ratio=ratio)
 
 
@@ -149,8 +149,9 @@ def timing_anchor(c1: float) -> tuple[bool, str]:
 
 
 def c1_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
-    # calibrate_c1 already raised (exit 4) unless this average is V2_RUS_FACTOR within 1e-6
-    mean = smm.v2_octave_average(7, 1e-3, c1)
+    # at run's calibration point, calibrate_c1's defaults: it already raised (exit 4)
+    # unless this average is V2_RUS_FACTOR within 1e-6
+    mean = smm.v2_octave_average(mitigation.V2_RUS_K, mitigation.P_PH, c1)
     if supplied is not None and abs(supplied - c1) > 1e-6 * c1:
         return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
     return True, f"c1 = {c1:.6f}, octave-averaged factor {mean:.6f}"

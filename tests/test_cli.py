@@ -805,6 +805,37 @@ class TestDomainErrors:
         assert _run(tmp_path, "bound", cfg) == 0
 
 
+def _default_tepai_rows():
+    """The rows of a [tepai] config that sets only systems and t, from the library's defaults."""
+    entries = {entry.name: entry for entry in hamcat.catalog()}
+    rows = []
+    for name, entry in (("2Fe-2S", entries["2Fe-2S"]), ("hubbard-10x10", entries["Hubbard"])):
+        for t in (1.0, 10.0):
+            est = tepai.estimate(tepai.TepaiInstance(entry.lam, t, entry.n_l, alpha_model=0.1))
+            rows.append((name, entry.lam, t, est.instance.q, est.instance.epsilon, est.d,
+                         est.n_patch, est.physical_qubits, est.single_shot_seconds,
+                         est.total_seconds, est.p_total))
+    return rows
+
+
+def _default_bound_rows():
+    """The rows of an empty [bound], with no p_ph or p_m passed to the library."""
+    grid = cli._log_grid("bound", "n_t_min", "n_t_max", 1.0, 1e10, 4)
+    return [(arch, n_t, n_r) for arch in mitigation.ARCHITECTURES
+            for n_t, n_r in mitigation.feasible_boundary(arch, 1e-5, grid, alpha_model=0.1)]
+
+
+def _default_tradeoff_rows():
+    """The rows of a [tradeoff] without p_m, with no p_m passed to the library."""
+    params = tmr.TmrParams(k=5, p_ph=2e-3, pass_coeffs=(0.3,))
+    rates = smm.error_rates(params, np.full(7, 1e-5), 1e-5 * 2.0 ** np.arange(7),
+                            timing_mode="latency")
+    rows = [(1e-5, n, p_l, clocks) for n, (p_l, clocks)
+            in enumerate(zip(rates.p_l.tolist(), rates.expected_clocks.tolist()))]
+    return rows + [(1e-5, -(j + 1), *smm.synthesis_only_gate(delta))
+                   for j, delta in enumerate((1e-6, 1e-5))]
+
+
 class TestConfigReader:
     def test_reader_is_asked_for_exactly_the_declared_keys(self, tmp_path, monkeypatch):
         asked = {}
@@ -830,6 +861,23 @@ class TestConfigReader:
             out.mkdir()
             assert _run(out, command, cfg) == 0
         assert asked == cli._KNOWN_KEYS
+
+    # each config leaves unset every key whose CLI default mirrors a library default
+    @pytest.mark.parametrize("command,cfg,csv,expected", [
+        ("tepai", "[tepai]\nsystems = 2Fe-2S,hubbard:10\nt = 1,10\n", "tepai.csv",
+         _default_tepai_rows),
+        ("bound", "[bound]\n", "bound.csv", _default_bound_rows),
+        ("tradeoff", "[tradeoff]\ntheta_l = 1e-5\nn_max = 6\nk = 5\np_ph = 2e-3\nc1 = 0.3\n"
+         "delta_sweep = 1e-6,1e-5\n", "tradeoff.csv", _default_tradeoff_rows),
+    ], ids=["tepai", "bound", "tradeoff"])
+    def test_unset_key_means_the_library_default(self, tmp_path, command, cfg, csv, expected):
+        assert _run(tmp_path, command, cfg) == 0
+        lines = (tmp_path / csv).read_text().strip().split("\n")[1:]
+        rows = expected()
+        assert len(lines) == len(rows)
+        # every cell parsed as its expected type and compared with ==
+        assert [tuple(type(want)(cell) for cell, want in zip(line.split(","), row))
+                for line, row in zip(lines, rows)] == rows
 
 
 class TestExitCodes:

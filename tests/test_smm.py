@@ -774,6 +774,15 @@ class TestMonteCarlo:
             mc = smm.monte_carlo(cfg, shots, seed=1)
             assert mc == smm.McReport(shots, 1, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0), cfg
 
+    def test_leading_order_with_higher_branches_raises(self):
+        # k = 5 keeps j_max = 2 branches: the sampler draws them, the leading-order P_L drops them
+        cfg = _config(0.02, k=5, threshold_ratio=2.0, p_m=0.0, include_higher_orders=False)
+        assert cfg.tmr_params.j_max == 2
+        with pytest.raises(ValueError, match="leading order needs j_max = 1"):
+            smm.monte_carlo(cfg, 1000, seed=1)
+        one = dataclasses.replace(cfg, tmr_params=dataclasses.replace(cfg.tmr_params, j_max=1))
+        assert smm.monte_carlo(one, 1000, seed=1).shots == 1000
+
     # high-hit gates: p_ph = 1e-2 and c1 = 0.03 give a few 10^3 branch hits per 10^6
     # trajectories; p_ph = 0.1 and c1 = 1 about 0.3 per trajectory, so that trajectories
     # with two hits, and digital ones with a hit, weigh in P_L
