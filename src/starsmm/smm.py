@@ -276,9 +276,8 @@ def effective_error_rate(config: SmmConfig) -> SmmReport:
 
     with r the per-trial post-PCEC residual; 2^-i is the probability that
     trial i is executed at all.  theta_l = 0 yields the identity report and
-    negative theta_l is folded by mirror symmetry.  The gate runs through the
-    evaluator :func:`error_rates` uses, so the report equals its row there
-    bit for bit; ``trials`` holds its trial table.
+    negative theta_l is folded by mirror symmetry.  The report equals the
+    gate's :func:`error_rates` row bit for bit; ``trials`` is its trial table.
     """
     n, fields, (index, theta_rus, thetas, qbars, residual, clocks) = _one_gate(config)
     trials = map(TrialRow, index.tolist(), theta_rus.tolist(), map(tuple, thetas.tolist()),
@@ -296,29 +295,20 @@ class SweepRates:
     out_of_regime: np.ndarray
 
 
-def error_rates(
-    params: tmr.TmrParams,
-    theta_l,
-    theta_th,
-    *,
-    p_m: float = SmmConfig.p_m,
-    include_higher_orders: bool = SmmConfig.include_higher_orders,
-    timing_mode: str = SmmConfig.timing_mode,
-) -> SweepRates:
+def error_rates(params: tmr.TmrParams, theta_l, theta_th, *, p_m: float = SmmConfig.p_m,
+                include_higher_orders: bool = SmmConfig.include_higher_orders,
+                timing_mode: str = SmmConfig.timing_mode) -> SweepRates:
     """Array form of :func:`effective_error_rate` for many gates sharing one TMR setup.
 
     Row r is the gate ``SmmConfig(theta_l[r], params, theta_th=theta_th[r],
-    ...)``; ``theta_th`` broadcasts against ``theta_l``, and the domain is
-    checked by the helper ``SmmConfig`` uses.  The rows pass through the
-    evaluator :func:`effective_error_rate` uses, in order, about
-    ``_SWEEP_PAIRS`` trials per call, so each row equals that gate's report
-    bit for bit.  Each row's T-count comes from
-    ``mitigation.synthesis_t_count``.
+    ...)``, ``theta_th`` broadcast against ``theta_l``, its domain checked as
+    ``SmmConfig`` checks it.  The rows pass through the evaluator in order,
+    about ``_SWEEP_PAIRS`` trials per call, so each row equals that gate's
+    report bit for bit.
     """
     _check_domain(theta_l, theta_th, p_m, timing_mode)
-    theta_l, theta_th = np.broadcast_arrays(
-        np.asarray(theta_l, dtype=float), np.asarray(theta_th, dtype=float)
-    )
+    theta_l, theta_th = np.broadcast_arrays(np.asarray(theta_l, dtype=float),
+                                            np.asarray(theta_th, dtype=float))
     mag, th = np.abs(theta_l).ravel(), theta_th.ravel()
 
     n = np.array([n_rus(x, t) for x, t in zip(mag.tolist(), th.tolist())], dtype=int)
@@ -342,9 +332,7 @@ def synthesis_only_gate(delta: float, p_m: float = mitigation.P_M) -> tuple[floa
     return delta + p_m * n_syn, n_syn * T_GATE_LATENCY_CLOCKS
 
 
-# ---------------------------------------------------------------------------
-# Exact trajectory enumeration (closed form)
-# ---------------------------------------------------------------------------
+# -- Exact trajectory enumeration (closed form) -----------------------------
 
 def enumerate_error_rate(config: SmmConfig) -> float:
     """Exact twirled-Z error of the SMM output under the P_L convention.
@@ -364,9 +352,7 @@ def enumerate_error_rate(config: SmmConfig) -> float:
     return analog + math.ldexp(d[-1] + 2.0 * fields["p_digital"][0] * (1.0 - d[-1]), -n - 1)
 
 
-# ---------------------------------------------------------------------------
-# Monte-Carlo trajectory sampler
-# ---------------------------------------------------------------------------
+# -- Monte-Carlo trajectory sampler -----------------------------------------
 
 @dataclass(frozen=True)
 class McReport:
@@ -558,53 +544,52 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     stop_clocks = np.cumsum(np.append(clocks, t_digital))
     sum_t, sum_t2 = (float((counts * t).sum()) for t in (stop_clocks, stop_clocks ** 2))
 
-    mean_x = sum_x / shots
-    var_x = max(sum_x2 / shots - mean_x ** 2, 0.0)
-    mean_t = sum_t / shots
-    var_t = max(sum_t2 / shots - mean_t ** 2, 0.0)
+    def mean_se(total: float, squares: float) -> tuple[float, float]:
+        mean = total / shots
+        return mean, math.sqrt(max(squares / shots - mean ** 2, 0.0) / shots)
+
     p_sw = n_digital / shots
-    return McReport(
-        shots=shots,
-        seed=seed,
-        p_l_hat=mean_x,
-        p_l_se=math.sqrt(var_x / shots),
-        clocks_hat=mean_t,
-        clocks_se=math.sqrt(var_t / shots),
-        p_switch_hat=p_sw,
-        p_switch_se=math.sqrt(p_sw * (1.0 - p_sw) / shots),
-    )
+    return McReport(shots, seed, *mean_se(sum_x, sum_x2), *mean_se(sum_t, sum_t2),
+                    p_sw, math.sqrt(p_sw * (1.0 - p_sw) / shots))
 
 
-# ---------------------------------------------------------------------------
-# Previous-generation RUS model and pass-rate calibration
-# ---------------------------------------------------------------------------
+# -- Previous-generation RUS model and pass-rate calibration ----------------
 
-def _v2_trials(theta_l: float, k: int, p_ph: float):
-    """Lazily, (p_ideal, pair weight, sin^2 Delta_1) of the v2 trials at 2^i theta_l.
+@functools.lru_cache(maxsize=1 << 10)
+def _v2_trials(theta_l: float, k: int, p_ph: float) -> tuple:
+    """(p_ideal, pair weight, sin^2 Delta_1) of each v2 trial at 2^i theta_l.
 
     None depends on c_1, which enters only through q_1 = pair * c_1 * p_ph.
     """
     params = tmr.TmrParams(k=k, p_ph=p_ph, j_max=1)
-    n = n_rus(theta_l, tmr.MAX_THETA) if theta_l < tmr.MAX_THETA else 0
-    for i in range(n):
-        model = tmr.output_model_for_logical(params, math.ldexp(theta_l, i))
-        s2 = math.sin(model.branch_thetas[1] - model.theta_l) ** 2
-        yield model.p_ideal, tmr.pair_weight(model.theta_phys, k, 1), s2
+    models = (tmr.output_model_for_logical(params, math.ldexp(theta_l, i))
+              for i in range(n_rus(theta_l, tmr.MAX_THETA) if theta_l < tmr.MAX_THETA else 0))
+    return tuple((m.p_ideal, tmr.pair_weight(m.theta_phys, k, 1),
+                  math.sin(m.branch_thetas[1] - m.theta_l) ** 2) for m in models)
 
 
-def _v2_alpha(theta_l: float, trials, p_ph: float, c1: float) -> float:
-    """:func:`v2_rus_factor` at c_1 over :func:`_v2_trials` rows, read up to the switch."""
+def _v2_mean(thetas, k: int, p_ph: float):
+    """c_1 -> :func:`v2_rus_factor` averaged over ``thetas``, on one (trial, angle) table.
+
+    Shorter rows are padded with residual-0 trials, which add 0.0 and are
+    not counted; each angle adds its 2^-i r_i to 0.0 in trial order.
+    """
+    rows = [_v2_trials(theta_l, k, p_ph) for theta_l in thetas]
+    n = [len(row) for row in rows]
+    width = max([1, *n])
+    pid, pair, s2 = np.array([row + ((1.0, 0.0, 0.0),) * (width - len(row)) for row in rows]).T
+    trial, span = np.arange(width)[:, None], np.multiply(thetas, p_ph)
     injection = mitigation.INJECTION_RATE * p_ph
-    p_l, i0 = 0.0, 0
-    for pid, pair, s2 in trials:
+
+    def mean(c1: float) -> float:
         q1 = pair * c1 * p_ph
         residual = 2.0 * (q1 / (pid + q1) * s2)
-        if residual >= injection:
-            break
-        p_l += 2.0 ** (-i0) * residual
-        i0 += 1
-    p_l += 2.0 ** (1 - i0) * injection
-    return p_l / (theta_l * p_ph)
+        run = np.logical_and.accumulate(residual < injection)  # trials before the switch, pads
+        p_l = np.cumsum(np.where(run, np.ldexp(residual, -trial), 0.0), axis=0)[-1]
+        p_l += np.ldexp(injection, 1 - np.minimum(run.sum(axis=0), n))
+        return functools.reduce(operator.add, (p_l / span).tolist()) / len(n)
+
+    return mean
 
 
 def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
@@ -617,9 +602,11 @@ def v2_rus_factor(theta_l: float, k: int, p_ph: float, c1: float) -> float:
     optimal.  alpha = P_L / (theta_l * p_ph) with
     P_L = sum_{i<i0} 2^-i r(2^i theta_l) + 2^(1-i0) (2/15) p_ph.
     """
-    if theta_l <= 0.0 or p_ph <= 0.0 or c1 < 0.0:
-        raise ValueError("theta_l and p_ph must be positive and c1 non-negative")
-    return _v2_alpha(theta_l, _v2_trials(theta_l, k, p_ph), p_ph, c1)
+    for name, value in (("theta_l", theta_l), ("p_ph", p_ph), ("c1", c1)):
+        if not (0.0 < value < math.inf or value == 0.0 and name == "c1"):
+            raise ValueError("theta_l and p_ph must be positive and c1 non-negative, all "
+                             f"finite; got {name} = {value!r}")
+    return _v2_mean((theta_l,), k, p_ph)(c1)
 
 
 def v2_octave_average(k: int, p_ph: float, c1: float) -> float:
@@ -628,7 +615,6 @@ def v2_octave_average(k: int, p_ph: float, c1: float) -> float:
     return functools.reduce(operator.add, vals) / len(vals)
 
 
-@functools.lru_cache(maxsize=None)
 def calibrate_c1(k: int = mitigation.V2_RUS_K, p_ph: float = mitigation.P_PH) -> float:
     """Fit c_1 so the previous-generation RUS factor matches V2_RUS_FACTOR.
 
@@ -636,36 +622,29 @@ def calibrate_c1(k: int = mitigation.V2_RUS_K, p_ph: float = mitigation.P_PH) ->
     calibration matches :func:`v2_octave_average`.  Bisection on log(c_1) is
     safe: the averaged factor is monotone in c_1.
 
-    Each bisection step runs :func:`v2_rus_factor`'s switch loop over trial
-    rows built once per call.  The answer is then checked through
-    :func:`v2_octave_average` itself: a ValueError is raised unless it is
-    V2_RUS_FACTOR within 1e-6.  p_ph must keep CALIBRATION_ANCHOR * p_ph > 0.
+    The bisection runs the v2 switch rule on one table of the octave's trial
+    rows, and the answer is checked through :func:`v2_octave_average`, which
+    reads the same cached rows: a ValueError unless it gives V2_RUS_FACTOR
+    within 1e-6.  p_ph must keep CALIBRATION_ANCHOR * p_ph > 0.  One cache
+    entry per (k, p_ph), however the call is written.
     """
+    return _calibrated_c1(k, p_ph)
+
+
+@functools.lru_cache(maxsize=None)
+def _calibrated_c1(k: int, p_ph: float) -> float:
     if not CALIBRATION_ANCHOR * p_ph > 0.0:  # the v2 factor divides by theta_l * p_ph
         raise ValueError(f"need {CALIBRATION_ANCHOR} * p_ph > 0, got p_ph = {p_ph!r}")
-    trials = [list(_v2_trials(theta_l, k, p_ph)) for theta_l in _OCTAVE]
-
-    def averaged_alpha(c1: float) -> float:
-        vals = [_v2_alpha(theta_l, rows, p_ph, c1) for theta_l, rows in zip(_OCTAVE, trials)]
-        return functools.reduce(operator.add, vals) / len(vals)
-
+    averaged, target = _v2_mean(_OCTAVE, k, p_ph), mitigation.V2_RUS_FACTOR
     lo, hi = math.log(1e-4), math.log(10.0)
-    if averaged_alpha(math.exp(lo)) > mitigation.V2_RUS_FACTOR:
+    if averaged(math.exp(lo)) > target:
         raise ValueError("calibration target below the injection-only floor")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if averaged_alpha(math.exp(mid)) < mitigation.V2_RUS_FACTOR:
-            lo = mid
-        else:
-            hi = mid
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if averaged(math.exp(mid)) < target else (lo, mid)
     c1 = math.exp(0.5 * (lo + hi))
 
     mean = v2_octave_average(k, p_ph, c1)
-    if abs(mean - mitigation.V2_RUS_FACTOR) > 1e-6:
-        raise ValueError(
-            f"calibrated c1 = {c1!r} (k = {k}, p_ph = {p_ph!r}) gives an octave-averaged "
-            f"v2 factor {mean!r}, not {mitigation.V2_RUS_FACTOR}"
-        )
+    if abs(mean - target) > 1e-6:
+        raise ValueError(f"calibrated c1 = {c1!r} (k = {k}, p_ph = {p_ph!r}) gives an octave-"
+                         f"averaged v2 factor {mean!r}, not {target}")
     return c1

@@ -1010,7 +1010,7 @@ class TestVerify:
     def test_failed_calibration_is_a_model_error(self, tmp_path, capsys, monkeypatch):
         original = smm.v2_octave_average
         monkeypatch.setattr(smm, "v2_octave_average", lambda *args: original(*args) + 1e-3)
-        smm.calibrate_c1.cache_clear()
+        smm._calibrated_c1.cache_clear()
         assert _run(tmp_path, "verify", None, seed=9) == 4
         assert capsys.readouterr().err.startswith("model error: calibrated c1 =")
         assert not (tmp_path / "verify_report.json").exists()

@@ -9,18 +9,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _blas_threads(code: str, **env_vars: str) -> str:
-    """OPENBLAS_NUM_THREADS as a fresh interpreter sees it after running ``code``."""
+def _fresh_stdout(code: str, **env_vars: str) -> str:
+    """What a fresh interpreter prints for ``code`` (OPENBLAS_NUM_THREADS unset unless given)."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-W", "error", "-c",
-         code + "; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        [sys.executable, "-W", "error", "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def _blas_threads(code: str, **env_vars: str) -> str:
+    """OPENBLAS_NUM_THREADS as a fresh interpreter sees it after running ``code``."""
+    code += "; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    return _fresh_stdout(code, **env_vars)
 
 
 @pytest.mark.parametrize(
@@ -42,3 +47,9 @@ def test_readme_layout_lists_exactly_the_modules():
     listed = re.findall(r"^\| `starsmm\.(\w+)` \|", layout, flags=re.MULTILINE)
     modules = [path.stem for path in (ROOT / "src" / "starsmm").glob("*.py") if path.stem != "__init__"]
     assert sorted(listed) == sorted(modules)
+
+
+def test_cli_import_leaves_out_the_oracle_checks():
+    # only the verify command imports starsmm.verify, so the other commands never compile it
+    code = "import sys, starsmm.cli; print('starsmm.verify' in sys.modules)"
+    assert _fresh_stdout(code) == "False"

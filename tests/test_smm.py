@@ -972,7 +972,8 @@ class TestV2Calibration:
 
     @pytest.mark.parametrize("k", range(2, 16))
     def test_scalar_route_hits_target(self, k):
-        # v2_rus_factor is the independent route; calibrate_c1 bisects on cached geometry
+        # calibrate_c1 bisects on one table of the octave's rows; v2_rus_factor reads them
+        # one angle at a time, as the final check does
         for p_ph in (1e-4, 3e-4, 1e-3, 3e-3):
             c1 = smm.calibrate_c1(k, p_ph)
             vals = [
@@ -989,16 +990,46 @@ class TestV2Calibration:
         # the c1 values the shipped configs calibrate, bit for bit
         assert smm.calibrate_c1(k, 1e-3) == c1
 
+    def test_one_cache_entry_per_point(self):
+        smm._calibrated_c1.cache_clear()
+        c1 = smm.calibrate_c1()
+        assert smm.calibrate_c1(7, 1e-3) == c1 == smm.calibrate_c1(k=7, p_ph=1e-3)
+        info = smm._calibrated_c1.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_rows_are_built_once(self, monkeypatch):
+        # a cold calibration builds each octave trial row once; its final check rebuilds none
+        calls = {"rows": 0, "rows_before_check": None}
+        build, factor = tmr.output_model_for_logical, smm.v2_rus_factor
+
+        def counted_build(*args):
+            calls["rows"] += 1
+            return build(*args)
+
+        def counted_factor(*args):
+            if calls["rows_before_check"] is None:
+                calls["rows_before_check"] = calls["rows"]
+            return factor(*args)
+
+        monkeypatch.setattr(tmr, "output_model_for_logical", counted_build)
+        monkeypatch.setattr(smm, "v2_rus_factor", counted_factor)
+        smm._v2_trials.cache_clear()
+        c1 = smm._calibrated_c1.__wrapped__(7, 1e-3)
+        assert c1 == 0.0367462506463562
+        rows = sum(smm.n_rus(theta_l, math.pi / 4) for theta_l in smm._OCTAVE)
+        assert rows == 261
+        assert calls == {"rows": rows, "rows_before_check": rows}
+
     def test_target_below_the_floor_raises(self, monkeypatch):
         # the factor at the least c1 tried, 1e-4, already exceeds a target this low
         monkeypatch.setattr(smm.mitigation, "V2_RUS_FACTOR", 1e-6)
         with pytest.raises(ValueError, match="below the injection-only floor"):
-            smm.calibrate_c1.__wrapped__(7, 1e-3)
+            smm._calibrated_c1.__wrapped__(7, 1e-3)
 
     def test_failed_scalar_check_raises(self, monkeypatch):
         monkeypatch.setattr(smm, "v2_rus_factor", lambda *args: 1.7)
         with pytest.raises(ValueError, match="octave-averaged v2 factor"):
-            smm.calibrate_c1.__wrapped__(7, 1e-3)
+            smm._calibrated_c1.__wrapped__(7, 1e-3)
 
     def test_calibrated_band_is_narrow(self):
         c1 = smm.calibrate_c1()
@@ -1087,13 +1118,20 @@ class TestPinnedValues:
         (smm.v2_rus_factor, (0.0, 7, 1e-3, 0.04), "theta_l and p_ph must be positive"),
         (smm.v2_rus_factor, (1e-5, 7, 0.0, 0.04), "theta_l and p_ph must be positive"),
         (smm.v2_rus_factor, (1e-5, 7, 1e-3, -1.0), "c1 non-negative"),
+        # once returned 0.0 (theta_l = inf) or nan (c1 = nan or inf)
+        (smm.v2_rus_factor, (math.inf, 7, 1e-3, 0.04), r"all finite; got theta_l = inf$"),
+        (smm.v2_rus_factor, (math.nan, 7, 1e-3, 0.04), r"got theta_l = nan$"),
+        (smm.v2_rus_factor, (1e-5, 7, math.inf, 0.04), r"got p_ph = inf$"),
+        (smm.v2_rus_factor, (1e-5, 7, 1e-3, math.nan), r"got c1 = nan$"),
+        (smm.v2_rus_factor, (1e-5, 7, 1e-3, math.inf), r"got c1 = inf$"),
         (smm.calibrate_c1, (7, 0.0), r"need 1e-05 \* p_ph > 0, got p_ph = 0.0"),
         (smm.calibrate_c1, (7, -1e-3), r"got p_ph = -0.001"),
         # theta_l * p_ph underflows to 0 in the v2 factor; no ZeroDivisionError leaks
         (smm.calibrate_c1, (7, 1e-320), r"got p_ph = 1e-320"),
     ],
     ids=["mc-shots", "mc-shots-2^63", "mc-seed-2^64", "mc-seed-negative", "v2-theta_l", "v2-p_ph",
-         "v2-c1", "calibrate-zero", "calibrate-negative", "calibrate-subnormal"],
+         "v2-c1", "v2-theta_l-inf", "v2-theta_l-nan", "v2-p_ph-inf",
+         "v2-c1-nan", "v2-c1-inf", "calibrate-zero", "calibrate-negative", "calibrate-subnormal"],
 )
 def test_validation_names_the_argument(call, args, message):
     with pytest.raises(ValueError, match=message):
