@@ -11,10 +11,10 @@ params = tmr.TmrParams(k=7, p_ph=1e-3)
 
 print("target theta_L   physical theta   p_ideal   supply [clocks]")
 for theta_l in (1e-2, 1e-3, 1e-4, 1e-6):
-    theta = tmr.physical_angle_for(theta_l, params.k)
+    model = tmr.output_model_for_logical(params, theta_l)
     print(
-        f"{theta_l:12.1e}   {theta:14.6f}   {tmr.p_ideal(theta, params.k):7.4f}"
-        f"   {1 / tmr.p_ideal(theta, params.k):8.3f}"
+        f"{theta_l:12.1e}   {model.theta_phys:14.6f}   {model.p_ideal:7.4f}"
+        f"   {1 / model.p_ideal:8.3f}"
     )
 
 print("\nbranch table at theta_L = 1e-3:")

@@ -64,6 +64,9 @@ class CircuitProfile:
             )
         if self.n_t < 0:
             raise ValueError("n_t must be non-negative")
+        for name in ("p_ph", "p_m"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         for angle, count in self.rotations:
             if count < 0:
                 raise ValueError("rotation counts must be non-negative")

@@ -6,10 +6,10 @@ over-rotation with the same probabilities turns the coherent error into a
 stochastic Z-flip; this module builds that cancellation channel from one
 row ``(thetas, qbars)`` of :func:`starsmm.tmr.branch_table`, and the
 residual flip rate that serves as the per-trial error currency, per model
-and as arrays over a branch table, with every error branch cancelled or,
-for the previous architecture generation, only the leading one.  The
-exact flip rate of the pair has a closed form too, which the SMM
-enumerator reads; both refuse a trial outside PCEC's regime.
+and as arrays over a branch table; the array form can also cancel only the
+leading branch, as the previous architecture generation did.  The exact
+flip rate of the pair has a closed form too, which the SMM enumerator
+reads; both refuse a trial outside PCEC's regime.
 """
 
 from __future__ import annotations
@@ -59,19 +59,15 @@ def build_canceller(thetas, qbars) -> RotationMixture:
     return zchan.mixture(pairs)
 
 
-def residual_rate(model: TmrOutputModel, higher_orders: bool = True) -> float:
+def residual_rate(model: TmrOutputModel) -> float:
     """Post-cancellation stochastic-Z rate: 2 sum_{j>=1} qbar_j sin^2(Delta_j).
 
     Agrees with the exact twirled-Z rate of canceller-after-noisy up to
-    O((sum qbar_j)^2) cross terms.  With ``higher_orders`` false only the
-    leading branch counts, 2 qbar_1 sin^2(Delta_1): the comparison mode for
-    the earlier architecture generation, which cancelled only that branch.
-    The terms are added left to right.
+    O((sum qbar_j)^2) cross terms.  The terms are added left to right.
     """
-    last = None if higher_orders else 2
     return 2.0 * functools.reduce(operator.add, (
         qbar * math.sin(theta_j - model.theta_l) ** 2
-        for qbar, theta_j in zip(model.branch_qbars[1:last], model.branch_thetas[1:last])
+        for qbar, theta_j in zip(model.branch_qbars[1:], model.branch_thetas[1:])
     ))
 
 
@@ -80,8 +76,9 @@ def residual_rates(
 ) -> np.ndarray:
     """Array form of :func:`residual_rate` over a :func:`starsmm.tmr.branch_table`.
 
-    Sums over the branch (last) axis; ``higher_orders`` is as in
-    :func:`residual_rate`.
+    Sums over the branch (last) axis.  With ``higher_orders`` false only the
+    leading branch counts, 2 qbar_1 sin^2(Delta_1): the comparison mode for
+    the earlier architecture generation, which cancelled only that branch.
     """
     last = None if higher_orders else 2
     deltas = thetas[..., 1:last] - thetas[..., :1]

@@ -2,9 +2,10 @@
 
 The protocol applies k physical-angle rotation factors along the logical Z
 operator of a surface-code patch and post-selects on clean stabilizers.
-This module provides the closed forms for its ideal success probability,
+This module states the closed forms for its ideal success probability,
 the logical angle, the error-branch angles theta_j, and the normalized
-branch weights qbar_j, per gate and as arrays over many target angles.
+branch weights qbar_j, per gate (:func:`branch_weights`) and as arrays over
+many target angles (:func:`branch_table`).
 
 Pass rates are not simulated here: the order-j pass probability is modeled
 as ``c_j * p_ph**j`` with user-supplied coefficients ``c_j`` (default 1).
@@ -53,8 +54,9 @@ class TmrParams:
             raise ValueError(f"j_max must lie in [1, k], got {jm}")
         object.__setattr__(self, "j_max", jm)
         coeffs = tuple(float(c) for c in self.pass_coeffs)
-        if any(c < 0.0 for c in coeffs):
-            raise ValueError("pass coefficients must be non-negative")
+        for j, c in enumerate(coeffs, 1):
+            if not 0.0 <= c < math.inf:
+                raise ValueError(f"pass coefficient c_{j} must be finite and >= 0, got {c!r}")
         if len(coeffs) < jm:
             coeffs = coeffs + (1.0,) * (jm - len(coeffs))
         object.__setattr__(self, "pass_coeffs", coeffs[:jm])
@@ -81,83 +83,57 @@ class TmrOutputModel:
         return functools.reduce(operator.add, self.branch_qbars[1:])
 
 
-def p_ideal(theta: float, k: int) -> float:
-    """Ideal post-selection success probability sin^2k + cos^2k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return math.sin(theta) ** (2 * k) + math.cos(theta) ** (2 * k)
-
-
-def logical_angle(theta: float, k: int) -> float:
-    """Logical angle arcsin(sin^k(theta) / sqrt(p_ideal)); ~ theta^k small."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 <= theta <= MAX_THETA:
-        raise ValueError(f"theta must lie in [0, pi/4], got {theta!r}")
-    return math.asin(math.sin(theta) ** k / math.sqrt(p_ideal(theta, k)))
-
-
 def physical_angle_for(theta_l: float, k: int) -> float:
     """Physical angle whose TMR output has logical angle theta_l.
 
-    Exact inverse of :func:`logical_angle`: tan(theta_l) = tan^k(theta), so
-    theta = arctan(tan(theta_l)^(1/k)).
+    Exact inverse of the angle map of :func:`branch_weights`:
+    tan(theta_l) = tan^k(theta), so theta = arctan(tan(theta_l)^(1/k)).
     """
     if not 0.0 <= theta_l <= MAX_THETA:
         raise ValueError(f"theta_l must lie in [0, pi/4], got {theta_l!r}")
     return math.atan(math.tan(theta_l) ** (1.0 / k))
 
 
-def _u_abs(theta: float, k: int, j: int) -> float:
-    """|u_j| = sin^j(theta) cos^(k-j)(theta)."""
-    return math.sin(theta) ** j * math.cos(theta) ** (k - j)
-
-
-def branch_angles(theta: float, k: int, j: int) -> float:
-    """Angle theta_j of the order-j output branch.
-
-    theta_j = (-1)^j arctan(tan^(k-2j)(theta)), since
-    |u_{k-j}| / |u_j| = tan^(k-2j)(theta); this equals the asin form
-    arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)).  j = 0 reproduces the
-    logical angle and j = 1 the leading error angle.
-    """
-    if not 0 <= j <= k:
-        raise ValueError(f"j must lie in [0, k], got {j}")
-    if not 0.0 < theta <= MAX_THETA:
-        raise ValueError(f"theta must lie in (0, pi/4], got {theta!r}")
-    t, power = math.tan(theta), k - 2 * j
-    # j > k/2 has a negative power: atan2 avoids overflowing tan^power
-    mag = math.atan(t ** power) if power >= 0 else math.atan2(1.0, t ** -power)
-    return mag if j % 2 == 0 else -mag
+def _pair_weight(s: float, c: float, k: int, j: int) -> float:
+    """:func:`pair_weight` from s = sin(theta) and c = cos(theta)."""
+    pair = math.comb(k, j) * ((s ** j * c ** (k - j)) ** 2 + (s ** (k - j) * c ** j) ** 2)
+    return 0.5 * pair if 2 * j == k else pair
 
 
 def pair_weight(theta: float, k: int, j: int) -> float:
     """Unnormalized order-j branch factor C(k,j) (|u_j|^2 + |u_{k-j}|^2).
 
-    Halved at j = k/2 for even k, where the pair is self-conjugate.  The
-    order-j weight is this factor times c_j p_ph^j.
+    |u_j| = sin^j(theta) cos^(k-j)(theta).  Halved at j = k/2 for even k,
+    where the pair is self-conjugate.  The order-j weight is this factor
+    times c_j p_ph^j.
     """
-    pair = math.comb(k, j) * (_u_abs(theta, k, j) ** 2 + _u_abs(theta, k, k - j) ** 2)
-    return 0.5 * pair if 2 * j == k else pair
+    return _pair_weight(math.sin(theta), math.cos(theta), k, j)
 
 
 def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
-    """Full branch table of the post-selected output state.
+    """Full branch table of the post-selected output state at physical angle theta.
 
-    q_0 = p_ideal and, for j >= 1, q_j = pair_weight(theta, k, j) c_j p_ph^j.
-    Returned weights are normalized (qbar_j = q_j / sum).
+    q_0 = p_ideal = sin^2k + cos^2k, the ideal post-selection success
+    probability, and theta_0 is the logical angle
+    arcsin(sin^k(theta) / sqrt(p_ideal)) ~ theta^k.  For j >= 1,
+    q_j = pair_weight(theta, k, j) c_j p_ph^j and
+    theta_j = (-1)^j arctan(tan^(k-2j)(theta)), since
+    |u_{k-j}| / |u_j| = tan^(k-2j)(theta); this equals the asin form
+    arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)).  Returned weights are
+    normalized (qbar_j = q_j / sum).
     """
     if not 0.0 < theta <= MAX_THETA:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta!r}")
     k = params.k
-    pid = p_ideal(theta, k)
-    q = [pid]
-    thetas = [logical_angle(theta, k)]
+    s, c, t = math.sin(theta), math.cos(theta), math.tan(theta)
+    pid = s ** (2 * k) + c ** (2 * k)
+    q, thetas = [pid], [math.asin(s ** k / math.sqrt(pid))]
     for j in range(1, params.j_max + 1):
-        q.append(pair_weight(theta, k, j) * params.pass_coeffs[j - 1] * params.p_ph ** j)
-        thetas.append(branch_angles(theta, k, j))
+        q.append(_pair_weight(s, c, k, j) * params.pass_coeffs[j - 1] * params.p_ph ** j)
+        power = k - 2 * j
+        # j > k/2 has a negative power: atan2 avoids overflowing tan^power
+        mag = math.atan(t ** power) if power >= 0 else math.atan2(1.0, t ** -power)
+        thetas.append(mag if j % 2 == 0 else -mag)
     total = functools.reduce(operator.add, q)
     if total <= 0.0:
         raise ValueError("all branch weights vanish; model is degenerate")
@@ -181,9 +157,9 @@ def branch_table(
     thetas, qbars)``: ``p_ideal`` has the shape of ``theta_l``, and
     ``thetas``/``qbars`` hold theta_j and qbar_j for j = 0..j_max on a new
     last axis.  Every SMM gate reads its trial tables from here.  Each row
-    depends on its own angle only, so it has the same bits in any call.  The
-    scalar functions above evaluate the same closed forms through libm,
-    whose last bits can differ from numpy's tan, arctan and pow.
+    depends on its own angle only, so it has the same bits in any call.
+    :func:`branch_weights` evaluates the same closed forms for one gate
+    through libm, whose last bits can differ from numpy's tan, arctan and pow.
     """
     theta_l = np.asarray(theta_l, dtype=float)
     if not np.all((theta_l > 0.0) & (theta_l <= MAX_THETA)):

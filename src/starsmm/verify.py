@@ -2,7 +2,7 @@
 
 Each check returns ``(ok, detail)`` and is named by its key in
 ``verify_report.json``.  :func:`run` calibrates c1 once, then runs every
-check in report order.
+check in report order.  Every comparison fails closed on a NaN.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ from . import hamcat, mitigation, pcec, smm, tepai, tmr, zchan
 
 
 def tepai_identities() -> tuple[bool, str]:
-    worst = 0.0
+    errors = []
     for lam_t in (1.0, 13.78, 1378.0, 9.9e4):
         for q in (0.1, 1.0, 5.0):
             delta = tepai.select_angle(lam_t, q)
             n_gate = tepai.gate_count(lam_t, delta)
             closed = 2.0 * lam_t ** 2 / q + q
-            worst = max(worst, abs(n_gate - closed) / closed)
+            errors.append(abs(n_gate - closed) / closed)
             gamma_sq, _ = tepai.sampling_overhead(lam_t, delta, 0.05)
-            worst = max(worst, abs(gamma_sq - math.exp(q)) / math.exp(q))
+            errors.append(abs(gamma_sq - math.exp(q)) / math.exp(q))
+    worst = float(np.max(errors))
     return worst < 1e-10, f"worst relative error {worst:.2e}"
 
 
@@ -40,15 +41,16 @@ def tepai_gate_count_minimum() -> tuple[bool, str]:
 
 
 def channel_algebra() -> tuple[bool, str]:
-    worst = 0.0
+    gaps = []
     for q in (0.01, 0.05, 0.1):
         for dl in (0.1, 0.4, math.pi / 4):
             mix = zchan.mixture([(1 - 2 * q, 0.0), (q, dl), (q, -dl)])
             analytic = 2 * q * math.sin(dl) ** 2
-            worst = max(worst, abs(zchan.twirled_z_error(mix, 0.0) - analytic))
+            gaps.append(abs(zchan.twirled_z_error(mix, 0.0) - analytic))
             dev = zchan.worst_case_vs_pauli_model(mix, 0.0)
-            if dev > 8 * q * q:
+            if not dev <= 8 * q * q:
                 return False, f"symmetric deviation {dev:.2e} exceeds 8q^2"
+    worst = float(np.max(gaps))
     return worst < 1e-15, f"worst twirl mismatch {worst:.2e}"
 
 
@@ -62,7 +64,7 @@ def pcec_residual_oracle() -> tuple[bool, str]:
                 exact = zchan.twirled_z_error(pcec.composed_error_channel(*row), 0.0)
                 analytic = pcec.residual_rate(model)
                 bound = 10.0 * model.error_weight() ** 2
-                if abs(exact - analytic) > max(bound, 1e-16):
+                if not abs(exact - analytic) <= max(bound, 1e-16):
                     return False, f"gap {abs(exact - analytic):.2e} > bound {bound:.2e}"
                 worst_ratio = max(worst_ratio, abs(exact - analytic) / max(bound, 1e-300))
     return True, f"worst gap/bound ratio {worst_ratio:.3f}"
@@ -83,7 +85,7 @@ def smm_enumeration_oracle(c1: float) -> tuple[bool, str]:
                 rep = smm.effective_error_rate(config)
                 exact = smm.enumerate_error_rate(config)
                 bound = 10.0 * max(math.fsum(row.qbars[1:]) for row in rep.trials) ** 2
-                if abs(rep.p_l - exact) > bound:
+                if not abs(rep.p_l - exact) <= bound:
                     return False, (
                         f"k={k} theta_l={theta_l} ratio={ratio}: "
                         f"analytic gap {abs(rep.p_l - exact):.2e} > {bound:.2e}"
@@ -122,7 +124,7 @@ def hubbard_l1_norm() -> tuple[bool, str]:
             terms = hamcat.hubbard_terms(length, t_hop, u_int)
             lam = hamcat.l1_norm(terms)
             target = (4 * t_hop + u_int / 4) * length ** 2
-            if len(terms) != 9 * length ** 2 or abs(lam - target) > 1e-12:
+            if len(terms) != 9 * length ** 2 or not abs(lam - target) <= 1e-12:
                 return False, f"L={length}: lambda {lam} vs {target}, {len(terms)} terms"
     return True, "term count 9L^2 and L1 norm (4t + U/4) L^2 for L in 3..8"
 
@@ -135,7 +137,7 @@ def bound_intercepts() -> tuple[bool, str]:
     n_syn = mitigation.synthesis_t_count(2e-9)
     expected = (3750.0, 6.25e7, 1.0 / ((n_syn + 1) * 2e-9))
     for got, want in zip((v1, v2, cul), expected):
-        if abs(got - want) > 1e-6 * want:
+        if not abs(got - want) <= 1e-6 * want:
             return False, f"intercept {got} vs expected {want}"
     return True, f"v1={v1:.6g}, v2={v2:.6g}, cultivation={cul:.6g}"
 
@@ -152,7 +154,7 @@ def c1_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
     # at run's calibration point, calibrate_c1's defaults: it already raised (exit 4)
     # unless this average is V2_RUS_FACTOR within 1e-6
     mean = smm.v2_octave_average(mitigation.V2_RUS_K, mitigation.P_PH, c1)
-    if supplied is not None and abs(supplied - c1) > 1e-6 * c1:
+    if supplied is not None and not abs(supplied - c1) <= 1e-6 * c1:
         return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
     return True, f"c1 = {c1:.6f}, octave-averaged factor {mean:.6f}"
 

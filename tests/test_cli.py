@@ -1062,11 +1062,22 @@ class TestVerify:
              if config.threshold_ratio == 64.0 else original(config)),
             ("bound_intercepts", mitigation, "feasible_boundary",
              lambda original, *args: [(n_t, 1.001 * n_r) for n_t, n_r in original(*args)]),
+            # NaN fails closed: no comparison with it holds, and max() would drop it
+            ("smm_enumeration_oracle", smm, "enumerate_error_rate", lambda original, config: math.nan),
+            ("pcec_residual_oracle", pcec, "residual_rate", lambda original, model: math.nan),
+            ("tepai_identities", tepai, "sampling_overhead",
+             lambda original, *args: (math.nan, original(*args)[1])),
+            ("hubbard_l1_norm", hamcat, "l1_norm", lambda original, terms: math.nan),
+            ("channel_algebra", zchan, "worst_case_vs_pauli_model", lambda original, *args: math.nan),
+            ("bound_intercepts", mitigation, "feasible_boundary",
+             lambda original, *args: [(n_t, math.nan) for n_t, _ in original(*args)]),
         ],
         ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard", "error_rates",
              "channel_algebra", "channel_algebra_twirl", "monte_carlo_zero_spread",
              "monte_carlo_reproducibility",
-             "switch_probability", "gate_count_minimum", "timing_anchor", "bound_intercepts"],
+             "switch_probability", "gate_count_minimum", "timing_anchor", "bound_intercepts",
+             "enumeration_nan", "pcec_nan", "tepai_nan", "hubbard_nan", "channel_algebra_nan",
+             "bound_intercepts_nan"],
     )
     def test_broken_library_fails_its_check(
         self, tmp_path, capsys, monkeypatch, check, module, name, broken

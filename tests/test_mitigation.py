@@ -219,8 +219,18 @@ class TestFeasibleBoundary:
         (mitigation.feasible_boundary,
          dict(architecture="v1", theta_star=1e-5, n_t_grid=[1.0, -1.0]),
          "N_T must be non-negative"),
+        (mitigation.CircuitProfile, dict(n_t=10, architecture="v1", p_ph=-1.0),
+         "p_ph must be finite and >= 0, got -1.0"),
+        (mitigation.CircuitProfile, dict(n_t=10, p_m=math.inf), "p_m must be finite and >= 0, got inf"),
+        (mitigation.feasible_boundary,
+         dict(architecture="v1", theta_star=1e-5, n_t_grid=[1.0], p_ph=math.nan),
+         "p_ph must be finite and >= 0, got nan"),
+        (mitigation.feasible_boundary,
+         dict(architecture="v3", theta_star=1e-5, n_t_grid=[1.0], p_m=-2e-9, alpha_model=0.1),
+         "p_m must be finite and >= 0, got -2e-09"),
     ],
-    ids=["n_t", "rotation-count", "rotation-angle-zero", "rotation-angle-large", "grid-n_t"],
+    ids=["n_t", "rotation-count", "rotation-angle-zero", "rotation-angle-large", "grid-n_t",
+         "p_ph-negative", "p_m-inf", "boundary-p_ph-nan", "boundary-p_m-negative"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(path.stem for path in (ROOT / "src" / "starsmm").glob("*.py") if path.stem != "__init__")
 
 
 def _fresh_stdout(code: str, **env_vars: str) -> str:
@@ -45,8 +47,33 @@ def test_readme_layout_lists_exactly_the_modules():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^\| `starsmm\.(\w+)` \|", layout, flags=re.MULTILINE)
-    modules = [path.stem for path in (ROOT / "src" / "starsmm").glob("*.py") if path.stem != "__init__"]
-    assert sorted(listed) == sorted(modules)
+    assert sorted(listed) == MODULES
+
+
+def _resolves(namespace, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(namespace, part):
+            return False
+        namespace = getattr(namespace, part)
+    return True
+
+
+def test_library_names_cited_in_the_docs_exist():
+    # README's `mod.name` spans (`cli.py` is a file), and the :func:/:class:/:mod:
+    # targets in the sources, read in their own module or from the package
+    package = importlib.import_module("starsmm")
+    modules = {name: importlib.import_module(f"starsmm.{name}") for name in MODULES}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = re.findall(rf"`(?:starsmm\.)?({'|'.join(MODULES)})\.(?!py`)(\w+)", readme)
+    assert cited
+    missing = [f"README.md: {mod}.{name}" for mod, name in cited if not hasattr(modules[mod], name)]
+    for name, module in modules.items():
+        source = (ROOT / "src" / "starsmm" / f"{name}.py").read_text(encoding="utf-8")
+        for target in re.findall(r":(?:func|class|mod):`([\w.]+)`", source):
+            dotted = target.removeprefix("starsmm.")
+            if not any(_resolves(namespace, dotted) for namespace in (module, package)):
+                missing.append(f"{name}.py: {target}")
+    assert missing == []
 
 
 def test_cli_import_leaves_out_the_oracle_checks():

@@ -327,8 +327,9 @@ def _libm_gate(params, theta_l, theta_th, p_m=2e-9, include_higher_orders=True,
     An independent reference for the SMM evaluator, which reads
     ``tmr.branch_table``: each trial's table comes from the scalar
     ``tmr.output_model_for_logical`` and its residual from
-    ``pcec.residual_rate``, the 2^-i-weighted terms are added left to right,
-    and ``smm._finish`` closes the gate.
+    ``pcec.residual_rate``, or at leading order 2 qbar_1 sin^2(Delta_1), the
+    2^-i-weighted terms are added left to right, and ``smm._finish`` closes
+    the gate.
     """
     if theta_l == 0.0:
         return 0.0, 0.0, 0.0, False
@@ -337,7 +338,11 @@ def _libm_gate(params, theta_l, theta_th, p_m=2e-9, include_higher_orders=True,
     p_analog = clocks = 0.0
     for i in range(n):
         model = tmr.output_model_for_logical(params, math.ldexp(mag, i))
-        p_analog += 2.0 ** -i * pcec.residual_rate(model, include_higher_orders)
+        if include_higher_orders:
+            residual = pcec.residual_rate(model)
+        else:
+            residual = 2.0 * (model.branch_qbars[1] * math.sin(model.branch_thetas[1] - model.theta_l) ** 2)
+        p_analog += 2.0 ** -i * residual
         clocks += 2.0 ** -i * smm._analog_clocks(timing_mode, model.p_ideal)
     finish = smm._finish(params, mag, n, p_analog, clocks, p_m, timing_mode)
     return tuple(finish[name].item()
@@ -1060,7 +1065,8 @@ class TestV2Calibration:
                         costs.append(analog + 2.0 ** (1 - s) * injection)
                         if s < n:
                             model = tmr.output_model_for_logical(params, 2.0 ** s * theta_l)
-                            analog += 2.0 ** (-s) * pcec.residual_rate(model, higher_orders=False)
+                            # j_max = 1: the residual is the leading-order one
+                            analog += 2.0 ** (-s) * pcec.residual_rate(model)
                     best = min(costs) / (theta_l * p_ph)
                     assert smm.v2_rus_factor(theta_l, k, p_ph, c1) == best, (p_ph, c1, theta_l)
 

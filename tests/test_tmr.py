@@ -12,7 +12,7 @@ def leading_error_angle(theta: float, k: int) -> float:
     """The j = 1 branch angle from its dedicated closed form.
 
     -arcsin( sin^{k-2} / sqrt(sin^{2k-4} + cos^{2k-4}) ); kept separate from
-    :func:`tmr.branch_angles` as a cross-check identity.
+    the branch angles of :func:`tmr.branch_weights` as a cross-check identity.
     """
     s, c = math.sin(theta), math.cos(theta)
     return -math.asin(s ** (k - 2) / math.sqrt(s ** (2 * k - 4) + c ** (2 * k - 4)))
@@ -67,60 +67,63 @@ def _rotation_branch_table(params: tmr.TmrParams, theta_l: float):
     return q[0], thetas, [weight / total for weight in q]
 
 
+def _gate(theta: float, k: int, j_max: int | None = None) -> tmr.TmrOutputModel:
+    """branch_weights at physical angle theta, with every order up to j_max."""
+    return tmr.branch_weights(tmr.TmrParams(k=k, p_ph=1e-3, j_max=j_max), theta)
+
+
 class TestPIdeal:
     def test_zero_angle(self):
-        for k in (1, 2, 5, 9):
-            assert tmr.p_ideal(0.0, k) == 1.0
+        # theta = 0 is refused; at theta = 1e-200, sin^2k underflows and cos is 1
+        for k in (2, 5, 9):
+            assert _gate(1e-200, k).p_ideal == 1.0
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 9])
     def test_quarter_pi(self, k):
-        assert tmr.p_ideal(math.pi / 4, k) == pytest.approx(2.0 ** (1 - k), rel=1e-14)
+        assert _gate(math.pi / 4, k).p_ideal == pytest.approx(2.0 ** (1 - k), rel=1e-14)
 
     def test_point_value(self):
         # oracle: 1 - 3 sin^2 cos^2 for k = 3
         s, c = math.sin(0.1), math.cos(0.1)
-        assert tmr.p_ideal(0.1, 3) == pytest.approx(1 - 3 * s * s * c * c, rel=1e-14)
-        assert tmr.p_ideal(0.1, 3) == pytest.approx(0.9703978727510822, rel=1e-13)
+        assert _gate(0.1, 3).p_ideal == pytest.approx(1 - 3 * s * s * c * c, rel=1e-14)
+        assert _gate(0.1, 3).p_ideal == pytest.approx(0.9703978727510822, rel=1e-13)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            tmr.p_ideal(0.1, 0)
+        with pytest.raises(ValueError, match=r"k must lie in \[2, 1024\], got 1"):
+            tmr.TmrParams(k=1, p_ph=1e-3)
 
 
 class TestLogicalAngle:
-    def test_zero(self):
-        assert tmr.logical_angle(0.0, 5) == 0.0
-
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 9])
     def test_quarter_pi_fixed_point(self, k):
-        assert tmr.logical_angle(math.pi / 4, k) == pytest.approx(math.pi / 4, rel=1e-14)
+        assert _gate(math.pi / 4, k).theta_l == pytest.approx(math.pi / 4, rel=1e-14)
 
     def test_point_value(self):
-        assert tmr.logical_angle(0.1, 3) == pytest.approx(1.0100734581612856e-3, rel=1e-13)
+        assert _gate(0.1, 3).theta_l == pytest.approx(1.0100734581612856e-3, rel=1e-13)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 9])
     def test_arctan_power_identity(self, k):
         # independent closed form: theta_L = arctan(tan^k theta)
         for theta in np.linspace(0.01, math.pi / 4, 30):
             expected = math.atan(math.tan(theta) ** k)
-            assert tmr.logical_angle(theta, k) == pytest.approx(expected, rel=1e-12)
+            assert _gate(theta, k).theta_l == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 9])
     def test_strictly_monotone(self, k):
-        grid = np.linspace(0.0, math.pi / 4, 200)
-        vals = [tmr.logical_angle(t, k) for t in grid]
+        grid = np.linspace(0.0, math.pi / 4, 200)[1:]
+        vals = [_gate(t, k).theta_l for t in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_small_angle_power_law(self):
         for k in (3, 5):
             theta = 1e-3
-            assert tmr.logical_angle(theta, k) == pytest.approx(theta ** k, rel=1e-4)
+            assert _gate(theta, k).theta_l == pytest.approx(theta ** k, rel=1e-4)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tmr.logical_angle(-0.1, 3)
+            _gate(-0.1, 3)
         with pytest.raises(ValueError):
-            tmr.logical_angle(1.0, 3)
+            _gate(1.0, 3)
 
 
 class TestPhysicalAngleFor:
@@ -130,47 +133,50 @@ class TestPhysicalAngleFor:
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 9])
     def test_round_trip(self, k):
+        params = tmr.TmrParams(k=k, p_ph=1e-3)
         for x in np.geomspace(1e-8, 0.2, 25):
-            theta = tmr.physical_angle_for(x, k)
-            assert tmr.logical_angle(theta, k) == pytest.approx(x, abs=1e-12, rel=1e-10)
+            model = tmr.output_model_for_logical(params, x)
+            assert model.theta_phys == tmr.physical_angle_for(x, k)
+            assert model.theta_l == pytest.approx(x, abs=1e-12, rel=1e-10)
 
     @given(
         x=st.floats(min_value=1e-12, max_value=math.pi / 4),
         k=st.integers(min_value=2, max_value=15),
     )
     def test_closed_form_inverts_asin_map(self, x, k):
-        theta = tmr.physical_angle_for(x, k)
-        assert tmr.logical_angle(theta, k) == pytest.approx(x, rel=1e-12)
+        model = tmr.output_model_for_logical(tmr.TmrParams(k=k, p_ph=1e-3), x)
+        assert model.theta_l == pytest.approx(x, rel=1e-12)
 
 
 class TestBranchAngles:
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_j0_is_logical_angle(self, k):
+        # theta_0 is the asin form; the j = 0 case of (-1)^j arctan(tan^(k-2j)) agrees
         for theta in (0.05, 0.2, 0.7):
-            assert tmr.branch_angles(theta, k, 0) == pytest.approx(
-                tmr.logical_angle(theta, k), rel=1e-14
-            )
+            model = _gate(theta, k)
+            assert model.branch_thetas[0] == model.theta_l
+            assert math.atan(math.tan(theta) ** k) == pytest.approx(model.theta_l, rel=1e-14)
 
     def test_k3_leading_branch_is_minus_theta(self):
-        assert tmr.branch_angles(0.1, 3, 1) == pytest.approx(-0.1, rel=1e-14)
+        assert _gate(0.1, 3).branch_thetas[1] == pytest.approx(-0.1, rel=1e-14)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 7, 9])
     def test_j1_matches_dedicated_closed_form(self, k):
         for theta in np.linspace(0.02, math.pi / 4, 20):
-            assert tmr.branch_angles(theta, k, 1) == pytest.approx(
+            assert _gate(theta, k).branch_thetas[1] == pytest.approx(
                 leading_error_angle(theta, k), abs=1e-12
             )
 
     @pytest.mark.parametrize("k", [4, 5, 7])
     def test_sign_alternation(self, k):
         for theta in (0.05, 0.3):
-            for j in range(k + 1):
-                val = tmr.branch_angles(theta, k, j)
+            for j, val in enumerate(_gate(theta, k, j_max=k).branch_thetas):
                 assert math.copysign(1.0, val) == (-1.0) ** j
 
     def test_rejects_out_of_range_j(self):
-        with pytest.raises(ValueError):
-            tmr.branch_angles(0.1, 3, 4)
+        # branches run over j = 0..j_max, and j_max may not pass k
+        with pytest.raises(ValueError, match=r"j_max must lie in \[1, k\], got 4"):
+            tmr.TmrParams(k=3, p_ph=1e-3, j_max=4)
 
     @given(
         theta=st.floats(min_value=1e-6, max_value=math.pi / 4),
@@ -179,13 +185,13 @@ class TestBranchAngles:
     )
     def test_closed_form_matches_asin_form(self, theta, k, data):
         j = data.draw(st.integers(min_value=0, max_value=k))
-        assert tmr.branch_angles(theta, k, j) == pytest.approx(
+        assert _gate(theta, k, j_max=k).branch_thetas[j] == pytest.approx(
             _asin_branch_angle(theta, k, j), rel=0.0, abs=1e-12
         )
 
     def test_negative_powers_do_not_overflow(self):
         # j = k takes tan^-k(theta), beyond float range for tiny theta
-        assert tmr.branch_angles(1e-40, 9, 9) == pytest.approx(-math.pi / 2, abs=1e-15)
+        assert _gate(1e-40, 9, j_max=9).branch_thetas[9] == pytest.approx(-math.pi / 2, abs=1e-15)
 
 
 class TestBranchWeights:
@@ -199,7 +205,7 @@ class TestBranchWeights:
         s, c = math.sin(0.1), math.cos(0.1)
         q1_sample = 3 * (s ** 2 * c ** 4 + s ** 4 * c ** 2)
         assert q1_sample == pytest.approx(0.0296021272489181, rel=1e-13)
-        q0 = tmr.p_ideal(0.1, 3)
+        q0 = model.p_ideal
         expected_qbar1 = q1_sample * 1e-3 / (q0 + q1_sample * 1e-3)
         assert model.branch_qbars[1] == pytest.approx(expected_qbar1, rel=1e-13)
         assert model.branch_qbars[1] == pytest.approx(3.0504213880207288e-05, rel=1e-12)
@@ -242,20 +248,18 @@ class TestBranchWeights:
         raw_q2 = math.comb(4, 2) * 2 * u2_sq * 0.5 * p_ph ** 2
         # the unnormalized ratio q2/q0 is normalization-free
         assert model.branch_qbars[2] / model.branch_qbars[0] == pytest.approx(
-            raw_q2 / tmr.p_ideal(theta, k), rel=1e-12
+            raw_q2 / model.p_ideal, rel=1e-12
         )
 
 
 class TestPairWeight:
     @staticmethod
     def _inline_qbars(params, theta):
-        # branch_weights' weights as written before pair_weight was factored out
-        k = params.k
-        q = [tmr.p_ideal(theta, k)]
+        # the weights inline from one sin and cos, in branch_weights' order of operations
+        k, s, c = params.k, math.sin(theta), math.cos(theta)
+        q = [s ** (2 * k) + c ** (2 * k)]
         for j in range(1, params.j_max + 1):
-            sample = math.comb(k, j) * (
-                tmr._u_abs(theta, k, j) ** 2 + tmr._u_abs(theta, k, k - j) ** 2
-            )
+            sample = math.comb(k, j) * ((s ** j * c ** (k - j)) ** 2 + (s ** (k - j) * c ** j) ** 2)
             if 2 * j == k:
                 sample *= 0.5
             q.append(sample * params.pass_coeffs[j - 1] * params.p_ph ** j)
@@ -285,15 +289,15 @@ class TestSupplyTime:
     """One accepted resource state takes 1 / p_ideal attempts of one clock each."""
 
     def test_small_angle_floor(self):
-        assert 1 / tmr.p_ideal(1e-6, 5) == pytest.approx(1.0, rel=1e-9)
+        assert 1 / _gate(1e-6, 5).p_ideal == pytest.approx(1.0, rel=1e-9)
 
     def test_quarter_pi_k7(self):
-        assert 1 / tmr.p_ideal(math.pi / 4, 7) == pytest.approx(64.0, rel=1e-12)
+        assert 1 / _gate(math.pi / 4, 7).p_ideal == pytest.approx(64.0, rel=1e-12)
 
     def test_reference_operating_point(self):
         # one accepted state within a few clocks at theta_l = 1e-3, k = 5
-        theta = tmr.physical_angle_for(1e-3, 5)
-        assert 1.0 <= 1 / tmr.p_ideal(theta, 5) <= 3.0
+        model = tmr.output_model_for_logical(tmr.TmrParams(k=5, p_ph=1e-3), 1e-3)
+        assert 1.0 <= 1 / model.p_ideal <= 3.0
 
 
 class TestParams:
@@ -378,18 +382,18 @@ class TestBranchTable:
 @pytest.mark.parametrize(
     "call,args,message",
     [
-        (tmr.p_ideal, (math.inf, 5), "theta must be finite"),
-        (tmr.p_ideal, (0.1, 0), "k must be >= 1"),
-        (tmr.logical_angle, (0.1, 0), "k must be >= 1"),
         (tmr.physical_angle_for, (-0.1, 5), r"theta_l must lie in \[0, pi/4\]"),
         (tmr.physical_angle_for, (1.0, 5), r"theta_l must lie in \[0, pi/4\]"),
-        (tmr.branch_angles, (0.1, 5, 6), r"j must lie in \[0, k\]"),
-        (tmr.branch_angles, (0.0, 5, 1), r"theta must lie in \(0, pi/4\]"),
         (tmr.branch_weights, (tmr.TmrParams(k=5, p_ph=1e-3), 0.0), r"theta must lie in \(0"),
         (tmr.branch_weights, (tmr.TmrParams(k=5, p_ph=1e-3), 1.0), r"theta must lie in \(0"),
+        (tmr.branch_weights, (tmr.TmrParams(k=5, p_ph=1e-3), math.inf), r"theta must lie in \(0"),
+        (tmr.branch_weights, (tmr.TmrParams(k=5, p_ph=1e-3), math.nan), r"theta must lie in \(0"),
+        (tmr.TmrParams, (5, 1e-3, (math.nan,)), "pass coefficient c_1 must be finite and >= 0, got nan"),
+        (tmr.TmrParams, (5, 1e-3, (0.5, math.inf)), "pass coefficient c_2 must be finite and >= 0, got inf"),
+        (tmr.TmrParams, (5, 1e-3, (-1.0,)), "pass coefficient c_1 must be finite and >= 0, got -1.0"),
     ],
-    ids=["p_ideal-theta", "p_ideal-k", "logical-k", "physical-negative", "physical-large",
-         "angles-j", "angles-theta", "weights-zero", "weights-large"],
+    ids=["physical-negative", "physical-large", "weights-zero", "weights-large", "weights-inf",
+         "weights-nan", "pass-coeff-nan", "pass-coeff-inf", "pass-coeff-negative"],
 )
 def test_validation_names_the_argument(call, args, message):
     with pytest.raises(ValueError, match=message):
