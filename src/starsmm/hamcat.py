@@ -33,8 +33,10 @@ class SystemEntry:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        if self.n_l < 1:
-            raise ValueError("N_L must be >= 1")
+        if not 1 <= self.n_l < math.inf:
+            raise ValueError(f"N_L must be >= 1 and finite, got {self.n_l!r}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if self.lam <= 0.0:
             raise ValueError("lambda must be positive")
 
@@ -65,8 +67,9 @@ def hubbard_entry(t: float, u: float, length: int) -> SystemEntry:
     """2D Hubbard on the periodic L x L lattice (L >= 3): N_L = 2 L^2, lambda = (4t + U/4) L^2."""
     if length < 3:
         raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
-    if t < 0.0 or u < 0.0:
-        raise ValueError("t and U must be non-negative")
+    for name, value in (("t", t), ("U", u)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     return SystemEntry(
         name="Hubbard",
         n_l=2 * length * length,

@@ -644,7 +644,7 @@ def _calibrated_c1(k: int, p_ph: float) -> float:
     c1 = math.exp(0.5 * (lo + hi))
 
     mean = v2_octave_average(k, p_ph, c1)
-    if abs(mean - target) > 1e-6:
+    if not abs(mean - target) <= 1e-6:  # a NaN average fails too
         raise ValueError(f"calibrated c1 = {c1!r} (k = {k}, p_ph = {p_ph!r}) gives an octave-"
                          f"averaged v2 factor {mean!r}, not {target}")
     return c1

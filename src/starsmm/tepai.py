@@ -126,6 +126,10 @@ class TepaiInstance:
     name: str = ""
 
     def __post_init__(self) -> None:
+        names = ("lam", "t", "n_l", "epsilon", "q", "p_ph", "c_smm")
+        for name in names if callable(self.alpha_model) else names + ("alpha_model",):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lam * self.t <= 0.0:
             raise ValueError("lambda*T must be positive")
         if not 0.0 < self.epsilon < 1.0:

@@ -35,8 +35,9 @@ class TmrParams:
         pass_coeffs: coefficients c_j of the order-j pass rate
             ``q_j_pass = c_j * p_ph**j`` for j = 1..j_max. Missing entries
             default to 1.0.
-        j_max: highest error order retained; defaults to floor(k/2), the
-            number of distinct branch pairs.
+        j_max: highest error order retained, in [1, k // 2] (default k // 2):
+            a Z-pattern and its complement (times Z_L) leave one syndrome,
+            so orders j and k - j are one branch pair.
     """
 
     k: int
@@ -50,8 +51,8 @@ class TmrParams:
         if not 0.0 <= self.p_ph <= MAX_P_PH:
             raise ValueError(f"p_ph must lie in [0, 0.1], got {self.p_ph!r}")
         jm = self.k // 2 if self.j_max is None else self.j_max
-        if not 1 <= jm <= self.k:
-            raise ValueError(f"j_max must lie in [1, k], got {jm}")
+        if not 1 <= jm <= self.k // 2:
+            raise ValueError(f"j_max must lie in [1, k // 2] = [1, {self.k // 2}], got {jm}")
         object.__setattr__(self, "j_max", jm)
         coeffs = tuple(float(c) for c in self.pass_coeffs)
         for j, c in enumerate(coeffs, 1):
@@ -130,9 +131,7 @@ def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
     q, thetas = [pid], [math.asin(s ** k / math.sqrt(pid))]
     for j in range(1, params.j_max + 1):
         q.append(_pair_weight(s, c, k, j) * params.pass_coeffs[j - 1] * params.p_ph ** j)
-        power = k - 2 * j
-        # j > k/2 has a negative power: atan2 avoids overflowing tan^power
-        mag = math.atan(t ** power) if power >= 0 else math.atan2(1.0, t ** -power)
+        mag = math.atan(t ** (k - 2 * j))
         thetas.append(mag if j % 2 == 0 else -mag)
     total = functools.reduce(operator.add, q)
     if total <= 0.0:
@@ -177,11 +176,9 @@ def branch_table(
     q = (s ** j * c ** (k - j)) ** 2 + (s ** (k - j) * c ** j) ** 2
     q = np.concatenate([pid[..., None], scale * q], axis=-1)
 
-    # theta_j = (-1)^j arctan(t^(k-2j)); arctan2(1, t^(2j-k)) for negative powers
+    # theta_j = (-1)^j arctan(t^(k-2j))
     j = np.arange(j_max + 1)
-    power = k - 2 * j
-    mag = t ** np.abs(power)
-    mag = np.where(power >= 0, np.arctan(mag), np.arctan2(1.0, mag))
+    mag = np.arctan(t ** (k - 2 * j))
     thetas = np.where(j % 2 == 0, mag, -mag)
     return pid, thetas, q / q.sum(axis=-1, keepdims=True)
 

@@ -54,6 +54,55 @@ def channel_algebra() -> tuple[bool, str]:
     return worst < 1e-15, f"worst twirl mismatch {worst:.2e}"
 
 
+def rotation_branch_table(params: tmr.TmrParams, theta_l: float):
+    """(p_ideal, thetas, qbars) derived from the k physical rotations, not from the closed forms.
+
+    prod_m (cos(theta) I - i sin(theta) Z_m) expands over the 2^k Z-patterns S
+    with amplitude a_S = cos^(k-|S|)(theta) (-i sin(theta))^|S|.  Z_S and its
+    complement Z_{S^c} = Z_S Z_L leave one logical operator a_S I + a_{S^c} Z_L,
+    so each pair {S, S^c} is counted once, in class j = min(|S|, k - |S|).  A
+    class's norm is the exact sum of |a_S|^2 + |a_{S^c}|^2 over its pairs; its
+    angle is atan((a_{S^c} / a_S) / (-i)^k), the ratio in branch 0's frame,
+    which is real with sign (-1)^j (a ratio with an imaginary part gives NaN,
+    which fails every comparison).  Classes j = 0..j_max are kept; the pass
+    factor c_j p_ph^j is the model's input: it is multiplied in, then the
+    weights are normalised.
+    """
+    k, j_max = params.k, params.j_max
+    theta = math.atan(math.tan(theta_l) ** (1.0 / k))
+    cos, sin = math.cos(theta), -1j * math.sin(theta)
+    norms = [[] for _ in range(k // 2 + 1)]
+    ratios = [None] * (k // 2 + 1)
+    full = 2 ** k - 1
+    for pattern in range(full + 1):
+        weight = bin(pattern).count("1")
+        if (weight, pattern) > (k - weight, full ^ pattern):
+            continue  # the pair's other side, counted already
+        a_s, a_c = cos ** (k - weight) * sin ** weight, cos ** weight * sin ** (k - weight)
+        norms[weight].append(abs(a_s) ** 2 + abs(a_c) ** 2)
+        ratios[weight] = a_c / a_s / (-1j) ** k
+    thetas = [math.atan(r.real) if r.imag == 0.0 else math.nan for r in ratios[:j_max + 1]]
+    q = [math.fsum(norms[0])] + [
+        math.fsum(norms[j]) * params.pass_coeffs[j - 1] * params.p_ph ** j
+        for j in range(1, j_max + 1)
+    ]
+    total = math.fsum(q)
+    return q[0], thetas, [weight / total for weight in q]
+
+
+def tmr_branch_table() -> tuple[bool, str]:
+    angles = (1e-8, 1e-3, 0.05, 0.7)
+    errors = []
+    for k in range(2, 11):
+        params = tmr.TmrParams(k=k, p_ph=1e-2, pass_coeffs=(0.04, 0.5, 2.0))
+        exact = zip(*(rotation_branch_table(params, x) for x in angles))
+        for got, want in zip(tmr.branch_table(params, np.array(angles)), exact):
+            want = np.array(want)
+            errors.append(np.max(np.abs(got - want) / np.abs(want)))
+    worst = float(np.max(errors))
+    return worst <= 1e-14, f"worst relative error {worst:.2e} vs the 2^k rotations, k = 2..10"
+
+
 def pcec_residual_oracle() -> tuple[bool, str]:
     worst_ratio = 0.0
     for k in (3, 5, 7):
@@ -151,9 +200,12 @@ def timing_anchor(c1: float) -> tuple[bool, str]:
 
 
 def c1_calibration(c1: float, supplied: float | None) -> tuple[bool, str]:
-    # at run's calibration point, calibrate_c1's defaults: it already raised (exit 4)
-    # unless this average is V2_RUS_FACTOR within 1e-6
+    # at run's calibration point, calibrate_c1's defaults, whose own check raised
+    # (exit 4) on a cold cache; this one also holds a cached c1
     mean = smm.v2_octave_average(mitigation.V2_RUS_K, mitigation.P_PH, c1)
+    target = mitigation.V2_RUS_FACTOR
+    if not abs(mean - target) <= 1e-6:
+        return False, f"c1 = {c1!r} gives an octave-averaged factor {mean!r}, not {target}"
     if supplied is not None and not abs(supplied - c1) <= 1e-6 * c1:
         return False, f"configured c1 {supplied!r} != calibrated {c1!r} (tampered?)"
     return True, f"c1 = {c1:.6f}, octave-averaged factor {mean:.6f}"
@@ -166,6 +218,7 @@ def run(seed: int, supplied_c1: float | None) -> Iterator[tuple[str, bool, str]]
         (tepai_identities, ()),
         (tepai_gate_count_minimum, ()),
         (channel_algebra, ()),
+        (tmr_branch_table, ()),
         (pcec_residual_oracle, ()),
         (smm_enumeration_oracle, (c1,)),
         (smm_monte_carlo, (c1, seed)),

@@ -55,11 +55,8 @@ class RotationMixture:
         for w, phi in self.branches:
             if w < 0.0:
                 raise ValueError(f"branch weight must be non-negative, got {w!r}")
-            if abs(phi - reduce_angle(phi)) > 1e-15 and abs(phi) <= _HALF_PI:
-                # allow the exact boundary representative only
-                raise ValueError(f"branch angle {phi!r} is not pi-reduced")
             if not (-_HALF_PI < phi <= _HALF_PI + 1e-15):
-                raise ValueError(f"branch angle {phi!r} outside (-pi/2, pi/2]")
+                raise ValueError(f"branch angle {phi!r} is not pi-reduced: outside (-pi/2, pi/2]")
             total += w
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"branch weights sum to {total!r}, expected 1")

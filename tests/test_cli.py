@@ -990,7 +990,7 @@ class TestVerify:
     def test_runs_every_check_once_in_report_order(self, tmp_path, capsys):
         names = [
             "tepai_identities", "tepai_gate_count_minimum", "channel_algebra",
-            "pcec_residual_oracle", "smm_enumeration_oracle", "smm_monte_carlo",
+            "tmr_branch_table", "pcec_residual_oracle", "smm_enumeration_oracle", "smm_monte_carlo",
             "switch_probability_bounds", "hubbard_l1_norm", "bound_intercepts",
             "timing_anchor", "c1_calibration",
         ]
@@ -1071,17 +1071,30 @@ class TestVerify:
             ("channel_algebra", zchan, "worst_case_vs_pauli_model", lambda original, *args: math.nan),
             ("bound_intercepts", mitigation, "feasible_boundary",
              lambda original, *args: [(n_t, math.nan) for n_t, _ in original(*args)]),
+            # only on the check's own tables, at p_ph = 1e-2: every SMM gate reads branch_table
+            ("tmr_branch_table", tmr, "branch_table",
+             lambda original, params, theta_l: (
+                 (tab := original(params, theta_l))[0], tab[1] * (1.0 + 1e-13), tab[2])
+             if params.p_ph == 1e-2 else original(params, theta_l)),
+            ("tmr_branch_table", tmr, "branch_table",
+             lambda original, params, theta_l: (
+                 (tab := original(params, theta_l))[0], tab[1], np.full_like(tab[2], math.nan))
+             if params.p_ph == 1e-2 else original(params, theta_l)),
+            # c1 comes from the warm cache, so only the final check reads the NaN
+            ("c1_calibration", smm, "v2_octave_average", lambda original, *args: math.nan),
         ],
         ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard", "error_rates",
              "channel_algebra", "channel_algebra_twirl", "monte_carlo_zero_spread",
              "monte_carlo_reproducibility",
              "switch_probability", "gate_count_minimum", "timing_anchor", "bound_intercepts",
              "enumeration_nan", "pcec_nan", "tepai_nan", "hubbard_nan", "channel_algebra_nan",
-             "bound_intercepts_nan"],
+             "bound_intercepts_nan", "tmr_branch_table", "tmr_branch_table_nan",
+             "calibration_nan"],
     )
     def test_broken_library_fails_its_check(
         self, tmp_path, capsys, monkeypatch, check, module, name, broken
     ):
+        smm.calibrate_c1()  # warm, so that the broken function fails its check, not the calibration
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: broken(original, *args))
         assert _run(tmp_path, "verify", None, seed=9) == 1

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 
 from starsmm import hamcat
@@ -160,9 +162,17 @@ class TestExport:
         (hamcat.PauliTerm, dict(coefficient=1.0, ops=((0, "W"),)), "unknown Pauli letter 'W'"),
         (hamcat.hubbard_terms, dict(length=3, t=-1.0, u=4.0), "t and U must be non-negative"),
         (hamcat.hubbard_terms, dict(length=3, t=1.0, u=-4.0), "t and U must be non-negative"),
+        (hamcat.SystemEntry, dict(name="x", n_l=1, lam=math.nan), "lambda must be finite, got nan"),
+        (hamcat.SystemEntry, dict(name="x", n_l=1, lam=math.inf), "lambda must be finite, got inf"),
+        (hamcat.SystemEntry, dict(name="x", n_l=math.nan, lam=1.0), "N_L must be >= 1 and finite"),
+        (hamcat.hubbard_entry, dict(t=math.nan, u=4.0, length=10),
+         "t must be non-negative and finite, got nan"),
+        (hamcat.hubbard_entry, dict(t=1.0, u=math.inf, length=10),
+         "U must be non-negative and finite, got inf"),
     ],
     ids=["entry-n_l", "entry-lambda", "term-coefficient", "term-order", "term-repeat",
-         "term-letter", "hubbard-t", "hubbard-u"],
+         "term-letter", "hubbard-t", "hubbard-u", "entry-lambda-nan", "entry-lambda-inf",
+         "entry-n_l-nan", "entry-hubbard-t-nan", "entry-hubbard-u-inf"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -1036,6 +1036,12 @@ class TestV2Calibration:
         with pytest.raises(ValueError, match="octave-averaged v2 factor"):
             smm._calibrated_c1.__wrapped__(7, 1e-3)
 
+    def test_nan_average_raises_on_a_cold_cache(self, monkeypatch):
+        monkeypatch.setattr(smm, "v2_octave_average", lambda *args: math.nan)
+        smm._calibrated_c1.cache_clear()
+        with pytest.raises(ValueError, match="octave-averaged v2 factor nan, not 1.6"):
+            smm.calibrate_c1()
+
     def test_calibrated_band_is_narrow(self):
         c1 = smm.calibrate_c1()
         vals = [

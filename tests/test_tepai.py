@@ -230,10 +230,17 @@ class TestEstimate:
         (tepai.logical_error_per_cycle, dict(p_ph=0.01, d=3), r"p_ph must lie in .*, got 0.01"),
         (_fes_instance, dict(n_l=0), "N_L must be >= 1"),
         (_fes_instance, dict(c_smm=0.0), "c_smm must be positive"),
+        # a non-finite field would reach estimate's totals as nan or inf
+        (_fes_instance, dict(alpha_model=math.nan), "alpha_model must be finite, got nan"),
+        (_fes_instance, dict(lam=math.nan), "lam must be finite, got nan"),
+        (_fes_instance, dict(t=math.inf), "t must be finite, got inf"),
+        (_fes_instance, dict(p_ph=math.nan), "p_ph must be finite, got nan"),
+        (_fes_instance, dict(c_smm=math.inf), "c_smm must be finite, got inf"),
     ],
     ids=["angle-lambda_t", "angle-q", "gates-lambda_t", "overhead-lambda_t", "overhead-delta",
          "overhead-epsilon", "cycle-p_ph-zero", "cycle-p_ph-threshold", "instance-n_l",
-         "instance-c_smm"],
+         "instance-c_smm", "instance-alpha_model-nan", "instance-lam-nan", "instance-t-inf",
+         "instance-p_ph-nan", "instance-c_smm-inf"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

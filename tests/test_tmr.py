@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from starsmm import tmr
+from starsmm.verify import rotation_branch_table
 
 
 def leading_error_angle(theta: float, k: int) -> float:
@@ -21,50 +22,14 @@ def leading_error_angle(theta: float, k: int) -> float:
 def _asin_branch_angle(theta: float, k: int, j: int) -> float:
     """theta_j from the branch amplitudes: arcsin(|u_{k-j}| / sqrt(|u_j|^2 + |u_{k-j}|^2)).
 
-    Where the arcsin argument nears 1 (j > k/2) the same angle is taken as
-    pi/2 - arcsin(|u_j| / ...), which keeps the oracle well conditioned.
+    For j <= k/2 and theta in (0, pi/4], |u_{k-j}| <= |u_j|, so the arcsin
+    argument stays at most 1/sqrt(2) and the oracle is well conditioned.
     """
     s, c = math.sin(theta), math.cos(theta)
     ua = s ** j * c ** (k - j)
     ub = s ** (k - j) * c ** j
-    h = math.hypot(ua, ub)
-    mag = math.asin(ub / h) if ub <= ua else 0.5 * math.pi - math.asin(ua / h)
+    mag = math.asin(ub / math.hypot(ua, ub))
     return mag if j % 2 == 0 else -mag
-
-
-def _rotation_branch_table(params: tmr.TmrParams, theta_l: float):
-    """(p_ideal, thetas, qbars) derived from the k physical rotations, not from the closed forms.
-
-    prod_m (cos(theta) I - i sin(theta) Z_m) expands over the 2^k Z-patterns S
-    with amplitude a_S = cos^(k-|S|)(theta) (-i sin(theta))^|S|.  Z_S and its
-    complement Z_{S^c} = Z_S Z_L leave one logical operator a_S I + a_{S^c} Z_L,
-    so each pair {S, S^c} is counted once, in class j = min(|S|, k - |S|).  A
-    class's norm is the exact sum of |a_S|^2 + |a_{S^c}|^2 over its pairs; its
-    angle is atan((a_{S^c} / a_S) / (-i)^k), the ratio in branch 0's frame,
-    which is real with sign (-1)^j.  The pass factor c_j p_ph^j is the model's
-    input: it is multiplied in, then the weights are normalised.
-    """
-    k = params.k
-    theta = math.atan(math.tan(theta_l) ** (1.0 / k))
-    cos, sin = math.cos(theta), -1j * math.sin(theta)
-    norms = [[] for _ in range(k // 2 + 1)]
-    ratios = [None] * (k // 2 + 1)
-    full = 2 ** k - 1
-    for pattern in range(full + 1):
-        weight = bin(pattern).count("1")
-        if (weight, pattern) > (k - weight, full ^ pattern):
-            continue  # the pair's other side, counted already
-        a_s, a_c = cos ** (k - weight) * sin ** weight, cos ** weight * sin ** (k - weight)
-        norms[weight].append(abs(a_s) ** 2 + abs(a_c) ** 2)
-        ratios[weight] = a_c / a_s / (-1j) ** k
-    assert all(ratio.imag == 0.0 for ratio in ratios)
-    thetas = [math.atan(ratio.real) for ratio in ratios]
-    q = [math.fsum(norms[0])] + [
-        math.fsum(norms[j]) * params.pass_coeffs[j - 1] * params.p_ph ** j
-        for j in range(1, k // 2 + 1)
-    ]
-    total = math.fsum(q)
-    return q[0], thetas, [weight / total for weight in q]
 
 
 def _gate(theta: float, k: int, j_max: int | None = None) -> tmr.TmrOutputModel:
@@ -170,13 +135,17 @@ class TestBranchAngles:
     @pytest.mark.parametrize("k", [4, 5, 7])
     def test_sign_alternation(self, k):
         for theta in (0.05, 0.3):
-            for j, val in enumerate(_gate(theta, k, j_max=k).branch_thetas):
+            for j, val in enumerate(_gate(theta, k, j_max=k // 2).branch_thetas):
                 assert math.copysign(1.0, val) == (-1.0) ** j
 
     def test_rejects_out_of_range_j(self):
-        # branches run over j = 0..j_max, and j_max may not pass k
-        with pytest.raises(ValueError, match=r"j_max must lie in \[1, k\], got 4"):
-            tmr.TmrParams(k=3, p_ph=1e-3, j_max=4)
+        # branches run over j = 0..j_max, and j and k - j are one pattern pair
+        for k in range(2, 16):
+            assert tmr.TmrParams(k=k, p_ph=1e-3, j_max=k // 2).j_max == k // 2
+            for j_max in (0, k // 2 + 1):
+                message = rf"j_max must lie in \[1, k // 2\] = \[1, {k // 2}\], got {j_max}"
+                with pytest.raises(ValueError, match=message):
+                    tmr.TmrParams(k=k, p_ph=1e-3, j_max=j_max)
 
     @given(
         theta=st.floats(min_value=1e-6, max_value=math.pi / 4),
@@ -184,14 +153,18 @@ class TestBranchAngles:
         data=st.data(),
     )
     def test_closed_form_matches_asin_form(self, theta, k, data):
-        j = data.draw(st.integers(min_value=0, max_value=k))
-        assert _gate(theta, k, j_max=k).branch_thetas[j] == pytest.approx(
+        j = data.draw(st.integers(min_value=0, max_value=k // 2))
+        assert _gate(theta, k).branch_thetas[j] == pytest.approx(
             _asin_branch_angle(theta, k, j), rel=0.0, abs=1e-12
         )
 
-    def test_negative_powers_do_not_overflow(self):
-        # j = k takes tan^-k(theta), beyond float range for tiny theta
-        assert _gate(1e-40, 9, j_max=9).branch_thetas[9] == pytest.approx(-math.pi / 2, abs=1e-15)
+    def test_complement_orders_are_refused(self):
+        # order k is the target pair again, and order k - j is order j's pair
+        for j_max in (5, 9):
+            with pytest.raises(ValueError, match=r"j_max must lie in \[1, k // 2\]"):
+                tmr.TmrParams(k=9, p_ph=1e-3, j_max=j_max)
+        # every kept power k - 2j is >= 1, so tan^(k-2j) of a tiny angle only shrinks
+        assert all(abs(x) <= 1e-40 for x in _gate(1e-40, 9).branch_thetas[1:])
 
 
 class TestBranchWeights:
@@ -336,8 +309,7 @@ class TestBranchTable:
         thetas=st.lists(st.floats(-12.0, math.log10(tmr.MAX_THETA)), min_size=1, max_size=8),
     )
     def test_matches_scalar_tables(self, k, j_frac, p_ph, thetas):
-        # j_max up to k covers the negative powers of the branch-angle form
-        j_max = 1 + int(j_frac * (k - 1))
+        j_max = 1 + int(j_frac * (k // 2 - 1))
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=(0.04,), j_max=j_max)
         theta_l = np.minimum(10.0 ** np.array(thetas), tmr.MAX_THETA)
         p_ideal, branch_thetas, qbars = tmr.branch_table(params, theta_l)
@@ -351,7 +323,7 @@ class TestBranchTable:
     @staticmethod
     def _assert_matches_rotations(params, theta_l):
         p_ideal, thetas, qbars = tmr.branch_table(params, np.array(theta_l))
-        want_p_ideal, want_thetas, want_qbars = _rotation_branch_table(params, theta_l)
+        want_p_ideal, want_thetas, want_qbars = rotation_branch_table(params, theta_l)
         assert p_ideal == pytest.approx(want_p_ideal, rel=1e-14, abs=0.0)
         assert thetas.tolist() == pytest.approx(want_thetas, rel=1e-14, abs=0.0)
         assert qbars.tolist() == pytest.approx(want_qbars, rel=1e-14, abs=0.0)
@@ -364,13 +336,16 @@ class TestBranchTable:
 
     @given(
         k=st.integers(2, 10),
+        j_frac=st.floats(0.0, 1.0),
         exponent=st.floats(-8.0, math.log10(tmr.MAX_THETA)),
         p_ph=st.sampled_from([0.0, 1e-3, 1e-2, tmr.MAX_P_PH]),
         pass_coeffs=st.lists(st.floats(0.0, 10.0), max_size=5),
     )
-    @example(k=10, exponent=-1.0, p_ph=0.1, pass_coeffs=[])  # even k: a self-paired middle class
-    def test_matches_physical_rotations_anywhere(self, k, exponent, p_ph, pass_coeffs):
-        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=tuple(pass_coeffs))
+    # even k with j_max = k // 2: a self-paired middle class
+    @example(k=10, j_frac=1.0, exponent=-1.0, p_ph=0.1, pass_coeffs=[])
+    def test_matches_physical_rotations_anywhere(self, k, j_frac, exponent, p_ph, pass_coeffs):
+        j_max = 1 + int(j_frac * (k // 2 - 1))
+        params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=tuple(pass_coeffs), j_max=j_max)
         self._assert_matches_rotations(params, min(10.0 ** exponent, tmr.MAX_THETA))
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.8, math.nan])
