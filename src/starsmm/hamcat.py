@@ -2,9 +2,11 @@
 
 The catalog records logical-qubit counts and Hamiltonian L1-norms for the
 benchmark systems (lattice models by formula, iron-sulfur clusters and
-FeMoco by fixed published values).  The 2D Hubbard entry is backed by an
-explicit Jordan-Wigner Pauli-term generator whose L1-norm reproduces the
-catalog formula (4t + U/4) L^2 exactly under periodic boundaries.
+FeMoco by fixed published values).  The lattice builders share one input
+rule: each coupling is non-negative and finite, and the periodic Hubbard
+lattice has L >= 3.  The 2D Hubbard entry is backed by an explicit
+Jordan-Wigner Pauli-term generator whose L1-norm reproduces the catalog
+formula (4t + U/4) L^2 exactly under periodic boundaries.
 
 Qubit ordering: the spin-up sector occupies indices 0..L^2-1 in row-major
 site order, spin-down occupies L^2..2L^2-1; Jordan-Wigner strings run
@@ -19,71 +21,59 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """One catalog row.
+    """One catalog row: N_L logical qubits (a whole number) and the L1-norm lambda in ``unit``.
 
-    Lattice entries carry a formula string and evaluate lazily; molecule
-    entries carry fixed values with an active-space/provenance tag.
+    Lattice rows come from the ``*_entry`` formulas, molecule rows are fixed published values.
     """
 
     name: str
     n_l: int
     lam: float
     unit: str = "dimensionless"
-    parameters: tuple[tuple[str, float], ...] = ()
-    provenance: str = ""
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_l < math.inf:
-            raise ValueError(f"N_L must be >= 1 and finite, got {self.n_l!r}")
+        if not 1 <= self.n_l < math.inf or self.n_l % 1:
+            raise ValueError(f"N_L must be >= 1 and finite and an integer, got {self.n_l!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if self.lam <= 0.0:
             raise ValueError("lambda must be positive")
 
 
+def _check_lattice(periodic_length: int | None = None, **couplings: float) -> None:
+    """Refuse a periodic L < 3 (L = 2 repeats wrap-around edges) and each bad coupling by name."""
+    if periodic_length is not None and periodic_length < 3:
+        raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
+    for name, value in couplings.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+
+
 def rfic_entry(J: float, h: float, n_sites: int) -> SystemEntry:
     """Random-field Ising chain: N_L = N, lambda = (3J + h/2) N."""
-    return SystemEntry(
-        name="RFIC",
-        n_l=n_sites,
-        lam=(3.0 * J + 0.5 * h) * n_sites,
-        parameters=(("J", J), ("h", h), ("N", n_sites)),
-        provenance="lambda formula (3J + h/2) N",
-    )
+    _check_lattice(J=J, h=h)
+    return SystemEntry(name="RFIC", n_l=n_sites, lam=(3.0 * J + 0.5 * h) * n_sites)
 
 
 def tfim_entry(J: float, h: float, length: int) -> SystemEntry:
     """Transverse-field Ising model on L x L: N_L = L^2, lambda = (2J + h) L^2."""
-    return SystemEntry(
-        name="TFIM",
-        n_l=length * length,
-        lam=(2.0 * J + h) * length * length,
-        parameters=(("J", J), ("h", h), ("L", length)),
-        provenance="lambda formula (2J + h) L^2",
-    )
+    _check_lattice(J=J, h=h)
+    return SystemEntry(name="TFIM", n_l=length * length, lam=(2.0 * J + h) * length * length)
 
 
 def hubbard_entry(t: float, u: float, length: int) -> SystemEntry:
     """2D Hubbard on the periodic L x L lattice (L >= 3): N_L = 2 L^2, lambda = (4t + U/4) L^2."""
-    if length < 3:
-        raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
-    for name, value in (("t", t), ("U", u)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    _check_lattice(length, t=t, U=u)
     return SystemEntry(
-        name="Hubbard",
-        n_l=2 * length * length,
-        lam=(4.0 * t + 0.25 * u) * length * length,
-        parameters=(("t", t), ("U", u), ("L", length)),
-        provenance="lambda formula (4t + U/4) L^2; periodic boundaries",
+        name="Hubbard", n_l=2 * length * length, lam=(4.0 * t + 0.25 * u) * length * length
     )
 
 
 MOLECULES: tuple[SystemEntry, ...] = (
-    SystemEntry("2Fe-2S", 40, 38.2, "Hartree", (), "(30e, 20o) active space"),
-    SystemEntry("4Fe-4S", 72, 137.8, "Hartree", (), "(54e, 36o) active space"),
-    SystemEntry("FeMoco(S=0)", 108, 308.2, "Hartree", (), "(54e, 54o) active space"),
-    SystemEntry("FeMoco(S=3/2)", 152, 512.5, "Hartree", (), "(113e, 76o) active space"),
+    SystemEntry("2Fe-2S", 40, 38.2, "Hartree"),  # (30e, 20o) active space
+    SystemEntry("4Fe-4S", 72, 137.8, "Hartree"),  # (54e, 36o) active space
+    SystemEntry("FeMoco(S=0)", 108, 308.2, "Hartree"),  # (54e, 54o) active space
+    SystemEntry("FeMoco(S=3/2)", 152, 512.5, "Hartree"),  # (113e, 76o) active space
 )
 
 
@@ -146,15 +136,10 @@ def hubbard_terms(length: int, t: float, u: float) -> list[PauliTerm]:
     """Jordan-Wigner Pauli terms of the periodic L x L Hubbard model.
 
     Hopping: -(t/2)(X Z.. X + Y Z.. Y) per lattice edge per spin sector;
-    interaction: (U/4) Z_up Z_down per site.  Periodic boundaries require
-    L >= 3 (L = 2 would duplicate wrap-around edges).  Zero couplings emit
-    no terms, so the count is 9 L^2 only when both t and u are non-zero.
+    interaction: (U/4) Z_up Z_down per site.  Zero couplings emit no terms,
+    so the count is 8 L^2 [t > 0] + L^2 [U > 0].
     """
-    if length < 3:
-        raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
-    if t < 0.0 or u < 0.0:
-        raise ValueError("t and U must be non-negative")
-
+    _check_lattice(length, t=t, U=u)
     n_sites = length * length
     edges: list[tuple[int, int]] = []
     for r in range(length):
@@ -181,26 +166,3 @@ def l1_norm(terms: list[PauliTerm]) -> float:
     if not terms:
         raise ValueError("term list is empty")
     return math.fsum(abs(term.coefficient) for term in terms)
-
-
-def export_terms(terms: list[PauliTerm]) -> str:
-    """Serialize terms, one per line: ``<coefficient> <op>:<site> ...``.
-
-    Deterministic ordering: hopping (multi-letter) terms first, then the
-    ZZ interaction terms, each block sorted by site tuple then letters.
-    """
-    def is_interaction(term: PauliTerm) -> bool:
-        return all(letter == "Z" for _, letter in term.ops)
-
-    def key(term: PauliTerm):
-        return (
-            is_interaction(term),
-            tuple(q for q, _ in term.ops),
-            tuple(letter for _, letter in term.ops),
-        )
-
-    lines = []
-    for term in sorted(terms, key=key):
-        ops = " ".join(f"{letter}:{q}" for q, letter in term.ops)
-        lines.append(f"{term.coefficient!r} {ops}")
-    return "\n".join(lines) + "\n"

@@ -62,13 +62,13 @@ class CircuitProfile:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; expected one of {ARCHITECTURES}"
             )
-        if self.n_t < 0:
+        if not self.n_t >= 0:
             raise ValueError("n_t must be non-negative")
         for name in ("p_ph", "p_m"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         for angle, count in self.rotations:
-            if count < 0:
+            if not count >= 0:
                 raise ValueError("rotation counts must be non-negative")
             if not 0.0 < angle <= tmr.MAX_THETA:
                 raise ValueError(f"rotation angle {angle!r} outside (0, pi/4]")
@@ -168,7 +168,7 @@ def feasible_boundary(
     a_r = cost(0, ((theta_star, 1),))
     curve = []
     for n_t in n_t_grid:
-        if n_t < 0:
+        if not n_t >= 0:
             raise ValueError("N_T must be non-negative")
         slack = 1.0 - a_t * n_t
         if slack <= 0.0:

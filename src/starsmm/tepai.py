@@ -126,20 +126,19 @@ class TepaiInstance:
     name: str = ""
 
     def __post_init__(self) -> None:
-        names = ("lam", "t", "n_l", "epsilon", "q", "p_ph", "c_smm")
-        for name in names if callable(self.alpha_model) else names + ("alpha_model",):
+        constant = () if callable(self.alpha_model) else ("alpha_model",)
+        for name in ("lam", "t", "n_l", "epsilon", "q", "p_ph", "c_smm") + constant:
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.lam * self.t <= 0.0:
-            raise ValueError("lambda*T must be positive")
+        for name in ("lam", "t", "q", "c_smm") + constant:
+            if (value := getattr(self, name)) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.lam * self.t == 0.0:
+            raise ValueError("lambda*T must be positive")  # lam, t > 0: the product underflowed
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.q <= 0.0:
-            raise ValueError("Q must be positive")
-        if self.n_l < 1:
-            raise ValueError("N_L must be >= 1")
-        if self.c_smm <= 0.0:
-            raise ValueError("c_smm must be positive")
+        if self.n_l < 1 or self.n_l % 1:
+            raise ValueError(f"N_L must be >= 1 and an integer, got {self.n_l!r}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from starsmm import hamcat
 
@@ -52,6 +54,11 @@ class TestCatalog:
         assert entry.lam == pytest.approx((2 + 3) * 16)
         assert entry.n_l == 16
 
+    def test_ising_rows_take_lattices_below_three(self):
+        # no boundary convention is stated for them, so only the Hubbard rows need L >= 3
+        assert hamcat.rfic_entry(1.0, 1.0, 2).n_l == 2
+        assert hamcat.tfim_entry(1.0, 1.0, 2).n_l == 4
+
 
 class TestHubbardTerms:
     def test_term_count_and_l1(self):
@@ -78,6 +85,18 @@ class TestHubbardTerms:
             assert len(terms) == 9 * length ** 2
             expected = (4 * t_hop + u_int / 4) * length ** 2
             assert hamcat.l1_norm(terms) == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        length=st.integers(3, 8),
+        t_hop=st.just(0.0) | st.floats(1e-3, 10.0),
+        u_int=st.just(0.0) | st.floats(1e-3, 10.0),
+    )
+    def test_terms_match_formula_over_couplings(self, length, t_hop, u_int):
+        assume(t_hop > 0.0 or u_int > 0.0)  # lambda = 0 is no catalog row
+        terms = hamcat.hubbard_terms(length, t_hop, u_int)
+        assert len(terms) == 8 * length ** 2 * (t_hop > 0) + length ** 2 * (u_int > 0)
+        expected = hamcat.hubbard_entry(t_hop, u_int, length).lam
+        assert hamcat.l1_norm(terms) == pytest.approx(expected, rel=1e-12)
 
     def test_xx_yy_pairing(self):
         terms = hamcat.hubbard_terms(4, 1.0, 0.0)
@@ -131,26 +150,6 @@ class TestL1Norm:
         assert hamcat.l1_norm(doubled) == pytest.approx(2 * hamcat.l1_norm(terms))
 
 
-class TestExport:
-    def test_format_and_determinism(self):
-        terms = hamcat.hubbard_terms(3, 1.0, 4.0)
-        text = hamcat.export_terms(terms)
-        assert text == hamcat.export_terms(list(reversed(terms)))
-        lines = text.strip().split("\n")
-        assert len(lines) == len(terms)
-        first = lines[0].split()
-        float(first[0])  # coefficient parses
-        for op in first[1:]:
-            letter, site = op.split(":")
-            assert letter in ("X", "Y", "Z") and site.isdigit()
-
-    def test_interaction_block_last(self):
-        text = hamcat.export_terms(hamcat.hubbard_terms(3, 1.0, 4.0))
-        lines = text.strip().split("\n")
-        kinds = ["zz" if set(tok[0] for tok in l.split()[1:]) == {"Z"} else "hop" for l in lines]
-        assert kinds == ["hop"] * 72 + ["zz"] * 9
-
-
 @pytest.mark.parametrize(
     "call,kwargs,message",
     [
@@ -160,8 +159,10 @@ class TestExport:
         (hamcat.PauliTerm, dict(coefficient=1.0, ops=((1, "X"), (0, "Z"))), "strictly increasing"),
         (hamcat.PauliTerm, dict(coefficient=1.0, ops=((0, "X"), (0, "Z"))), "strictly increasing"),
         (hamcat.PauliTerm, dict(coefficient=1.0, ops=((0, "W"),)), "unknown Pauli letter 'W'"),
-        (hamcat.hubbard_terms, dict(length=3, t=-1.0, u=4.0), "t and U must be non-negative"),
-        (hamcat.hubbard_terms, dict(length=3, t=1.0, u=-4.0), "t and U must be non-negative"),
+        (hamcat.hubbard_terms, dict(length=3, t=-1.0, u=4.0),
+         "t must be non-negative and finite, got -1.0"),
+        (hamcat.hubbard_terms, dict(length=3, t=1.0, u=-4.0),
+         "U must be non-negative and finite, got -4.0"),
         (hamcat.SystemEntry, dict(name="x", n_l=1, lam=math.nan), "lambda must be finite, got nan"),
         (hamcat.SystemEntry, dict(name="x", n_l=1, lam=math.inf), "lambda must be finite, got inf"),
         (hamcat.SystemEntry, dict(name="x", n_l=math.nan, lam=1.0), "N_L must be >= 1 and finite"),
@@ -169,10 +170,29 @@ class TestExport:
          "t must be non-negative and finite, got nan"),
         (hamcat.hubbard_entry, dict(t=1.0, u=math.inf, length=10),
          "U must be non-negative and finite, got inf"),
+        # the term generator and the Ising rows take the Hubbard entry's coupling rule
+        (hamcat.hubbard_terms, dict(length=3, t=math.nan, u=4.0),
+         "t must be non-negative and finite, got nan"),
+        (hamcat.hubbard_terms, dict(length=3, t=math.inf, u=4.0),
+         "t must be non-negative and finite, got inf"),
+        (hamcat.rfic_entry, dict(J=-1.0, h=10.0, n_sites=10),
+         "J must be non-negative and finite, got -1.0"),
+        (hamcat.rfic_entry, dict(J=1.0, h=math.nan, n_sites=10),
+         "h must be non-negative and finite, got nan"),
+        (hamcat.tfim_entry, dict(J=-1.0, h=3.0, length=4),
+         "J must be non-negative and finite, got -1.0"),
+        (hamcat.tfim_entry, dict(J=1.0, h=math.inf, length=4),
+         "h must be non-negative and finite, got inf"),
+        (hamcat.SystemEntry, dict(name="x", n_l=2.5, lam=1.0),
+         "N_L must be >= 1 and finite and an integer, got 2.5"),
+        (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=2.5),
+         "N_L must be >= 1 and finite and an integer, got 6.25"),
     ],
     ids=["entry-n_l", "entry-lambda", "term-coefficient", "term-order", "term-repeat",
          "term-letter", "hubbard-t", "hubbard-u", "entry-lambda-nan", "entry-lambda-inf",
-         "entry-n_l-nan", "entry-hubbard-t-nan", "entry-hubbard-u-inf"],
+         "entry-n_l-nan", "entry-hubbard-t-nan", "entry-hubbard-u-inf", "terms-t-nan",
+         "terms-t-inf", "rfic-J-negative", "rfic-h-nan", "tfim-J-negative", "tfim-h-inf",
+         "entry-n_l-fraction", "tfim-n_l-fraction"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

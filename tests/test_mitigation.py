@@ -228,9 +228,17 @@ class TestFeasibleBoundary:
         (mitigation.feasible_boundary,
          dict(architecture="v3", theta_star=1e-5, n_t_grid=[1.0], p_m=-2e-9, alpha_model=0.1),
          "p_m must be finite and >= 0, got -2e-09"),
+        # a NaN gate count would reach P_total as nan
+        (mitigation.CircuitProfile, dict(n_t=math.nan), "n_t must be non-negative"),
+        (mitigation.CircuitProfile, dict(n_t=0, rotations=((1e-5, math.nan),)),
+         "rotation counts must be non-negative"),
+        (mitigation.feasible_boundary,
+         dict(architecture="v1", theta_star=1e-5, n_t_grid=[math.nan]),
+         "N_T must be non-negative"),
     ],
     ids=["n_t", "rotation-count", "rotation-angle-zero", "rotation-angle-large", "grid-n_t",
-         "p_ph-negative", "p_m-inf", "boundary-p_ph-nan", "boundary-p_m-negative"],
+         "p_ph-negative", "p_m-inf", "boundary-p_ph-nan", "boundary-p_m-negative", "n_t-nan",
+         "rotation-count-nan", "grid-n_t-nan"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

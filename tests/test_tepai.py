@@ -236,11 +236,17 @@ class TestEstimate:
         (_fes_instance, dict(t=math.inf), "t must be finite, got inf"),
         (_fes_instance, dict(p_ph=math.nan), "p_ph must be finite, got nan"),
         (_fes_instance, dict(c_smm=math.inf), "c_smm must be finite, got inf"),
+        # each factor of lambda*T, and a constant alpha, is checked for sign by name
+        (_fes_instance, dict(lam=-137.8, t=-10.0), "lam must be positive, got -137.8"),
+        (_fes_instance, dict(t=-10.0), "t must be positive, got -10.0"),
+        (_fes_instance, dict(alpha_model=-0.1), "alpha_model must be positive, got -0.1"),
+        (_fes_instance, dict(n_l=2.5), "N_L must be >= 1 and an integer, got 2.5"),
     ],
     ids=["angle-lambda_t", "angle-q", "gates-lambda_t", "overhead-lambda_t", "overhead-delta",
          "overhead-epsilon", "cycle-p_ph-zero", "cycle-p_ph-threshold", "instance-n_l",
          "instance-c_smm", "instance-alpha_model-nan", "instance-lam-nan", "instance-t-inf",
-         "instance-p_ph-nan", "instance-c_smm-inf"],
+         "instance-p_ph-nan", "instance-c_smm-inf", "instance-lam-t-negative",
+         "instance-t-negative", "instance-alpha_model-negative", "instance-n_l-fraction"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):
