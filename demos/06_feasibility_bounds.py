@@ -27,6 +27,6 @@ print("  T <~", 1.0 / (alpha_max * lam * p_ph))
 profile = mitigation.CircuitProfile(
     n_t=10 ** 6, rotations=((theta_star, 10 ** 7),), architecture="v3"
 )
-budget = mitigation.total_budget(profile, alpha_model=0.1)
-print(f"\nexample circuit: P_total = {budget.p_total:.4f}, "
-      f"gamma_total^2 = {budget.gamma_total_sq:.4f}, feasible = {budget.feasible}")
+p_total = mitigation.total_budget(profile, alpha_model=0.1)
+print(f"\nexample circuit: P_total = {p_total:.4f}, "
+      f"gamma_total^2 = {mitigation.sampling_price(p_total):.4f}, feasible = {p_total <= 1}")

@@ -375,21 +375,19 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
     """(name, lambda, N_L) rows from system names and/or a lambda grid."""
     section = "tepai"
     systems = []
+    t_hop = _get_value(cfg, section, "hubbard_t", hamcat.HUBBARD_T, minimum=0.0)
+    u_int = _get_value(cfg, section, "hubbard_u", hamcat.HUBBARD_U, minimum=0.0)
     for token in _get_value(cfg, section, "systems", [], cast=str, many=True):
         if token.startswith("hubbard:"):
-            t_hop = _get_value(cfg, section, "hubbard_t", hamcat.HUBBARD_T, minimum=0.0)
-            u_int = _get_value(cfg, section, "hubbard_u", hamcat.HUBBARD_U, minimum=0.0)
             try:
                 length = int(token.split(":", 1)[1])
-            except ValueError:
-                length = 0  # not an integer
-            if length < 3:
-                raise ConfigError(f"[{section}] systems: {token!r} needs an integer lattice size "
-                                  "L >= 3")
-            try:
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] systems: {token!r} needs an integer lattice "
+                                  "size L") from exc
+            try:  # hamcat's lattice rule: L >= 3, and lambda > 0
                 entry = hamcat.hubbard_entry(t_hop, u_int, length)
-            except ValueError as exc:  # lambda = 0
-                raise ConfigError(f"[{section}] hubbard_t = {t_hop!r}, "
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] systems: {token!r}, hubbard_t = {t_hop!r}, "
                                   f"hubbard_u = {u_int!r}: {exc}") from exc
             systems.append((f"hubbard-{length}x{length}", entry.lam, entry.n_l))
         else:
@@ -435,7 +433,7 @@ def cmd_tepai(cfg, out_dir: Path, seed: int) -> int:
                 with _naming(f"[{section}] row {name}, T = {t!r}"):
                     est = tepai.estimate(tepai.TepaiInstance(
                         lam=lam, t=t, n_l=n_l, epsilon=eps, q=q, p_ph=p_ph,
-                        c_smm=c_smm, alpha_model=alpha_model, name=name,
+                        c_smm=c_smm, alpha_model=alpha_model,
                     ))
             except tepai.DistanceSolveError:
                 rows.append((name, lam, t, q, eps) + ("ERROR",) * 6)

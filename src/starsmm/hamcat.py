@@ -4,9 +4,9 @@ The catalog records logical-qubit counts and Hamiltonian L1-norms for the
 benchmark systems (lattice models by formula, iron-sulfur clusters and
 FeMoco by fixed published values).  The lattice builders share one input
 rule: each coupling is non-negative and finite, and the periodic Hubbard
-lattice has L >= 3.  The 2D Hubbard entry is backed by an explicit
-Jordan-Wigner Pauli-term generator whose L1-norm reproduces the catalog
-formula (4t + U/4) L^2 exactly under periodic boundaries.
+lattice has an integer L >= 3.  The 2D Hubbard entry is backed by an
+explicit Jordan-Wigner Pauli-term generator whose L1-norm reproduces the
+catalog formula (4t + U/4) L^2 exactly under periodic boundaries.
 
 Qubit ordering: the spin-up sector occupies indices 0..L^2-1 in row-major
 site order, spin-down occupies L^2..2L^2-1; Jordan-Wigner strings run
@@ -16,6 +16,7 @@ within a spin sector along this ordering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -41,9 +42,15 @@ class SystemEntry:
 
 
 def _check_lattice(periodic_length: int | None = None, **couplings: float) -> None:
-    """Refuse a periodic L < 3 (L = 2 repeats wrap-around edges) and each bad coupling by name."""
-    if periodic_length is not None and periodic_length < 3:
-        raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
+    """Refuse a periodic L that is not an integer >= 3, and each bad coupling by name.
+
+    L = 2 would repeat the wrap-around edges.
+    """
+    if periodic_length is not None:
+        if not isinstance(periodic_length, numbers.Integral):
+            raise ValueError(f"L must be an integer, got {periodic_length!r}")
+        if periodic_length < 3:
+            raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
     for name, value in couplings.items():
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")

@@ -78,15 +78,6 @@ class CircuitProfile:
         return sum(count for _, count in self.rotations)
 
 
-@dataclass(frozen=True)
-class MitigationBudget:
-    """Total mitigation cost of one circuit."""
-
-    p_total: float
-    gamma_total_sq: float
-    feasible: bool
-
-
 AlphaModel = Callable[[float], float]
 
 
@@ -105,8 +96,7 @@ def rotation_p_total(
 def sampling_price(p_total: float) -> float:
     """Sampling-cost factor gamma_total^2 = e^(4 P_total) of mitigating a budget P_total.
 
-    Budgets past P_total ~ 177 overflow a float; their price is inf, so that
-    ``total_budget`` still reports P_total and infeasibility for them.
+    Budgets past P_total ~ 177 overflow a float and are priced inf, not raised.
     """
     try:
         return math.exp(4.0 * p_total)
@@ -117,11 +107,12 @@ def sampling_price(p_total: float) -> float:
 def total_budget(
     profile: CircuitProfile,
     alpha_model: AlphaModel | float | None = None,
-) -> MitigationBudget:
-    """P_total = sum of per-gate error rates, and its sampling price e^(4 P_total).
+) -> float:
+    """P_total = sum of per-gate error rates of one circuit.
 
-    For the v3 architecture ``alpha_model`` supplies alpha_RUS(theta),
-    either as a constant or a callable.
+    Its sampling price is ``sampling_price(P_total)`` and the circuit is
+    feasible while P_total <= 1.  For the v3 architecture ``alpha_model``
+    supplies alpha_RUS(theta), either as a constant or a callable.
     """
     arch, p_ph, p_m = profile.architecture, profile.p_ph, profile.p_m
     if arch == "v1":
@@ -139,10 +130,7 @@ def total_budget(
     else:  # ftqc-cultivation: each rotation synthesized from T-gates
         parts = [p_m * (profile.n_t + synthesis_t_count(p_m) * profile.n_r)]
         parts += [p_m * c for _, c in profile.rotations]
-    p_total = functools.reduce(operator.add, parts)
-    return MitigationBudget(
-        p_total=p_total, gamma_total_sq=sampling_price(p_total), feasible=p_total <= 1.0
-    )
+    return functools.reduce(operator.add, parts)
 
 
 def feasible_boundary(
@@ -162,7 +150,7 @@ def feasible_boundary(
 
     def cost(n_t: int, rotations: tuple[tuple[float, int], ...]) -> float:
         profile = CircuitProfile(n_t, rotations, architecture, p_ph, p_m)
-        return total_budget(profile, alpha_model).p_total
+        return total_budget(profile, alpha_model)
 
     a_t = cost(1, ())
     a_r = cost(0, ((theta_star, 1),))

@@ -13,7 +13,10 @@ across target systems:
 
 The fault-tolerant layer solves for the surface-code distance, lays out
 patches for fast-block Pauli-based computation, and converts clocks to
-wall time at one code cycle per microsecond (CYCLE_TIME).
+wall time at one code cycle per microsecond (CYCLE_TIME).  The total time
+is the single shot times gamma_inf^2 e^(4 P_total) / eps^2, with the
+rotations' P_total priced by :mod:`starsmm.mitigation`; no separate shot
+count is kept.
 """
 
 from __future__ import annotations
@@ -52,14 +55,11 @@ def gate_count(lambda_t: float, delta: float) -> float:
     return (3.0 - math.cos(2.0 * delta)) / math.sin(2.0 * delta) * lambda_t
 
 
-def sampling_overhead(lambda_t: float, delta: float, epsilon: float) -> tuple[float, int]:
-    """(gamma_inf^2, shot count): exp(2 lambda T tan Delta) and ceil(gamma^2/eps^2)."""
+def sampling_overhead(lambda_t: float, delta: float) -> float:
+    """gamma_inf^2 = exp(2 lambda T tan Delta)."""
     if lambda_t <= 0.0 or not 0.0 < delta < 0.5 * math.pi:
         raise ValueError("need lambda*T > 0 and delta in (0, pi/2)")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    gamma_sq = math.exp(2.0 * lambda_t * math.tan(delta))
-    return gamma_sq, math.ceil(gamma_sq / epsilon ** 2)
+    return math.exp(2.0 * lambda_t * math.tan(delta))
 
 
 def logical_error_per_cycle(p_ph: float, d: int) -> float:
@@ -77,8 +77,8 @@ def patch_count(n_l: int) -> int:
     The 11 covers one lattice-surgery ancilla strip plus ten patches
     reserved for magic/resource state preparation.
     """
-    if n_l < 1:
-        raise ValueError("N_L must be >= 1")
+    if not 1 <= n_l < math.inf or n_l % 1:
+        raise ValueError(f"N_L must be >= 1 and an integer, got {n_l!r}")
     return math.ceil(2 * n_l + math.sqrt(8 * n_l)) + 11
 
 
@@ -123,7 +123,6 @@ class TepaiInstance:
     q: float = 1.0
     p_ph: float = mitigation.P_PH
     c_smm: float = 3.0
-    name: str = ""
 
     def __post_init__(self) -> None:
         constant = () if callable(self.alpha_model) else ("alpha_model",)
@@ -145,16 +144,12 @@ class TepaiInstance:
 class TepaiEstimate:
     """Full resource estimate for one instance."""
 
-    instance: TepaiInstance
     delta_angle: float
     n_gate: float
-    gamma_inf_sq: float
-    n_shots: int
     d: int
     n_patch: int
     physical_qubits: int
     p_total: float
-    mitigation_factor: float
     single_shot_seconds: float
     total_seconds: float
 
@@ -188,7 +183,7 @@ def estimate(instance: TepaiInstance) -> TepaiEstimate:
     lam_t = instance.lam * instance.t
     delta = select_angle(lam_t, instance.q)
     n_gate = gate_count(lam_t, delta)
-    gamma_sq, n_shots = sampling_overhead(lam_t, delta, instance.epsilon)
+    gamma_sq = sampling_overhead(lam_t, delta)
     n_patch = patch_count(instance.n_l)
     d = solve_code_distance(n_gate, n_patch, instance.p_ph, instance.c_smm)
     p_total = mitigation.rotation_p_total(n_gate, delta, instance.alpha_model, instance.p_ph)
@@ -196,16 +191,12 @@ def estimate(instance: TepaiInstance) -> TepaiEstimate:
     single_shot = n_gate * instance.c_smm * d * CYCLE_TIME
     total = single_shot * gamma_sq * price / instance.epsilon ** 2
     return TepaiEstimate(
-        instance=instance,
         delta_angle=delta,
         n_gate=n_gate,
-        gamma_inf_sq=gamma_sq,
-        n_shots=n_shots,
         d=d,
         n_patch=n_patch,
         physical_qubits=n_patch * 2 * d * d,
         p_total=p_total,
-        mitigation_factor=price,
         single_shot_seconds=single_shot,
         total_seconds=total,
     )

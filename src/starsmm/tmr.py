@@ -72,7 +72,6 @@ class TmrOutputModel:
     qbar sums to one.
     """
 
-    params: TmrParams
     theta_phys: float
     theta_l: float
     p_ideal: float
@@ -137,7 +136,6 @@ def branch_weights(params: TmrParams, theta: float) -> TmrOutputModel:
     if total <= 0.0:
         raise ValueError("all branch weights vanish; model is degenerate")
     return TmrOutputModel(
-        params=params,
         theta_phys=theta,
         theta_l=thetas[0],
         p_ideal=pid,

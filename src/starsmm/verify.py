@@ -23,7 +23,7 @@ def tepai_identities() -> tuple[bool, str]:
             n_gate = tepai.gate_count(lam_t, delta)
             closed = 2.0 * lam_t ** 2 / q + q
             errors.append(abs(n_gate - closed) / closed)
-            gamma_sq, _ = tepai.sampling_overhead(lam_t, delta, 0.05)
+            gamma_sq = tepai.sampling_overhead(lam_t, delta)
             errors.append(abs(gamma_sq - math.exp(q)) / math.exp(q))
     worst = float(np.max(errors))
     return worst < 1e-10, f"worst relative error {worst:.2e}"

@@ -199,7 +199,7 @@ def test_criterion_5_tepai_identities():
             worst_gate = max(
                 worst_gate, abs(tepai.gate_count(lam_t, delta) - closed) / closed
             )
-            gamma_sq, _ = tepai.sampling_overhead(lam_t, delta, 0.05)
+            gamma_sq = tepai.sampling_overhead(lam_t, delta)
             worst_gamma = max(worst_gamma, abs(gamma_sq - math.exp(q)) / math.exp(q))
     lam_t = 17.0
     floor = 2.0 * math.sqrt(2.0) * lam_t
@@ -222,7 +222,7 @@ def test_criterion_6_fes_headline():
     """[4Fe-4S] at T = 10: d = 23, 179 patches, ~1.9e5 qubits, <= 7 days."""
     instance = tepai.TepaiInstance(
         lam=137.8, t=10.0, n_l=72, epsilon=0.05, q=1.0, p_ph=1e-3,
-        c_smm=3.0, alpha_model=0.1, name="4Fe-4S",
+        c_smm=3.0, alpha_model=0.1,
     )
     est = tepai.estimate(instance)
     qubit_dev = abs(est.physical_qubits - 1.9e5) / 1.9e5

@@ -563,11 +563,20 @@ class TestTepai:
         assert _run(tmp_path, "tepai", cfg) == 2
         assert "lam_grid points_per_decade" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["hubbard:abc", "hubbard:0", "hubbard:-3", "hubbard:2"])
-    def test_bad_hubbard_size_is_config_error(self, tmp_path, capsys, token):
+    @pytest.mark.parametrize(
+        "token,reason",
+        [("hubbard:abc", " needs an integer lattice size L"),
+         ("hubbard:3.0", " needs an integer lattice size L"),
+         ("hubbard:0", ", hubbard_t = 1.0, hubbard_u = 4.0: periodic boundaries need L >= 3"),
+         ("hubbard:-3", ", hubbard_t = 1.0, hubbard_u = 4.0: periodic boundaries need L >= 3"),
+         ("hubbard:2", ", hubbard_t = 1.0, hubbard_u = 4.0: periodic boundaries need L >= 3")],
+        ids=["hubbard:abc", "hubbard:3.0", "hubbard:0", "hubbard:-3", "hubbard:2"],
+    )
+    def test_bad_hubbard_size_is_config_error(self, tmp_path, capsys, token, reason):
+        # the text must parse as an integer; hamcat's lattice rule refuses L < 3
         cfg = f"[tepai]\nsystems = {token}\nt = 1\nalpha = 0.1\n"
         assert _run(tmp_path, "tepai", cfg) == 2
-        assert f"[tepai] systems: {token!r} needs an integer" in capsys.readouterr().err
+        assert f"config error: [tepai] systems: {token!r}{reason}" in capsys.readouterr().err
         assert not (tmp_path / "tepai.csv").exists()
 
     @pytest.mark.parametrize(
@@ -601,8 +610,8 @@ alpha = 0.1
         cfg = TEPAI_CFG.replace("4Fe-4S", "hubbard:3") + f"hubbard_t = 0\nhubbard_u = {u_int}\n"
         assert _run(tmp_path, "tepai", cfg) == 2
         assert capsys.readouterr().err == (
-            f"config error: [tepai] hubbard_t = 0.0, hubbard_u = {float(u_int)!r}: "
-            "lambda must be positive\n"
+            f"config error: [tepai] systems: 'hubbard:3', hubbard_t = 0.0, "
+            f"hubbard_u = {float(u_int)!r}: lambda must be positive\n"
         )
         assert not (tmp_path / "tepai.csv").exists()
 
@@ -679,6 +688,8 @@ class TestDomainErrors:
              "[tepai] n_l = '0' must be >= 1"),
             ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1\nn_l = -3\nalpha = 0.1\n",
              "[tepai] n_l = '-3' must be >= 1"),
+            # the couplings are read once, whether or not a hubbard:L system is listed
+            ("tepai", TEPAI_CFG + "hubbard_u = -4\n", "[tepai] hubbard_u = '-4' must be >= 0"),
         ],
         ids=[
             "tradeoff-k", "tradeoff-k-large", "alpha_sweep-k-large", "tradeoff-n_max",
@@ -692,6 +703,7 @@ class TestDomainErrors:
             "tepai-t-negative", "tradeoff-delta_sweep", "bound-theta_star-large",
             "bound-theta_star-zero", "bound-p_m-zero-cultivation", "tepai-lam_grid-min",
             "tepai-lam_grid-max", "tradeoff-c1-negative", "tepai-n_l-zero", "tepai-n_l-negative",
+            "tepai-hubbard_u-without-hubbard",
         ],
     )
     def test_out_of_domain_value_names_key(self, tmp_path, capsys, command, cfg, message):
@@ -808,11 +820,12 @@ class TestDomainErrors:
 def _default_tepai_rows():
     """The rows of a [tepai] config that sets only systems and t, from the library's defaults."""
     entries = {entry.name: entry for entry in hamcat.catalog()}
+    default = tepai.TepaiInstance  # class-attribute field defaults, read as cmd_tepai reads them
     rows = []
     for name, entry in (("2Fe-2S", entries["2Fe-2S"]), ("hubbard-10x10", entries["Hubbard"])):
         for t in (1.0, 10.0):
             est = tepai.estimate(tepai.TepaiInstance(entry.lam, t, entry.n_l, alpha_model=0.1))
-            rows.append((name, entry.lam, t, est.instance.q, est.instance.epsilon, est.d,
+            rows.append((name, entry.lam, t, default.q, default.epsilon, est.d,
                          est.n_patch, est.physical_qubits, est.single_shot_seconds,
                          est.total_seconds, est.p_total))
     return rows
@@ -1028,7 +1041,7 @@ class TestVerify:
              lambda original, *args: dataclasses.replace(
                  rep := original(*args), p_l_hat=rep.p_l_hat + 10.0 * rep.p_l_se)),
             ("tepai_identities", tepai, "sampling_overhead",
-             lambda original, *args: (1.001 * (pair := original(*args))[0], pair[1])),
+             lambda original, *args: 1.001 * original(*args)),
             ("hubbard_l1_norm", hamcat, "l1_norm",
              lambda original, terms: 1.001 * original(terms)),
             # the array path behind the sweep CSVs: its k = 3 gates miss the bound 11-20x
@@ -1065,8 +1078,7 @@ class TestVerify:
             # NaN fails closed: no comparison with it holds, and max() would drop it
             ("smm_enumeration_oracle", smm, "enumerate_error_rate", lambda original, config: math.nan),
             ("pcec_residual_oracle", pcec, "residual_rate", lambda original, model: math.nan),
-            ("tepai_identities", tepai, "sampling_overhead",
-             lambda original, *args: (math.nan, original(*args)[1])),
+            ("tepai_identities", tepai, "sampling_overhead", lambda original, *args: math.nan),
             ("hubbard_l1_norm", hamcat, "l1_norm", lambda original, terms: math.nan),
             ("channel_algebra", zchan, "worst_case_vs_pauli_model", lambda original, *args: math.nan),
             ("bound_intercepts", mitigation, "feasible_boundary",

@@ -187,12 +187,19 @@ class TestL1Norm:
          "N_L must be >= 1 and finite and an integer, got 2.5"),
         (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=2.5),
          "N_L must be >= 1 and finite and an integer, got 6.25"),
+        # the periodic lattice size is an integer, even when it is a whole float
+        (hamcat.hubbard_entry, dict(t=1.0, u=4.0, length=3.0), "L must be an integer, got 3.0"),
+        (hamcat.hubbard_terms, dict(length=3.0, t=1.0, u=4.0), "L must be an integer, got 3.0"),
+        (hamcat.hubbard_entry, dict(t=1.0, u=4.0, length=3.5), "L must be an integer, got 3.5"),
+        (hamcat.hubbard_terms, dict(length=math.nan, t=1.0, u=4.0),
+         "L must be an integer, got nan"),
     ],
     ids=["entry-n_l", "entry-lambda", "term-coefficient", "term-order", "term-repeat",
          "term-letter", "hubbard-t", "hubbard-u", "entry-lambda-nan", "entry-lambda-inf",
          "entry-n_l-nan", "entry-hubbard-t-nan", "entry-hubbard-u-inf", "terms-t-nan",
          "terms-t-inf", "rfic-J-negative", "rfic-h-nan", "tfim-J-negative", "tfim-h-inf",
-         "entry-n_l-fraction", "tfim-n_l-fraction"],
+         "entry-n_l-fraction", "tfim-n_l-fraction", "hubbard-L-whole-float",
+         "terms-L-whole-float", "hubbard-L-fraction", "terms-L-nan"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

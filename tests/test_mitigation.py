@@ -59,33 +59,32 @@ class TestSynthesisTCount:
 class TestTotalBudget:
     def test_empty_circuit(self):
         profile = mitigation.CircuitProfile(n_t=0, architecture="v1")
-        budget = mitigation.total_budget(profile)
-        assert budget.p_total == 0.0
-        assert budget.gamma_total_sq == 1.0
-        assert budget.feasible
+        p_total = mitigation.total_budget(profile)
+        assert p_total == 0.0
+        assert mitigation.sampling_price(p_total) == 1.0
 
     def test_v1_closed_form(self):
         profile = mitigation.CircuitProfile(
             n_t=100, rotations=((1e-5, 50),), architecture="v1"
         )
-        budget = mitigation.total_budget(profile)
-        assert budget.p_total == pytest.approx((2 / 15) * (100 + 2 * 50) * 1e-3, rel=1e-12)
+        p_total = mitigation.total_budget(profile)
+        assert p_total == pytest.approx((2 / 15) * (100 + 2 * 50) * 1e-3, rel=1e-12)
 
     def test_v2_closed_form(self):
         profile = mitigation.CircuitProfile(
             n_t=10, rotations=((1e-5, 1000),), architecture="v2"
         )
-        budget = mitigation.total_budget(profile)
+        p_total = mitigation.total_budget(profile)
         expected = ((2 / 15) * 10 + 1.6 * 1000 * 1e-5) * 1e-3
-        assert budget.p_total == pytest.approx(expected, rel=1e-12)
+        assert p_total == pytest.approx(expected, rel=1e-12)
 
     def test_v3_with_constant_alpha(self):
         profile = mitigation.CircuitProfile(
             n_t=5, rotations=((1e-5, 1000),), architecture="v3"
         )
-        budget = mitigation.total_budget(profile, alpha_model=0.1)
+        p_total = mitigation.total_budget(profile, alpha_model=0.1)
         expected = 5 * 2e-9 + 1000 * 0.1 * 1e-5 * 1e-3
-        assert budget.p_total == pytest.approx(expected, rel=1e-12)
+        assert p_total == pytest.approx(expected, rel=1e-12)
 
     def test_v3_requires_alpha(self):
         profile = mitigation.CircuitProfile(n_t=1, architecture="v3")
@@ -96,20 +95,19 @@ class TestTotalBudget:
         profile = mitigation.CircuitProfile(
             n_t=7, rotations=((1e-5, 3),), architecture="ftqc-cultivation"
         )
-        budget = mitigation.total_budget(profile)
+        p_total = mitigation.total_budget(profile)
         n_syn = mitigation.synthesis_t_count(2e-9)
         expected = (7 + 3 * n_syn) * 2e-9 + 3 * 2e-9
-        assert budget.p_total == pytest.approx(expected, rel=1e-12)
+        assert p_total == pytest.approx(expected, rel=1e-12)
 
     def test_overflowing_price_is_infinite(self):
         # e^(4 P_total) overflows a float far past P_total = 1; P_total stays exact
         profile = mitigation.CircuitProfile(
             n_t=0, rotations=((1e-5, 10 ** 50),), architecture="v3"
         )
-        budget = mitigation.total_budget(profile, alpha_model=0.1)
-        assert budget.p_total == pytest.approx(1e41, rel=1e-12)
-        assert budget.gamma_total_sq == math.inf
-        assert not budget.feasible
+        p_total = mitigation.total_budget(profile, alpha_model=0.1)
+        assert p_total == pytest.approx(1e41, rel=1e-12)
+        assert mitigation.sampling_price(p_total) == math.inf
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +116,7 @@ class TestTotalBudget:
     @pytest.mark.parametrize("alpha", ["0.1", "smm"])
     def test_tepai_prices_through_mitigation(self, alpha):
         # every configs/tepai_molecules.cfg row plus one with Delta > pi/4,
-        # bit for bit: one P_total and one price e^(4 P_total) for both
+        # bit for bit: one P_total for both, and one total-time statement
         alpha_model = (0.1 if alpha == "0.1"
                        else tepai.smm_alpha_provider(1e-3, c1=smm.calibrate_c1()))
         wide = 0
@@ -130,17 +128,18 @@ class TestTotalBudget:
             assert est.p_total == mitigation.rotation_p_total(
                 est.n_gate, delta, alpha_model, p_ph
             )
-            assert est.mitigation_factor == mitigation.sampling_price(est.p_total)
-            assert est.mitigation_factor == math.exp(4.0 * est.p_total)
+            lam_t, eps = instance.lam * instance.t, instance.epsilon
+            assert est.total_seconds == (
+                est.single_shot_seconds * tepai.sampling_overhead(lam_t, est.delta_angle)
+                * mitigation.sampling_price(est.p_total) / eps**2
+            )
             if delta > math.pi / 4:
                 wide += 1  # outside CircuitProfile's angle range
                 continue
             profile = mitigation.CircuitProfile(
                 n_t=0, rotations=((delta, est.n_gate),), architecture="v3", p_ph=p_ph
             )
-            budget = mitigation.total_budget(profile, alpha_model)
-            assert budget.p_total == est.p_total
-            assert budget.gamma_total_sq == est.mitigation_factor
+            assert mitigation.total_budget(profile, alpha_model) == est.p_total
         assert wide == 1
 
 
@@ -196,8 +195,8 @@ class TestFeasibleBoundary:
                 if n_r == 0.0:
                     continue
                 profile = mitigation.CircuitProfile(n_t, ((1e-5, n_r),), arch)
-                budget = mitigation.total_budget(profile, alpha_model=0.1)
-                assert budget.p_total == pytest.approx(1.0, abs=1e-12)
+                p_total = mitigation.total_budget(profile, alpha_model=0.1)
+                assert p_total == pytest.approx(1.0, abs=1e-12)
 
     def test_architecture_dominance_ordering(self):
         grid = [0.0]

@@ -121,7 +121,6 @@ class TestResidualRate:
         # mirrored model: negate branch angles; the rate is identical
         model = _model(k=5, theta=0.2)
         mirrored = tmr.TmrOutputModel(
-            params=model.params,
             theta_phys=-model.theta_phys,
             theta_l=-model.theta_l,
             p_ideal=model.p_ideal,

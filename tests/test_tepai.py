@@ -17,7 +17,7 @@ class TestSelectAngle:
         for lam_t in (1.0, 42.0, 1378.0):
             for q in (0.25, 1.0, 3.0):
                 delta = tepai.select_angle(lam_t, q)
-                gamma_sq, _ = tepai.sampling_overhead(lam_t, delta, 0.1)
+                gamma_sq = tepai.sampling_overhead(lam_t, delta)
                 assert gamma_sq == pytest.approx(math.exp(q), rel=1e-12)
 
 
@@ -58,15 +58,8 @@ class TestGateCount:
 
 
 class TestSamplingOverhead:
-    def test_shot_count_reference(self):
-        delta = tepai.select_angle(1378.0, 1.0)
-        gamma_sq, n_s = tepai.sampling_overhead(1378.0, delta, 0.05)
-        assert n_s == math.ceil(math.e * 400)
-        assert n_s == 1088
-
     def test_small_angle_limit(self):
-        gamma_sq, _ = tepai.sampling_overhead(10.0, 1e-9, 0.1)
-        assert gamma_sq == pytest.approx(1.0, abs=1e-7)
+        assert tepai.sampling_overhead(10.0, 1e-9) == pytest.approx(1.0, abs=1e-7)
 
 
 class TestLogicalErrorPerCycle:
@@ -98,7 +91,7 @@ class TestPatchCount:
 def _fes_instance(**kwargs):
     defaults = dict(
         lam=137.8, t=10.0, n_l=72, epsilon=0.05, q=1.0, p_ph=1e-3,
-        c_smm=3.0, alpha_model=0.1, name="4Fe-4S",
+        c_smm=3.0, alpha_model=0.1,
     )
     defaults.update(kwargs)
     return tepai.TepaiInstance(**defaults)
@@ -178,12 +171,12 @@ class TestEstimate:
         # the week-scale-runtime regime (small T) it stays under 6e5
         entry = hamcat.hubbard_entry(1.0, 4.0, 10)
         est2 = tepai.estimate(
-            _fes_instance(lam=entry.lam, t=2.0, n_l=entry.n_l, name="hubbard")
+            _fes_instance(lam=entry.lam, t=2.0, n_l=entry.n_l)
         )
         assert est2.physical_qubits < 6e5
         assert est2.total_seconds < 7 * 86400.0
         est20 = tepai.estimate(
-            _fes_instance(lam=entry.lam, t=20.0, n_l=entry.n_l, name="hubbard")
+            _fes_instance(lam=entry.lam, t=20.0, n_l=entry.n_l)
         )
         assert est20.physical_qubits < 7e5
 
@@ -220,12 +213,8 @@ class TestEstimate:
         (tepai.select_angle, dict(lambda_t=0.0, q=1.0), r"lambda\*T and Q must be positive"),
         (tepai.select_angle, dict(lambda_t=1.0, q=0.0), r"lambda\*T and Q must be positive"),
         (tepai.gate_count, dict(lambda_t=0.0, delta=0.1), r"lambda\*T must be positive"),
-        (tepai.sampling_overhead, dict(lambda_t=0.0, delta=0.1, epsilon=0.05),
-         r"need lambda\*T > 0"),
-        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.0, epsilon=0.05),
-         r"delta in \(0, pi/2\)"),
-        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.1, epsilon=1.0),
-         r"epsilon must lie in \(0, 1\)"),
+        (tepai.sampling_overhead, dict(lambda_t=0.0, delta=0.1), r"need lambda\*T > 0"),
+        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.0), r"delta in \(0, pi/2\)"),
         (tepai.logical_error_per_cycle, dict(p_ph=0.0, d=3), r"p_ph must lie in .*, got 0.0"),
         (tepai.logical_error_per_cycle, dict(p_ph=0.01, d=3), r"p_ph must lie in .*, got 0.01"),
         (_fes_instance, dict(n_l=0), "N_L must be >= 1"),
@@ -241,12 +230,17 @@ class TestEstimate:
         (_fes_instance, dict(t=-10.0), "t must be positive, got -10.0"),
         (_fes_instance, dict(alpha_model=-0.1), "alpha_model must be positive, got -0.1"),
         (_fes_instance, dict(n_l=2.5), "N_L must be >= 1 and an integer, got 2.5"),
+        # the layout itself refuses what TepaiInstance refuses
+        (tepai.patch_count, dict(n_l=2.5), "N_L must be >= 1 and an integer, got 2.5"),
+        (tepai.patch_count, dict(n_l=math.inf), "N_L must be >= 1 and an integer, got inf"),
+        (tepai.patch_count, dict(n_l=math.nan), "N_L must be >= 1 and an integer, got nan"),
     ],
     ids=["angle-lambda_t", "angle-q", "gates-lambda_t", "overhead-lambda_t", "overhead-delta",
-         "overhead-epsilon", "cycle-p_ph-zero", "cycle-p_ph-threshold", "instance-n_l",
+         "cycle-p_ph-zero", "cycle-p_ph-threshold", "instance-n_l",
          "instance-c_smm", "instance-alpha_model-nan", "instance-lam-nan", "instance-t-inf",
          "instance-p_ph-nan", "instance-c_smm-inf", "instance-lam-t-negative",
-         "instance-t-negative", "instance-alpha_model-negative", "instance-n_l-fraction"],
+         "instance-t-negative", "instance-alpha_model-negative", "instance-n_l-fraction",
+         "patches-n_l-fraction", "patches-n_l-inf", "patches-n_l-nan"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

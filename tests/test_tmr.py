@@ -322,11 +322,13 @@ class TestBranchTable:
 
     @staticmethod
     def _assert_matches_rotations(params, theta_l):
+        # 1e-14 relative to max(|want|, tiny): a subnormal qbar_j carries fewer digits
+        floor = 1e-14 * np.finfo(float).tiny
         p_ideal, thetas, qbars = tmr.branch_table(params, np.array(theta_l))
         want_p_ideal, want_thetas, want_qbars = rotation_branch_table(params, theta_l)
-        assert p_ideal == pytest.approx(want_p_ideal, rel=1e-14, abs=0.0)
-        assert thetas.tolist() == pytest.approx(want_thetas, rel=1e-14, abs=0.0)
-        assert qbars.tolist() == pytest.approx(want_qbars, rel=1e-14, abs=0.0)
+        assert p_ideal == pytest.approx(want_p_ideal, rel=1e-14, abs=floor)
+        assert thetas.tolist() == pytest.approx(want_thetas, rel=1e-14, abs=floor)
+        assert qbars.tolist() == pytest.approx(want_qbars, rel=1e-14, abs=floor)
 
     @pytest.mark.parametrize("k", range(2, 15))
     def test_matches_physical_rotations(self, k):
@@ -343,6 +345,10 @@ class TestBranchTable:
     )
     # even k with j_max = k // 2: a self-paired middle class
     @example(k=10, j_frac=1.0, exponent=-1.0, p_ph=0.1, pass_coeffs=[])
+    # subnormal qbar_1, 16 and 3 subnormal ulps (1e-13 and 7e-14 relative) from the oracle
+    @example(k=7, j_frac=0.0, exponent=-1.09765625, p_ph=0.1,
+             pass_coeffs=[2.225073858507203e-309])
+    @example(k=3, j_frac=0.0, exponent=-0.5, p_ph=0.01, pass_coeffs=[1.1125369292536007e-308])
     def test_matches_physical_rotations_anywhere(self, k, j_frac, exponent, p_ph, pass_coeffs):
         j_max = 1 + int(j_frac * (k // 2 - 1))
         params = tmr.TmrParams(k=k, p_ph=p_ph, pass_coeffs=tuple(pass_coeffs), j_max=j_max)
