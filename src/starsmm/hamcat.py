@@ -3,10 +3,11 @@
 The catalog records logical-qubit counts and Hamiltonian L1-norms for the
 benchmark systems (lattice models by formula, iron-sulfur clusters and
 FeMoco by fixed published values).  The lattice builders share one input
-rule: each coupling is non-negative and finite, and the periodic Hubbard
-lattice has an integer L >= 3.  The 2D Hubbard entry is backed by an
-explicit Jordan-Wigner Pauli-term generator whose L1-norm reproduces the
-catalog formula (4t + U/4) L^2 exactly under periodic boundaries.
+rule: each coupling is non-negative and finite, and the size is an integer
+>= 1 (>= 3 on the periodic Hubbard lattice).  The 2D Hubbard entry is
+backed by an explicit Jordan-Wigner Pauli-term generator whose L1-norm
+reproduces the catalog formula (4t + U/4) L^2 exactly under periodic
+boundaries.
 
 Qubit ordering: the spin-up sector occupies indices 0..L^2-1 in row-major
 site order, spin-down occupies L^2..2L^2-1; Jordan-Wigner strings run
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """One catalog row: N_L logical qubits (a whole number) and the L1-norm lambda in ``unit``.
+    """One catalog row: N_L logical qubits (an integer) and the L1-norm lambda in ``unit``.
 
     Lattice rows come from the ``*_entry`` formulas, molecule rows are fixed published values.
     """
@@ -33,7 +34,7 @@ class SystemEntry:
     unit: str = "dimensionless"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_l < math.inf or self.n_l % 1:
+        if not isinstance(self.n_l, numbers.Integral) or self.n_l < 1:
             raise ValueError(f"N_L must be >= 1 and finite and an integer, got {self.n_l!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam!r}")
@@ -41,16 +42,17 @@ class SystemEntry:
             raise ValueError("lambda must be positive")
 
 
-def _check_lattice(periodic_length: int | None = None, **couplings: float) -> None:
-    """Refuse a periodic L that is not an integer >= 3, and each bad coupling by name.
+def _check_lattice(size_name: str, size: int, periodic: bool = False, **couplings: float) -> None:
+    """Refuse a size that is not an integer >= 1 (>= 3 if periodic), and each bad coupling.
 
-    L = 2 would repeat the wrap-around edges.
+    Each is named; a periodic L = 2 would repeat the wrap-around edges.
     """
-    if periodic_length is not None:
-        if not isinstance(periodic_length, numbers.Integral):
-            raise ValueError(f"L must be an integer, got {periodic_length!r}")
-        if periodic_length < 3:
-            raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
+    if not isinstance(size, numbers.Integral):
+        raise ValueError(f"{size_name} must be an integer, got {size!r}")
+    if periodic and size < 3:
+        raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")
+    if size < 1:
+        raise ValueError(f"{size_name} must be >= 1, got {size!r}")
     for name, value in couplings.items():
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
@@ -58,19 +60,19 @@ def _check_lattice(periodic_length: int | None = None, **couplings: float) -> No
 
 def rfic_entry(J: float, h: float, n_sites: int) -> SystemEntry:
     """Random-field Ising chain: N_L = N, lambda = (3J + h/2) N."""
-    _check_lattice(J=J, h=h)
+    _check_lattice("N", n_sites, J=J, h=h)
     return SystemEntry(name="RFIC", n_l=n_sites, lam=(3.0 * J + 0.5 * h) * n_sites)
 
 
 def tfim_entry(J: float, h: float, length: int) -> SystemEntry:
     """Transverse-field Ising model on L x L: N_L = L^2, lambda = (2J + h) L^2."""
-    _check_lattice(J=J, h=h)
+    _check_lattice("L", length, J=J, h=h)
     return SystemEntry(name="TFIM", n_l=length * length, lam=(2.0 * J + h) * length * length)
 
 
 def hubbard_entry(t: float, u: float, length: int) -> SystemEntry:
     """2D Hubbard on the periodic L x L lattice (L >= 3): N_L = 2 L^2, lambda = (4t + U/4) L^2."""
-    _check_lattice(length, t=t, U=u)
+    _check_lattice("L", length, periodic=True, t=t, U=u)
     return SystemEntry(
         name="Hubbard", n_l=2 * length * length, lam=(4.0 * t + 0.25 * u) * length * length
     )
@@ -146,7 +148,7 @@ def hubbard_terms(length: int, t: float, u: float) -> list[PauliTerm]:
     interaction: (U/4) Z_up Z_down per site.  Zero couplings emit no terms,
     so the count is 8 L^2 [t > 0] + L^2 [U > 0].
     """
-    _check_lattice(length, t=t, U=u)
+    _check_lattice("L", length, periodic=True, t=t, U=u)
     n_sites = length * length
     edges: list[tuple[int, int]] = []
     for r in range(length):

@@ -15,8 +15,8 @@ The fault-tolerant layer solves for the surface-code distance, lays out
 patches for fast-block Pauli-based computation, and converts clocks to
 wall time at one code cycle per microsecond (CYCLE_TIME).  The total time
 is the single shot times gamma_inf^2 e^(4 P_total) / eps^2, with the
-rotations' P_total priced by :mod:`starsmm.mitigation`; no separate shot
-count is kept.
+rotations' P_total priced by :mod:`starsmm.mitigation` (no separate shot
+count is kept) and an SMM alpha read from :func:`starsmm.smm.error_rates`.
 """
 
 from __future__ import annotations
@@ -41,24 +41,28 @@ class DistanceSolveError(RuntimeError):
 
 def select_angle(lambda_t: float, q: float) -> float:
     """Overhead-optimal fixed rotation angle: arctan(Q / (2 lambda T))."""
-    if lambda_t <= 0.0 or q <= 0.0:
+    if not (lambda_t > 0.0 and q > 0.0):  # written so that a NaN fails it
         raise ValueError("lambda*T and Q must be positive")
     return math.atan(q / (2.0 * lambda_t))
 
 
-def gate_count(lambda_t: float, delta: float) -> float:
-    """Expected non-trivial gates per shot: csc(2D)(3 - cos 2D) lambda T."""
-    if lambda_t <= 0.0:
+def _check_lambda_t_delta(lambda_t: float, delta: float) -> None:
+    """Refuse all but lambda*T > 0 and Delta in (0, pi/2); a NaN fails both."""
+    if not lambda_t > 0.0:
         raise ValueError("lambda*T must be positive")
     if not 0.0 < delta < 0.5 * math.pi:
         raise ValueError(f"delta must lie in (0, pi/2), got {delta!r}")
+
+
+def gate_count(lambda_t: float, delta: float) -> float:
+    """Expected non-trivial gates per shot: csc(2D)(3 - cos 2D) lambda T."""
+    _check_lambda_t_delta(lambda_t, delta)
     return (3.0 - math.cos(2.0 * delta)) / math.sin(2.0 * delta) * lambda_t
 
 
 def sampling_overhead(lambda_t: float, delta: float) -> float:
     """gamma_inf^2 = exp(2 lambda T tan Delta)."""
-    if lambda_t <= 0.0 or not 0.0 < delta < 0.5 * math.pi:
-        raise ValueError("need lambda*T > 0 and delta in (0, pi/2)")
+    _check_lambda_t_delta(lambda_t, delta)
     return math.exp(2.0 * lambda_t * math.tan(delta))
 
 
@@ -85,7 +89,7 @@ def patch_count(n_l: int) -> int:
 def smm_alpha_provider(
     p_ph: float, p_m: float = mitigation.P_M, *, c1: float
 ) -> mitigation.AlphaModel:
-    """alpha_RUS(theta) backed by the SMM analytics at k = SMM_K, theta_th = SMM_THETA_TH.
+    """alpha_RUS(theta) from :func:`smm.error_rates` at k = SMM_K, theta_th = SMM_THETA_TH.
 
     ``c1`` is the first-order pass coefficient, e.g. ``smm.calibrate_c1(SMM_K, p_ph)``.
     |theta| >= theta_th is pure synthesis (n_rus = 0): the P_L of the gate at
@@ -93,14 +97,10 @@ def smm_alpha_provider(
     """
     params = tmr.TmrParams(k=SMM_K, p_ph=p_ph, pass_coeffs=(c1,))
 
-    def report(theta_l: float) -> smm.SmmReport:
-        config = smm.SmmConfig(theta_l=theta_l, tmr_params=params, theta_th=SMM_THETA_TH, p_m=p_m)
-        return smm.effective_error_rate(config)
-
     def alpha(theta: float) -> float:
-        if abs(theta) < SMM_THETA_TH:
-            return report(theta).alpha_rus
-        return report(SMM_THETA_TH).alpha_rus * SMM_THETA_TH / abs(theta)
+        mag = abs(theta)
+        rate = smm.error_rates(params, min(mag, SMM_THETA_TH), SMM_THETA_TH, p_m=p_m).alpha_rus
+        return rate.item() if mag < SMM_THETA_TH else rate.item() * SMM_THETA_TH / mag
 
     return alpha
 
@@ -136,8 +136,7 @@ class TepaiInstance:
             raise ValueError("lambda*T must be positive")  # lam, t > 0: the product underflowed
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.n_l < 1 or self.n_l % 1:
-            raise ValueError(f"N_L must be >= 1 and an integer, got {self.n_l!r}")
+        patch_count(self.n_l)  # the layout's N_L rule
 
 
 @dataclass(frozen=True)

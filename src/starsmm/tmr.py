@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -46,11 +47,14 @@ class TmrParams:
     j_max: int | None = None
 
     def __post_init__(self) -> None:
+        jm = self.k // 2 if self.j_max is None else self.j_max
+        for name, value in (("k", self.k), ("j_max", jm)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.k <= MAX_K:
             raise ValueError(f"k must lie in [2, {MAX_K}], got {self.k}")
         if not 0.0 <= self.p_ph <= MAX_P_PH:
             raise ValueError(f"p_ph must lie in [0, 0.1], got {self.p_ph!r}")
-        jm = self.k // 2 if self.j_max is None else self.j_max
         if not 1 <= jm <= self.k // 2:
             raise ValueError(f"j_max must lie in [1, k // 2] = [1, {self.k // 2}], got {jm}")
         object.__setattr__(self, "j_max", jm)

@@ -185,8 +185,14 @@ class TestL1Norm:
          "h must be non-negative and finite, got inf"),
         (hamcat.SystemEntry, dict(name="x", n_l=2.5, lam=1.0),
          "N_L must be >= 1 and finite and an integer, got 2.5"),
-        (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=2.5),
-         "N_L must be >= 1 and finite and an integer, got 6.25"),
+        # each lattice size is refused by name before N_L is formed
+        (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=2.5), "L must be an integer, got 2.5"),
+        (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=3.0), "L must be an integer, got 3.0"),
+        (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=-3), "L must be >= 1, got -3"),
+        (hamcat.rfic_entry, dict(J=1.0, h=1.0, n_sites=10.0), "N must be an integer, got 10.0"),
+        (hamcat.rfic_entry, dict(J=1.0, h=1.0, n_sites=0), "N must be >= 1, got 0"),
+        (hamcat.SystemEntry, dict(name="x", n_l=9.0, lam=1.0),
+         "N_L must be >= 1 and finite and an integer, got 9.0"),
         # the periodic lattice size is an integer, even when it is a whole float
         (hamcat.hubbard_entry, dict(t=1.0, u=4.0, length=3.0), "L must be an integer, got 3.0"),
         (hamcat.hubbard_terms, dict(length=3.0, t=1.0, u=4.0), "L must be an integer, got 3.0"),
@@ -198,7 +204,8 @@ class TestL1Norm:
          "term-letter", "hubbard-t", "hubbard-u", "entry-lambda-nan", "entry-lambda-inf",
          "entry-n_l-nan", "entry-hubbard-t-nan", "entry-hubbard-u-inf", "terms-t-nan",
          "terms-t-inf", "rfic-J-negative", "rfic-h-nan", "tfim-J-negative", "tfim-h-inf",
-         "entry-n_l-fraction", "tfim-n_l-fraction", "hubbard-L-whole-float",
+         "entry-n_l-fraction", "tfim-n_l-fraction", "tfim-L-whole-float", "tfim-L-negative",
+         "rfic-N-whole-float", "rfic-N-zero", "entry-n_l-whole-float", "hubbard-L-whole-float",
          "terms-L-whole-float", "hubbard-L-fraction", "terms-L-nan"],
 )
 def test_validation_names_the_argument(call, kwargs, message):

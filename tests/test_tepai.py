@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starsmm import hamcat, mitigation, smm, tepai
+from starsmm import hamcat, mitigation, smm, tepai, tmr
 
 
 class TestSelectAngle:
@@ -135,6 +135,25 @@ class TestSmmAlphaProvider:
         for theta in (theta_th, 0.0131, 0.3):
             assert alpha(theta) == pytest.approx(p_l / (theta * p_ph), rel=1e-12)
 
+    @pytest.mark.parametrize("c1", [0.0367, 1.0])
+    @pytest.mark.parametrize("p_m", [0.0, 2e-9])
+    def test_matches_the_per_gate_report(self, p_m, c1):
+        # reference: one SmmConfig and its full effective_error_rate report per angle
+        p_ph, theta_th = 1e-3, tepai.SMM_THETA_TH
+        params = tmr.TmrParams(k=tepai.SMM_K, p_ph=p_ph, pass_coeffs=(c1,))
+
+        def reference(theta):
+            gate = theta if abs(theta) < theta_th else theta_th
+            config = smm.SmmConfig(theta_l=gate, tmr_params=params, theta_th=theta_th, p_m=p_m)
+            rate = smm.effective_error_rate(config).alpha_rus
+            return rate if abs(theta) < theta_th else rate * theta_th / abs(theta)
+
+        alpha = tepai.smm_alpha_provider(p_ph, p_m=p_m, c1=c1)
+        thetas = (0.0, 1e-8, -1e-8, 1e-5, 0.0099, theta_th * (1 - 1e-12), theta_th,
+                  theta_th * (1 + 1e-12), 0.3, 1.5)
+        for theta in thetas:
+            assert alpha(theta).hex() == reference(theta).hex(), theta
+
 
 class TestEstimate:
     def test_reference_headline(self):
@@ -213,8 +232,18 @@ class TestEstimate:
         (tepai.select_angle, dict(lambda_t=0.0, q=1.0), r"lambda\*T and Q must be positive"),
         (tepai.select_angle, dict(lambda_t=1.0, q=0.0), r"lambda\*T and Q must be positive"),
         (tepai.gate_count, dict(lambda_t=0.0, delta=0.1), r"lambda\*T must be positive"),
-        (tepai.sampling_overhead, dict(lambda_t=0.0, delta=0.1), r"need lambda\*T > 0"),
-        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.0), r"delta in \(0, pi/2\)"),
+        # gate_count and sampling_overhead share one check, and its messages
+        (tepai.sampling_overhead, dict(lambda_t=0.0, delta=0.1), r"lambda\*T must be positive"),
+        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=0.0),
+         r"delta must lie in \(0, pi/2\), got 0.0"),
+        # a NaN fails every lambda*T, Q and Delta check
+        (tepai.select_angle, dict(lambda_t=math.nan, q=1.0), r"lambda\*T and Q must be positive"),
+        (tepai.select_angle, dict(lambda_t=1.0, q=math.nan), r"lambda\*T and Q must be positive"),
+        (tepai.gate_count, dict(lambda_t=math.nan, delta=0.1), r"lambda\*T must be positive"),
+        (tepai.sampling_overhead, dict(lambda_t=math.nan, delta=0.1),
+         r"lambda\*T must be positive"),
+        (tepai.sampling_overhead, dict(lambda_t=1.0, delta=math.nan),
+         r"delta must lie in \(0, pi/2\), got nan"),
         (tepai.logical_error_per_cycle, dict(p_ph=0.0, d=3), r"p_ph must lie in .*, got 0.0"),
         (tepai.logical_error_per_cycle, dict(p_ph=0.01, d=3), r"p_ph must lie in .*, got 0.01"),
         (_fes_instance, dict(n_l=0), "N_L must be >= 1"),
@@ -236,6 +265,8 @@ class TestEstimate:
         (tepai.patch_count, dict(n_l=math.nan), "N_L must be >= 1 and an integer, got nan"),
     ],
     ids=["angle-lambda_t", "angle-q", "gates-lambda_t", "overhead-lambda_t", "overhead-delta",
+         "angle-lambda_t-nan", "angle-q-nan", "gates-lambda_t-nan", "overhead-lambda_t-nan",
+         "overhead-delta-nan",
          "cycle-p_ph-zero", "cycle-p_ph-threshold", "instance-n_l",
          "instance-c_smm", "instance-alpha_model-nan", "instance-lam-nan", "instance-t-inf",
          "instance-p_ph-nan", "instance-c_smm-inf", "instance-lam-t-negative",

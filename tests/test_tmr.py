@@ -372,9 +372,14 @@ class TestBranchTable:
         (tmr.TmrParams, (5, 1e-3, (math.nan,)), "pass coefficient c_1 must be finite and >= 0, got nan"),
         (tmr.TmrParams, (5, 1e-3, (0.5, math.inf)), "pass coefficient c_2 must be finite and >= 0, got inf"),
         (tmr.TmrParams, (5, 1e-3, (-1.0,)), "pass coefficient c_1 must be finite and >= 0, got -1.0"),
+        # a whole or fractional float would reach the padding as a sequence repeat count
+        (tmr.TmrParams, (7.0, 1e-3), "k must be an integer, got 7.0"),
+        (tmr.TmrParams, (2.5, 1e-3), "k must be an integer, got 2.5"),
+        (tmr.TmrParams, (7, 1e-3, (), 2.0), "j_max must be an integer, got 2.0"),
     ],
     ids=["physical-negative", "physical-large", "weights-zero", "weights-large", "weights-inf",
-         "weights-nan", "pass-coeff-nan", "pass-coeff-inf", "pass-coeff-negative"],
+         "weights-nan", "pass-coeff-nan", "pass-coeff-inf", "pass-coeff-negative",
+         "k-whole-float", "k-fraction", "j_max-whole-float"],
 )
 def test_validation_names_the_argument(call, args, message):
     with pytest.raises(ValueError, match=message):
