@@ -179,14 +179,23 @@ def _get_value(
     return values if many else values[0]
 
 
+#: Most points a log grid may have (``points_per_decade``, ``lam_grid``).
+_MAX_GRID_POINTS = 10 ** 5
+
+
 def _log_grid(
-    section: str, lo_key: str, hi_key: str, lo: float, hi: float, points_per_decade: int
+    section: str, lo_key: str, hi_key: str, ppd_key: str, lo: float, hi: float,
+    points_per_decade: int,
 ) -> list[float]:
-    """Log-spaced grid over [lo, hi] (lo > 0); the keys name the bounds in errors."""
+    """Log-spaced grid over [lo, hi] (lo > 0); the keys name the bounds and density in errors."""
     if hi < lo:
         raise ConfigError(f"[{section}] {lo_key} = {lo!r} must be <= {hi_key} = {hi!r}")
     span = math.log10(hi) - math.log10(lo)  # hi / lo itself can overflow
-    n = max(int(round(span * points_per_decade)), 0) + 1
+    steps = span * points_per_decade  # inf for a density past about 1e308 / span
+    n = max(int(round(steps)), 0) + 1 if steps < _MAX_GRID_POINTS else math.inf
+    if n > _MAX_GRID_POINTS:
+        raise ConfigError(f"[{section}] {ppd_key} = {points_per_decade!r} gives more than "
+                          f"{_MAX_GRID_POINTS} grid points over [{lo!r}, {hi!r}]")
     if n < 2:
         return [lo]
     step = span / (n - 1)
@@ -194,8 +203,11 @@ def _log_grid(
 
 
 def _get_c1(cfg, section) -> float | None:
-    """The configured c1, or None for 'calibrated' (the default)."""
-    return _get_value(cfg, section, "c1", words={"calibrated": None}, minimum=0.0)
+    """The configured c1, or None for 'calibrated' (the default).
+
+    At most 1e300, so that the TMR pass rate C(k, 1) c1 p_ph is a float for every k.
+    """
+    return _get_value(cfg, section, "c1", words={"calibrated": None}, minimum=0.0, maximum=1e300)
 
 
 def _get_p_ph(cfg, section, c1: float | None) -> float:
@@ -245,9 +257,10 @@ def cmd_alpha_sweep(cfg, out_dir: Path, seed: int) -> int:
     p_m = _get_value(cfg, section, "p_m", 0.0, minimum=0.0, maximum=smm.MAX_P_M)
     higher = _get_value(cfg, section, "higher_orders", smm.SmmConfig.include_higher_orders,
                         cast=_boolean)
-    grid = _log_grid(section, "theta_l_min", "theta_l_max", lo, hi, ppd)
+    grid = _log_grid(section, "theta_l_min", "theta_l_max", "points_per_decade", lo, hi, ppd)
 
-    grid_th = ratio * np.array(grid) if mode == "fixed_ratio" else np.full(len(grid), theta_th)
+    with np.errstate(over="ignore"):  # an overflowing threshold is inf, outside the domain
+        grid_th = ratio * np.array(grid) if mode == "fixed_ratio" else np.full(len(grid), theta_th)
     keep = smm.in_domain(grid, grid_th)
     grid_in, thresholds = list(itertools.compress(grid, keep)), grid_th[keep]
     if not grid_in:
@@ -354,7 +367,7 @@ def cmd_bound(cfg, out_dir: Path, seed: int) -> int:
     ppd = _get_value(cfg, section, "points_per_decade", 4, cast=int, minimum=1)
     alpha_model = _get_alpha(cfg, section, "alpha_v3", p_ph, p_m=p_m)
 
-    grid = _log_grid(section, "n_t_min", "n_t_max", lo, hi, ppd)
+    grid = _log_grid(section, "n_t_min", "n_t_max", "points_per_decade", lo, hi, ppd)
     rows = []
     for arch in architectures:
         with _naming(f"[{section}] theta_star = {theta_star!r}, architecture {arch}"):
@@ -408,7 +421,8 @@ def _tepai_systems(cfg) -> list[tuple[str, float, int]]:
                               "must be an integer >= 1")
         n_l = _get_value(cfg, section, "n_l", cast=int, required=True, minimum=1)
         lo, hi, ppd = lam_grid
-        for lam in _log_grid(section, "lam_grid min", "max", lo, hi, int(ppd)):
+        for lam in _log_grid(section, "lam_grid min", "max", "lam_grid points_per_decade",
+                             lo, hi, int(ppd)):
             systems.append((f"lambda={lam:.6g}", lam, n_l))
     if not systems:
         raise ConfigError(f"[{section}] systems: no target system (set systems or lam_grid)")

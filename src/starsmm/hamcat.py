@@ -34,7 +34,7 @@ class SystemEntry:
     unit: str = "dimensionless"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_l, numbers.Integral) or self.n_l < 1:
+        if not isinstance(self.n_l, numbers.Integral) or isinstance(self.n_l, bool) or self.n_l < 1:
             raise ValueError(f"N_L must be >= 1 and finite and an integer, got {self.n_l!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam!r}")
@@ -47,7 +47,7 @@ def _check_lattice(size_name: str, size: int, periodic: bool = False, **coupling
 
     Each is named; a periodic L = 2 would repeat the wrap-around edges.
     """
-    if not isinstance(size, numbers.Integral):
+    if not isinstance(size, numbers.Integral) or isinstance(size, bool):
         raise ValueError(f"{size_name} must be an integer, got {size!r}")
     if periodic and size < 3:
         raise ValueError("periodic boundaries need L >= 3 (degenerate edges otherwise)")

@@ -15,7 +15,6 @@ reads; both refuse a trial outside PCEC's regime.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
@@ -60,25 +59,21 @@ def build_canceller(thetas, qbars) -> RotationMixture:
 
 
 def residual_rate(model: TmrOutputModel) -> float:
-    """Post-cancellation stochastic-Z rate: 2 sum_{j>=1} qbar_j sin^2(Delta_j).
-
-    Agrees with the exact twirled-Z rate of canceller-after-noisy up to
-    O((sum qbar_j)^2) cross terms.  The terms are added left to right.
-    """
-    return 2.0 * functools.reduce(operator.add, (
-        qbar * math.sin(theta_j - model.theta_l) ** 2
-        for qbar, theta_j in zip(model.branch_qbars[1:], model.branch_thetas[1:])
-    ))
+    """:func:`residual_rates` of one model's ``(branch_thetas, branch_qbars)`` row."""
+    return residual_rates(np.array(model.branch_thetas), np.array(model.branch_qbars)).item()
 
 
 def residual_rates(
     thetas: np.ndarray, qbars: np.ndarray, higher_orders: bool = True
 ) -> np.ndarray:
-    """Array form of :func:`residual_rate` over a :func:`starsmm.tmr.branch_table`.
+    """Post-cancellation stochastic-Z rate 2 sum_{j>=1} qbar_j sin^2(Delta_j) per branch-table row.
 
-    Sums over the branch (last) axis.  With ``higher_orders`` false only the
-    leading branch counts, 2 qbar_1 sin^2(Delta_1): the comparison mode for
-    the earlier architecture generation, which cancelled only that branch.
+    Delta_j = theta_j - theta_0, summed over the branch (last) axis of a
+    :func:`starsmm.tmr.branch_table`.  Agrees with the exact twirled-Z rate of
+    canceller-after-noisy up to O((sum qbar_j)^2) cross terms.  With
+    ``higher_orders`` false only the leading branch counts, 2 qbar_1 sin^2(Delta_1):
+    the comparison mode for the earlier architecture generation, which
+    cancelled only that branch.
     """
     last = None if higher_orders else 2
     deltas = thetas[..., 1:last] - thetas[..., :1]

@@ -326,10 +326,10 @@ def error_rates(params: tmr.TmrParams, theta_l, theta_th, *, p_m: float = SmmCon
 def synthesis_only_gate(delta: float, p_m: float = mitigation.P_M) -> tuple[float, float]:
     """Error rate and clocks of the pure T-gate-synthesis comparator.
 
-    Returns (P_L, clocks) = (delta + p_m*N_syn, N_syn*T_GATE_LATENCY_CLOCKS).
+    Returns (P_L, clocks) = (delta + p_m*N_syn, the latency-mode clocks of N_syn T-gates).
     """
     n_syn = mitigation.synthesis_t_count(delta)
-    return delta + p_m * n_syn, n_syn * T_GATE_LATENCY_CLOCKS
+    return delta + p_m * n_syn, _digital_clocks("latency", n_syn)
 
 
 # -- Exact trajectory enumeration (closed form) -----------------------------
@@ -499,6 +499,8 @@ def monte_carlo(config: SmmConfig, shots: int, seed: int) -> McReport:
     """
     def integer(name: str, value) -> int:
         try:
+            if isinstance(value, bool):  # an int subclass, not a count
+                raise TypeError
             return operator.index(value)  # numpy integers too
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None

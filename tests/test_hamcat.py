@@ -199,6 +199,11 @@ class TestL1Norm:
         (hamcat.hubbard_entry, dict(t=1.0, u=4.0, length=3.5), "L must be an integer, got 3.5"),
         (hamcat.hubbard_terms, dict(length=math.nan, t=1.0, u=4.0),
          "L must be an integer, got nan"),
+        # bool is an Integral subclass, not a size
+        (hamcat.rfic_entry, dict(J=1.0, h=1.0, n_sites=True), "N must be an integer, got True"),
+        (hamcat.tfim_entry, dict(J=1.0, h=1.0, length=True), "L must be an integer, got True"),
+        (hamcat.SystemEntry, dict(name="x", n_l=True, lam=1.0),
+         "N_L must be >= 1 and finite and an integer, got True"),
     ],
     ids=["entry-n_l", "entry-lambda", "term-coefficient", "term-order", "term-repeat",
          "term-letter", "hubbard-t", "hubbard-u", "entry-lambda-nan", "entry-lambda-inf",
@@ -206,7 +211,8 @@ class TestL1Norm:
          "terms-t-inf", "rfic-J-negative", "rfic-h-nan", "tfim-J-negative", "tfim-h-inf",
          "entry-n_l-fraction", "tfim-n_l-fraction", "tfim-L-whole-float", "tfim-L-negative",
          "rfic-N-whole-float", "rfic-N-zero", "entry-n_l-whole-float", "hubbard-L-whole-float",
-         "terms-L-whole-float", "hubbard-L-fraction", "terms-L-nan"],
+         "terms-L-whole-float", "hubbard-L-fraction", "terms-L-nan", "rfic-N-bool",
+         "tfim-L-bool", "entry-n_l-bool"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,9 +17,18 @@ def _row(model):
     return model.branch_thetas, model.branch_qbars
 
 
-def _leading_rate(model):
-    """The leading-order residual 2 qbar_1 sin^2(Delta_1), through libm."""
-    return 2.0 * (model.branch_qbars[1] * math.sin(model.branch_thetas[1] - model.theta_l) ** 2)
+def libm_residual(model, higher_orders=True):
+    """The reference residual 2 sum_{j>=1} qbar_j sin^2(Delta_j) of one model, through libm.
+
+    A loop over the model's branches, added left to right, independent of
+    the numpy form in :mod:`starsmm.pcec`; with ``higher_orders`` false only
+    the leading branch counts.  tests/test_smm.py reads it too.
+    """
+    last = None if higher_orders else 2
+    return 2.0 * functools.reduce(operator.add, (
+        qbar * math.sin(theta_j - model.theta_l) ** 2
+        for qbar, theta_j in zip(model.branch_qbars[1:last], model.branch_thetas[1:last])
+    ))
 
 
 class TestNoisyChannel:
@@ -94,7 +105,7 @@ class TestResidualRate:
         assert max(ratios) / min(ratios) < 1.02
         # and the full-sum rate matches the leading-order rate in-regime
         model = tmr.output_model_for_logical(params, 1e-6)
-        assert pcec.residual_rate(model) == pytest.approx(_leading_rate(model), rel=1e-2)
+        assert pcec.residual_rate(model) == pytest.approx(libm_residual(model, higher_orders=False), rel=1e-2)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 7])
     def test_oracle_against_exact_channel(self, k):
@@ -153,14 +164,20 @@ class TestChannelSet:
         lead = pcec.residual_rates(*map(np.array, _row(model)), higher_orders=False)
         assert lead == pytest.approx(pcec.residual_rate(model), rel=1e-14)
 
-    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("k", range(2, 16))
     def test_residual_rates_match_scalar_forms(self, k):
-        params = tmr.TmrParams(k=k, p_ph=1e-2)
+        # both public forms against the libm loop, at every j_max; numpy's sin
+        # may differ from libm's in the last bit
         theta_l = np.geomspace(1e-9, math.pi / 8, 13)
-        _, thetas, qbars = tmr.branch_table(params, theta_l)
-        full = pcec.residual_rates(thetas, qbars)
-        lead = pcec.residual_rates(thetas, qbars, higher_orders=False)
-        for x, r_full, r_lead in zip(theta_l, full, lead):
-            model = tmr.output_model_for_logical(params, float(x))
-            assert r_full == pytest.approx(pcec.residual_rate(model), rel=1e-13, abs=0.0)
-            assert r_lead == pytest.approx(_leading_rate(model), rel=1e-13, abs=0.0)
+        for j_max in range(1, k // 2 + 1):
+            params = tmr.TmrParams(k=k, p_ph=1e-2, j_max=j_max)
+            _, thetas, qbars = tmr.branch_table(params, theta_l)
+            full = pcec.residual_rates(thetas, qbars)
+            lead = pcec.residual_rates(thetas, qbars, higher_orders=False)
+            for x, r_full, r_lead in zip(theta_l, full, lead):
+                model = tmr.output_model_for_logical(params, float(x))
+                want = libm_residual(model)
+                assert pcec.residual_rate(model) == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert r_full == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert r_lead == pytest.approx(
+                    libm_residual(model, higher_orders=False), rel=1e-13, abs=0.0)

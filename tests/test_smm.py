@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from starsmm import pcec, smm, tmr, zchan
+from test_pcec import libm_residual
 
 
 def _config(theta_l, k=5, p_ph=1e-3, c1=1.0, **kwargs):
@@ -242,7 +243,7 @@ class TestEffectiveErrorRate:
         assert rep.n_rus == 4 and len(rep.trials) == 4
         for row in rep.trials:
             model = tmr.output_model_for_logical(cfg.tmr_params, row.theta_rus)
-            assert row.residual == pytest.approx(pcec.residual_rate(model), rel=1e-13)
+            assert row.residual == pytest.approx(libm_residual(model), rel=1e-13)
         expected_analog = sum(2.0 ** -r.index * r.residual for r in rep.trials)
         assert rep.p_analog == pytest.approx(expected_analog, rel=1e-13)
 
@@ -326,8 +327,8 @@ def _libm_gate(params, theta_l, theta_th, p_m=2e-9, include_higher_orders=True,
 
     An independent reference for the SMM evaluator, which reads
     ``tmr.branch_table``: each trial's table comes from the scalar
-    ``tmr.output_model_for_logical`` and its residual from
-    ``pcec.residual_rate``, or at leading order 2 qbar_1 sin^2(Delta_1), the
+    ``tmr.output_model_for_logical`` and its residual from the libm loop
+    ``test_pcec.libm_residual`` (2 qbar_1 sin^2(Delta_1) at leading order), the
     2^-i-weighted terms are added left to right, and ``smm._finish`` closes
     the gate.
     """
@@ -338,11 +339,7 @@ def _libm_gate(params, theta_l, theta_th, p_m=2e-9, include_higher_orders=True,
     p_analog = clocks = 0.0
     for i in range(n):
         model = tmr.output_model_for_logical(params, math.ldexp(mag, i))
-        if include_higher_orders:
-            residual = pcec.residual_rate(model)
-        else:
-            residual = 2.0 * (model.branch_qbars[1] * math.sin(model.branch_thetas[1] - model.theta_l) ** 2)
-        p_analog += 2.0 ** -i * residual
+        p_analog += 2.0 ** -i * libm_residual(model, include_higher_orders)
         clocks += 2.0 ** -i * smm._analog_clocks(timing_mode, model.p_ideal)
     finish = smm._finish(params, mag, n, p_analog, clocks, p_m, timing_mode)
     return tuple(finish[name].item()
@@ -1072,7 +1069,7 @@ class TestV2Calibration:
                         if s < n:
                             model = tmr.output_model_for_logical(params, 2.0 ** s * theta_l)
                             # j_max = 1: the residual is the leading-order one
-                            analog += 2.0 ** (-s) * pcec.residual_rate(model)
+                            analog += 2.0 ** (-s) * libm_residual(model)
                     best = min(costs) / (theta_l * p_ph)
                     assert smm.v2_rus_factor(theta_l, k, p_ph, c1) == best, (p_ph, c1, theta_l)
 
@@ -1127,6 +1124,7 @@ class TestPinnedValues:
         (smm.monte_carlo, (_config(0.02), 10, 2 ** 64),
          r"^seed must lie in \[0, 2\^64\), got 18446744073709551616$"),
         (smm.monte_carlo, (_config(0.02), 10, -1), r"^seed must lie in \[0, 2\^64\), got -1$"),
+        (smm.monte_carlo, (_config(0.02), True, 1), r"^shots must be an integer, got True$"),
         (smm.v2_rus_factor, (0.0, 7, 1e-3, 0.04), "theta_l and p_ph must be positive"),
         (smm.v2_rus_factor, (1e-5, 7, 0.0, 0.04), "theta_l and p_ph must be positive"),
         (smm.v2_rus_factor, (1e-5, 7, 1e-3, -1.0), "c1 non-negative"),
@@ -1141,7 +1139,8 @@ class TestPinnedValues:
         # theta_l * p_ph underflows to 0 in the v2 factor; no ZeroDivisionError leaks
         (smm.calibrate_c1, (7, 1e-320), r"got p_ph = 1e-320"),
     ],
-    ids=["mc-shots", "mc-shots-2^63", "mc-seed-2^64", "mc-seed-negative", "v2-theta_l", "v2-p_ph",
+    ids=["mc-shots", "mc-shots-2^63", "mc-seed-2^64", "mc-seed-negative", "mc-shots-bool",
+         "v2-theta_l", "v2-p_ph",
          "v2-c1", "v2-theta_l-inf", "v2-theta_l-nan", "v2-p_ph-inf",
          "v2-c1-nan", "v2-c1-inf", "calibrate-zero", "calibrate-negative", "calibrate-subnormal"],
 )

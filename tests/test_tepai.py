@@ -263,6 +263,7 @@ class TestEstimate:
         (tepai.patch_count, dict(n_l=2.5), "N_L must be >= 1 and an integer, got 2.5"),
         (tepai.patch_count, dict(n_l=math.inf), "N_L must be >= 1 and an integer, got inf"),
         (tepai.patch_count, dict(n_l=math.nan), "N_L must be >= 1 and an integer, got nan"),
+        (tepai.patch_count, dict(n_l=True), "N_L must be >= 1 and an integer, got True"),
     ],
     ids=["angle-lambda_t", "angle-q", "gates-lambda_t", "overhead-lambda_t", "overhead-delta",
          "angle-lambda_t-nan", "angle-q-nan", "gates-lambda_t-nan", "overhead-lambda_t-nan",
@@ -271,7 +272,7 @@ class TestEstimate:
          "instance-c_smm", "instance-alpha_model-nan", "instance-lam-nan", "instance-t-inf",
          "instance-p_ph-nan", "instance-c_smm-inf", "instance-lam-t-negative",
          "instance-t-negative", "instance-alpha_model-negative", "instance-n_l-fraction",
-         "patches-n_l-fraction", "patches-n_l-inf", "patches-n_l-nan"],
+         "patches-n_l-fraction", "patches-n_l-inf", "patches-n_l-nan", "patches-n_l-bool"],
 )
 def test_validation_names_the_argument(call, kwargs, message):
     with pytest.raises(ValueError, match=message):

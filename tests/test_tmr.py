@@ -376,10 +376,11 @@ class TestBranchTable:
         (tmr.TmrParams, (7.0, 1e-3), "k must be an integer, got 7.0"),
         (tmr.TmrParams, (2.5, 1e-3), "k must be an integer, got 2.5"),
         (tmr.TmrParams, (7, 1e-3, (), 2.0), "j_max must be an integer, got 2.0"),
+        (tmr.TmrParams, (7, 1e-3, (), True), "j_max must be an integer, got True"),
     ],
     ids=["physical-negative", "physical-large", "weights-zero", "weights-large", "weights-inf",
          "weights-nan", "pass-coeff-nan", "pass-coeff-inf", "pass-coeff-negative",
-         "k-whole-float", "k-fraction", "j_max-whole-float"],
+         "k-whole-float", "k-fraction", "j_max-whole-float", "j_max-bool"],
 )
 def test_validation_names_the_argument(call, args, message):
     with pytest.raises(ValueError, match=message):
